@@ -36,6 +36,7 @@ from penscript.netcore.model import (
 )
 from penscript.netcore.train import TrainConfig, train
 from penscript.preprocess import AugmentConfig, augment, interpolate
+from penscript.seeding import derive_seed
 from penscript.segment import split_equation
 from penscript import fdcheck
 
@@ -138,7 +139,7 @@ def cmd_augment(args) -> int:
     cfg = AugmentConfig.from_dict(cfg_file.get("augment", {}))
     methods = set(args.methods.split(",")) if args.methods else set()
     augmented = [
-        augment(s, cfg, methods, args.seed + i) for i, s in enumerate(samples)
+        augment(s, cfg, methods, derive_seed(args.seed, i)) for i, s in enumerate(samples)
     ]
     out = _out_dir(args)
     data_text, labels_text = write_recording(augmented, alphabet)

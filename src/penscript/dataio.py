@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from penscript.seeding import stream
+
 CHANNEL_NAMES = (
     "acc_front_x", "acc_front_y", "acc_front_z",
     "acc_rear_x", "acc_rear_y", "acc_rear_z",
@@ -29,8 +31,6 @@ CHANNEL_NAMES = (
 FORCE_CHANNEL = 12
 
 EQUATION_SYMBOLS = tuple("0123456789") + ("+", "-", "·", ":", "=")
-
-_SEED_MASK = (1 << 64) - 1
 
 
 class RecordingFormatError(ValueError):
@@ -357,7 +357,7 @@ def make_splits(samples: Sequence[Sample], mode: str, k: int, seed: int) -> Fold
         by_writer.setdefault(s.writer_id, []).append(idx)
 
     all_indices = set(range(len(samples)))
-    rng = np.random.default_rng(np.random.SeedSequence(seed & _SEED_MASK))
+    rng = stream(seed)
     folds: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     if mode == "WD":

@@ -7,17 +7,14 @@ from penscript.netcore.tensor import (
     concat_last,
     conv1d_op,
     dropout_op,
-    index_time,
     log_softmax_op,
-    matmul,
+    lstm_op,
     maxpool1d_op,
     mean_time,
     mul,
     relu,
     reverse_time,
     sigmoid,
-    slice_cols,
-    stack_time,
     tanh,
 )
 from penscript.netcore.layers import (
@@ -42,9 +39,9 @@ from penscript.netcore.train import TrainConfig, train
 
 __all__ = [
     "Tensor",
-    "add", "affine", "concat_last", "conv1d_op", "dropout_op", "index_time",
-    "log_softmax_op", "matmul", "maxpool1d_op", "mean_time", "mul", "relu",
-    "reverse_time", "sigmoid", "slice_cols", "stack_time", "tanh",
+    "add", "affine", "concat_last", "conv1d_op", "dropout_op", "log_softmax_op",
+    "lstm_op", "maxpool1d_op", "mean_time", "mul", "relu", "reverse_time",
+    "sigmoid", "tanh",
     "BatchNorm1d", "BiLSTM", "Conv1d", "Dense", "Dropout", "LSTM", "MaxPool1d",
     "ModelConfig", "RecognitionModel", "forward_char", "forward_seq2seq",
     "load_checkpoint", "save_checkpoint",

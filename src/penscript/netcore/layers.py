@@ -98,8 +98,7 @@ class BatchNorm1d:
         axes = tuple(range(x.data.ndim - 1))
         n = x.data.size // x.data.shape[-1]
 
-        def back():
-            g = out.grad
+        def back(g):
             gamma.grad += (g * xhat).sum(axis=axes)
             beta.grad += g.sum(axis=axes)
             dxhat = g * gamma.data
@@ -148,7 +147,8 @@ class LSTM:
     """Single-direction LSTM returning the full hidden sequence.
 
     Gate layout along the 4H axis is input, forget, cell, output; the
-    initial state is zero. tanh activations throughout.
+    initial state is zero. tanh activations throughout. The whole sequence
+    is one tape node (tensor.lstm_op) with a hand-written BPTT backward.
     """
 
     def __init__(self, c_in: int, hidden: int, rng: np.random.Generator):
@@ -161,23 +161,7 @@ class LSTM:
         self.b = Tensor(bias)
 
     def __call__(self, x: Tensor) -> Tensor:
-        bsz, t_len, _ = x.data.shape
-        h = self.hidden
-        # hoist the input projection out of the time loop
-        xw = T.affine(x, self.wx, self.b)
-        h_t = Tensor(np.zeros((bsz, h)))
-        c_t = Tensor(np.zeros((bsz, h)))
-        steps = []
-        for t in range(t_len):
-            gates = T.add(T.index_time(xw, t), T.matmul(h_t, self.wh))
-            i_g = T.sigmoid(T.slice_cols(gates, 0, h))
-            f_g = T.sigmoid(T.slice_cols(gates, h, 2 * h))
-            g_g = T.tanh(T.slice_cols(gates, 2 * h, 3 * h))
-            o_g = T.sigmoid(T.slice_cols(gates, 3 * h, 4 * h))
-            c_t = T.add(T.mul(f_g, c_t), T.mul(i_g, g_g))
-            h_t = T.mul(o_g, T.tanh(c_t))
-            steps.append(h_t)
-        return T.stack_time(steps)
+        return T.lstm_op(x, self.wx, self.wh, self.b)
 
     def parameters(self):
         return [("wx", self.wx), ("wh", self.wh), ("b", self.b)]

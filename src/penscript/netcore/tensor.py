@@ -1,9 +1,12 @@
 """Reverse-mode autodiff on numpy arrays, just enough for the models here.
 
 Every op builds a Tensor holding the forward value, its parents, and a
-closure that pushes the output gradient into the parents. backward() runs
-the closures in reverse topological order from a caller-supplied seed
-gradient. Everything is float64; batches lead the shape.
+closure that pushes the output gradient, passed in as its argument, into
+the parents. backward() runs the closures in reverse topological order
+from a caller-supplied seed gradient. A closure never refers to its own
+output Tensor, so a tape holds no reference cycle and is freed as soon as
+its last reference goes, without waiting for the cyclic garbage collector.
+Everything is float64; batches lead the shape.
 """
 
 from __future__ import annotations
@@ -64,15 +67,15 @@ class Tensor:
         self.grad = self.grad + seed
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, (a, b))
 
-    def back():
-        a.grad += _unbroadcast(out.grad, a.data.shape)
-        b.grad += _unbroadcast(out.grad, b.data.shape)
+    def back(g):
+        a.grad += _unbroadcast(g, a.data.shape)
+        b.grad += _unbroadcast(g, b.data.shape)
 
     out._backward = back
     return out
@@ -81,21 +84,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
-    def back():
-        a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
-        b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
-
-    out._backward = back
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product."""
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def back():
-        a.grad += out.grad @ b.data.T
-        b.grad += a.data.T @ out.grad
+    def back(g):
+        a.grad += _unbroadcast(g * b.data, a.data.shape)
+        b.grad += _unbroadcast(g * a.data, b.data.shape)
 
     out._backward = back
     return out
@@ -108,8 +99,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x2 = x.data.reshape(-1, fan_in)
     out = Tensor((x2 @ w.data + b.data).reshape(*lead, w.data.shape[1]), (x, w, b))
 
-    def back():
-        g2 = out.grad.reshape(-1, w.data.shape[1])
+    def back(g):
+        g2 = g.reshape(-1, w.data.shape[1])
         x.grad += (g2 @ w.data.T).reshape(x.data.shape)
         w.grad += x2.T @ g2
         b.grad += g2.sum(axis=0)
@@ -122,19 +113,23 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = Tensor(y, (x,))
 
-    def back():
-        x.grad += out.grad * (1.0 - y * y)
+    def back(g):
+        x.grad += g * (1.0 - y * y)
 
     out._backward = back
     return out
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-np.clip(x.data, -500, 500)))
+    y = _sigmoid(x.data)
     out = Tensor(y, (x,))
 
-    def back():
-        x.grad += out.grad * y * (1.0 - y)
+    def back(g):
+        x.grad += g * y * (1.0 - y)
 
     out._backward = back
     return out
@@ -143,42 +138,8 @@ def sigmoid(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0), (x,))
 
-    def back():
-        x.grad += out.grad * (x.data > 0)
-
-    out._backward = back
-    return out
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns [start, stop) of a 2-D tensor."""
-    out = Tensor(x.data[:, start:stop], (x,))
-
-    def back():
-        x.grad[:, start:stop] += out.grad
-
-    out._backward = back
-    return out
-
-
-def index_time(x: Tensor, t: int) -> Tensor:
-    """Timestep t of a (batch, time, features) tensor."""
-    out = Tensor(x.data[:, t, :], (x,))
-
-    def back():
-        x.grad[:, t, :] += out.grad
-
-    out._backward = back
-    return out
-
-
-def stack_time(steps: list[Tensor]) -> Tensor:
-    """Stack per-timestep (batch, features) tensors into (batch, time, features)."""
-    out = Tensor(np.stack([s.data for s in steps], axis=1), tuple(steps))
-
-    def back():
-        for t, s in enumerate(steps):
-            s.grad += out.grad[:, t, :]
+    def back(g):
+        x.grad += g * (x.data > 0)
 
     out._backward = back
     return out
@@ -187,11 +148,11 @@ def stack_time(steps: list[Tensor]) -> Tensor:
 def concat_last(parts: list[Tensor]) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=-1), tuple(parts))
 
-    def back():
+    def back(g):
         pos = 0
         for p in parts:
             width = p.data.shape[-1]
-            p.grad += out.grad[..., pos : pos + width]
+            p.grad += g[..., pos : pos + width]
             pos += width
 
     out._backward = back
@@ -201,8 +162,8 @@ def concat_last(parts: list[Tensor]) -> Tensor:
 def reverse_time(x: Tensor) -> Tensor:
     out = Tensor(x.data[:, ::-1, :].copy(), (x,))
 
-    def back():
-        x.grad += out.grad[:, ::-1, :]
+    def back(g):
+        x.grad += g[:, ::-1, :]
 
     out._backward = back
     return out
@@ -213,8 +174,8 @@ def mean_time(x: Tensor) -> Tensor:
     n = x.data.shape[1]
     out = Tensor(x.data.mean(axis=1), (x,))
 
-    def back():
-        x.grad += out.grad[:, None, :] / n
+    def back(g):
+        x.grad += g[:, None, :] / n
 
     out._backward = back
     return out
@@ -225,9 +186,76 @@ def log_softmax_op(x: Tensor) -> Tensor:
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = Tensor(logp, (x,))
 
-    def back():
+    def back(g):
         p = np.exp(logp)
-        x.grad += out.grad - p * out.grad.sum(axis=-1, keepdims=True)
+        x.grad += g - p * g.sum(axis=-1, keepdims=True)
+
+    out._backward = back
+    return out
+
+
+def lstm_op(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """Single-direction LSTM over (batch, time, c_in) as one tape node.
+
+    wx is (c_in, 4H), wh is (H, 4H) and b is (4H,), gates ordered input,
+    forget, cell, output; the initial state is zero. The forward pass runs
+    the time loop on plain arrays doing the same elementwise operations in
+    the same order as a step-by-step composition of affine, add, mul,
+    sigmoid and tanh, so its output is bit-identical to that composition.
+    The backward pass is backpropagation through time with one
+    (batch, 4H) @ (4H, H) product per step; the weight, bias and input
+    gradients are then single products over all batch * time rows.
+    """
+    bsz, t_len, c_in = x.data.shape
+    h = wh.data.shape[0]
+    wx_d, wh_d = wx.data, wh.data
+    x2 = x.data.reshape(-1, c_in)
+    # hoist the input projection out of the time loop
+    xw = (x2 @ wx_d + b.data).reshape(bsz, t_len, 4 * h)
+    # time-major per-step state kept for the backward pass; acts holds the
+    # four gate activations side by side, like the pre-activations
+    acts = np.empty((t_len, bsz, 4 * h))
+    cs = np.empty((t_len, bsz, h))
+    tcs = np.empty((t_len, bsz, h))
+    out_data = np.empty((bsz, t_len, h))
+    h_t = np.zeros((bsz, h))
+    c_t = np.zeros((bsz, h))
+    for t in range(t_len):
+        z = xw[:, t, :] + h_t @ wh_d
+        # elementwise, so one call over all four blocks equals one per gate
+        a = _sigmoid(z)
+        a[:, 2 * h : 3 * h] = np.tanh(z[:, 2 * h : 3 * h])
+        c_t = a[:, h : 2 * h] * c_t + a[:, :h] * a[:, 2 * h : 3 * h]
+        tc = np.tanh(c_t)
+        h_t = a[:, 3 * h :] * tc
+        acts[t], cs[t], tcs[t], out_data[:, t, :] = a, c_t, tc, h_t
+    out = Tensor(out_data, (x, wx, wh, b))
+
+    def back(g):
+        i_g, f_g, g_g, o_g = (acts[:, :, k * h : (k + 1) * h] for k in range(4))
+        c_prev = np.concatenate([np.zeros((1, bsz, h)), cs[:-1]])
+        # d(pre-activation)/d(c_t) for the i, f, g gates, stacked on axis 2
+        dz_dc = np.stack(
+            [g_g * i_g * (1.0 - i_g), c_prev * f_g * (1.0 - f_g), i_g * (1.0 - g_g * g_g)], axis=2
+        )
+        dzo_dh = tcs * o_g * (1.0 - o_g)
+        dc_dh = o_g * (1.0 - tcs * tcs)
+        dz = np.empty((t_len, bsz, 4, h))
+        dh = np.zeros((bsz, h))
+        dc = np.zeros((bsz, h))
+        for t in range(t_len - 1, -1, -1):
+            dh += g[:, t, :]
+            dc += dh * dc_dh[t]
+            np.multiply(dz_dc[t], dc[:, None, :], out=dz[t, :, :3])
+            np.multiply(dh, dzo_dh[t], out=dz[t, :, 3])
+            dc *= f_g[t]
+            dh = dz[t].reshape(bsz, 4 * h) @ wh_d.T
+        dz2 = dz.reshape(t_len, bsz, 4 * h).transpose(1, 0, 2).reshape(-1, 4 * h)
+        h_prev = np.concatenate([np.zeros((bsz, 1, h)), out_data[:, :-1, :]], axis=1)
+        wh.grad += h_prev.reshape(-1, h).T @ dz2
+        wx.grad += x2.T @ dz2
+        b.grad += dz2.sum(axis=0)
+        x.grad += (dz2 @ wx_d.T).reshape(x.data.shape)
 
     out._backward = back
     return out
@@ -253,8 +281,8 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = (cols2 @ wmat + b.data).reshape(bsz, t_len, c_out)
     out = Tensor(out_data, (x, w, b))
 
-    def back():
-        g2 = out.grad.reshape(bsz * t_len, c_out)
+    def back(g):
+        g2 = g.reshape(bsz * t_len, c_out)
         w.grad += (g2.T @ cols2).reshape(c_out, c_in, k)
         b.grad += g2.sum(axis=0)
         gcols = (g2 @ wmat.T).reshape(bsz, t_len, c_in, k)
@@ -279,9 +307,9 @@ def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
     idx = win.argmax(axis=2)  # first index on ties
     out = Tensor(np.take_along_axis(win, idx[:, :, None, :], axis=2)[:, :, 0, :], (x,))
 
-    def back():
+    def back(g):
         gwin = np.zeros_like(win)
-        np.put_along_axis(gwin, idx[:, :, None, :], out.grad[:, :, None, :], axis=2)
+        np.put_along_axis(gwin, idx[:, :, None, :], g[:, :, None, :], axis=2)
         x.grad += gwin.reshape(bsz, t_out * pool, ch)[:, :t_len, :]
 
     out._backward = back
@@ -297,8 +325,8 @@ def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     out = Tensor(x.data * mask, (x,))
 
-    def back():
-        x.grad += out.grad * mask
+    def back(g):
+        x.grad += g * mask
 
     out._backward = back
     return out

@@ -25,8 +25,7 @@ from penscript.losses import (
 from penscript.netcore.model import ModelConfig, RecognitionModel
 from penscript.netcore.optim import Adam
 from penscript.preprocess import interpolate
-
-_SEED_MASK = (1 << 64) - 1
+from penscript.seeding import stream
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,6 @@ class TrainConfig:
         if extra:
             raise ValueError(f"unknown train config fields: {sorted(extra)}")
         return cls(**d)
-
-
-def _seeded(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, stream]))
 
 
 def _prepare_inputs(
@@ -118,9 +113,9 @@ def train(
     params = loss_params or LossParams()
     task = "seq2seq" if loss_selector == "ctc" else "char"
 
-    rng_init = _seeded(train_cfg.seed, 0)
-    rng_order = _seeded(train_cfg.seed, 1)
-    rng_drop = _seeded(train_cfg.seed, 2)
+    rng_init = stream(train_cfg.seed, 0)
+    rng_order = stream(train_cfg.seed, 1)
+    rng_drop = stream(train_cfg.seed, 2)
 
     in_channels = dataset[train_idx[0]].num_channels
     if model is None:
@@ -191,6 +186,8 @@ def train(
             opt.step()
             epoch_loss += batch_value * batch_n
             counted += batch_n
+            # free this batch's tape before the next forward builds its own
+            del out, seed_grad
 
         record = {
             "epoch": epoch,

@@ -15,11 +15,10 @@ from typing import Iterable
 import numpy as np
 
 from penscript.dataio import FORCE_CHANNEL, Sample
+from penscript.seeding import stream
 
 # canonical application order; also the substream ids
 METHOD_IDS = {"scale": 0, "shift": 1, "jitter": 2, "mag_warp": 3, "time_warp": 4}
-
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,7 @@ def warp_time_map(speeds: np.ndarray, length: int) -> np.ndarray:
 
 
 def _substream(seed: int, method: str, channel: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & _SEED_MASK, METHOD_IDS[method], channel])
-    )
+    return stream(seed, METHOD_IDS[method], channel)
 
 
 def augment(sample: Sample, cfg: AugmentConfig, methods: set[str], seed: int) -> Sample:

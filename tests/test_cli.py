@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from penscript.cli import main
-from penscript.dataio import Sample, equations_alphabet, write_recording
+from penscript.dataio import Sample, equations_alphabet, parse_recording, write_recording
 from synth import make_equation_sample
 
 ALPHABET = equations_alphabet()
@@ -127,6 +127,23 @@ class TestAugment:
         _, out1, _ = run(capsys, ["--seed", "1"] + base)
         _, out2, _ = run(capsys, ["--seed", "2"] + base)
         assert json.loads(out1)["sha256"] != json.loads(out2)["sha256"]
+
+    def test_no_seed_collision_across_samples(self, tmp_path, capsys, rng):
+        # seed 7 / sample 1 must not replay seed 8 / sample 0
+        sample = char_samples(rng, n=1, channels=13)[0]
+        pair = write_dataset(tmp_path, [sample, sample], stem="pair")
+        single = write_dataset(tmp_path, [sample], stem="single")
+        augmented = []
+        for seed, (data, labels) in ((7, pair), (8, single)):
+            out = tmp_path / f"o{seed}"
+            argv = ["--seed", str(seed), "augment", "--data", data, "--labels", labels,
+                    "--methods", "scale,shift,jitter", "--out", str(out)]
+            assert run(capsys, argv)[0] == 0
+            augmented.append(parse_recording(
+                (out / "data.csv").read_text(encoding="utf-8"),
+                (out / "labels.jsonl").read_text(encoding="utf-8"),
+            ))
+        assert not np.array_equal(augmented[0][1].values, augmented[1][0].values)
 
     def test_unknown_method_fails(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng, n=2))

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -73,8 +75,6 @@ class TestOpGradients:
         "log_softmax": (lambda x: T.log_softmax_op(x), (3, 5)),
         "mean_time": (lambda x: T.mean_time(x), (2, 5, 3)),
         "reverse_time": (lambda x: T.reverse_time(x), (2, 4, 3)),
-        "index_time": (lambda x: T.index_time(x, 1), (2, 4, 3)),
-        "slice_cols": (lambda x: T.slice_cols(x, 1, 3), (4, 5)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -91,29 +91,11 @@ class TestOpGradients:
         grad, scalar = projection_grad(lambda x: T.relu(x), x_data, rng)
         assert rel_err(grad, central_diff(scalar, x_data)) < 1e-6
 
-    def test_matmul_all_operands(self, rng):
-        a_data = rng.normal(0, 1, (3, 4))
-        b_data = rng.normal(0, 1, (4, 2))
-        b_t = Tensor(b_data)
-        grad_a, scalar_a = projection_grad(lambda a: T.matmul(a, b_t), a_data, rng)
-        assert rel_err(grad_a, central_diff(scalar_a, a_data)) < 1e-6
-        a_t = Tensor(a_data)
-        grad_b, scalar_b = projection_grad(lambda b: T.matmul(a_t, b), b_data, rng)
-        assert rel_err(grad_b, central_diff(scalar_b, b_data)) < 1e-6
-
-    def test_concat_and_stack(self, rng):
+    def test_concat(self, rng):
         a_data = rng.normal(0, 1, (2, 3, 2))
         b_t = Tensor(rng.normal(0, 1, (2, 3, 4)))
         grad, scalar = projection_grad(lambda a: T.concat_last([a, b_t]), a_data, rng)
         assert rel_err(grad, central_diff(scalar, a_data)) < 1e-6
-
-        s_data = rng.normal(0, 1, (2, 4))
-
-        def build_stack(x):
-            return T.stack_time([x, T.tanh(x)])
-
-        grad, scalar = projection_grad(build_stack, s_data, rng)
-        assert rel_err(grad, central_diff(scalar, s_data)) < 1e-6
 
 
 class TestConv:
@@ -331,20 +313,58 @@ class TestLSTM:
         c = i_g * g_g
         assert np.allclose(out, o_g * np.tanh(c), atol=1e-12)
 
+    def test_sequence_matches_per_step_reference(self, rng):
+        h = 4
+        layer = LSTM(5, h, rng)
+        layer.b.data[...] = rng.normal(0, 1, 4 * h)
+        x = rng.normal(0, 1, (3, 7, 5))
+        x[0, 0, :] = 1e4  # drives some gates into the sigmoid clip
+        got = layer(Tensor(x)).data
+
+        def sig(v):
+            return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+
+        # same operations in the same order, so the match is exact
+        xw = (x.reshape(-1, 5) @ layer.wx.data + layer.b.data).reshape(3, 7, 4 * h)
+        h_t = np.zeros((3, h))
+        c_t = np.zeros((3, h))
+        for t in range(7):
+            z = xw[:, t, :] + h_t @ layer.wh.data
+            i_g, f_g = sig(z[:, :h]), sig(z[:, h : 2 * h])
+            g_g, o_g = np.tanh(z[:, 2 * h : 3 * h]), sig(z[:, 3 * h :])
+            c_t = f_g * c_t + i_g * g_g
+            h_t = o_g * np.tanh(c_t)
+            assert np.array_equal(got[:, t, :], h_t), t
+
     def test_gradient_matches_fd(self, rng):
         layer = LSTM(2, 2, rng)
         x = rng.normal(0, 1, (2, 3, 2))
         grad, scalar = projection_grad(lambda v: layer(v), x, rng)
         assert rel_err(grad, central_diff(scalar, x)) < 1e-5
 
-        w = layer.wx.data.copy()
+        for name in ("wx", "wh", "b"):
+            w = getattr(layer, name).data.copy()
 
-        def build_w(v):
-            layer.wx = v
-            return layer(Tensor(x))
+            def build_w(v):
+                setattr(layer, name, v)
+                return layer(Tensor(x))
 
-        grad, scalar = projection_grad(build_w, w, rng)
-        assert rel_err(grad, central_diff(scalar, w)) < 1e-5
+            grad, scalar = projection_grad(build_w, w, rng)
+            assert rel_err(grad, central_diff(scalar, w)) < 1e-5, name
+            setattr(layer, name, Tensor(w))
+
+    def test_paper_shaped_model_tape_is_short(self, rng):
+        # one node per LSTM direction, not a dozen per timestep
+        model = RecognitionModel(ModelConfig(num_classes=15), 13, "seq2seq", rng)
+        out = model.forward(rng.normal(0, 1, (1, 800, 13)), "train", rng)
+        seen = {id(out)}
+        stack = [out]
+        while stack:
+            for p in stack.pop()._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert len(seen) < 100
 
 
 class TestBiLSTM:
@@ -399,6 +419,27 @@ class TestModel:
         a = model.forward(x, "eval").data
         b = model.forward(x, "eval").data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("task", ["seq2seq", "char"])
+    def test_tape_freed_without_cycle_collector(self, task, rng):
+        # a closure that held its own output Tensor would make each tape a
+        # reference cycle, alive until the cyclic collector happened to run
+        cfg = ModelConfig(
+            num_classes=3, conv_filters=4, conv_kernel=2, pool_size=2,
+            dropout_rate=0.5, bilstm_units=2, bilstm_layers=2,
+        )
+        model = RecognitionModel(cfg, 2, task, rng)
+        x = rng.normal(0, 1, (2, 6, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            for mode in ("train", "eval"):
+                out = model.forward(x, mode, rng)
+                out.backward(np.ones_like(out.data))
+                del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_dropout_perturbs_train_mode(self, rng):
         cfg = ModelConfig(
