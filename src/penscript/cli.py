@@ -54,6 +54,16 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """The config file's `key` object, or {} when the file has none."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(
+            f"config section {key!r} must be a JSON object, got {type(section).__name__}"
+        )
+    return section
+
+
 def _alphabet(choice: str, labels: list[str]) -> Alphabet:
     if choice == "equations":
         return equations_alphabet()
@@ -136,7 +146,7 @@ def cmd_split(args) -> int:
 def cmd_augment(args) -> int:
     samples, alphabet = _load_dataset(args)
     cfg_file = _load_config(args.config)
-    cfg = AugmentConfig.from_dict(cfg_file.get("augment", {}))
+    cfg = AugmentConfig.from_dict(_section(cfg_file, "augment"))
     methods = set(args.methods.split(",")) if args.methods else set()
     augmented = [
         augment(s, cfg, methods, derive_seed(args.seed, i)) for i, s in enumerate(samples)
@@ -182,7 +192,7 @@ def cmd_train(args) -> int:
     samples, alphabet = _load_dataset(args)
     cfg_file = _load_config(args.config)
 
-    model_dict = dict(cfg_file.get("model", {}))
+    model_dict = dict(_section(cfg_file, "model"))
     model_dict.setdefault("num_classes", alphabet.size)
     for flag, key in (
         ("filters", "conv_filters"),
@@ -199,7 +209,7 @@ def cmd_train(args) -> int:
         model_dict["use_batchnorm"] = False
     model_cfg = ModelConfig.from_dict(model_dict)
 
-    train_dict = dict(cfg_file.get("train", {}))
+    train_dict = dict(_section(cfg_file, "train"))
     train_dict["seed"] = args.seed
     for flag, key in (
         ("epochs", "epochs"),
@@ -214,7 +224,7 @@ def cmd_train(args) -> int:
         raise ValueError("epochs must be set via --epochs or the config file")
     train_cfg = TrainConfig.from_dict(train_dict)
 
-    loss_params = LossParams.from_dict(cfg_file.get("loss", {}))
+    loss_params = LossParams.from_dict(_section(cfg_file, "loss"))
 
     if args.folds:
         plan = FoldPlan.from_json(_read(args.folds))

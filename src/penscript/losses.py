@@ -21,11 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
+from penscript.jsonconfig import JsonConfig
+
 NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
-class LossParams:
+class LossParams(JsonConfig):
     """Hyperparameters for every loss variant, defaults tuned for noisy labels."""
 
     fl_alpha: float = 0.75
@@ -57,16 +59,6 @@ class LossParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.log_clamp_eps <= 0:
             raise ValueError("log_clamp_eps must be positive")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossParams":
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown loss params: {sorted(extra)}")
-        return cls(**d)
 
 
 @dataclass

@@ -2,7 +2,6 @@
 
 from penscript.netcore.tensor import (
     Tensor,
-    add,
     affine,
     concat_last,
     conv1d_op,
@@ -11,11 +10,8 @@ from penscript.netcore.tensor import (
     lstm_op,
     maxpool1d_op,
     mean_time,
-    mul,
     relu,
     reverse_time,
-    sigmoid,
-    tanh,
 )
 from penscript.netcore.layers import (
     BatchNorm1d,
@@ -29,7 +25,6 @@ from penscript.netcore.layers import (
 from penscript.netcore.model import (
     ModelConfig,
     RecognitionModel,
-    forward_char,
     forward_seq2seq,
     load_checkpoint,
     save_checkpoint,
@@ -39,11 +34,10 @@ from penscript.netcore.train import TrainConfig, train
 
 __all__ = [
     "Tensor",
-    "add", "affine", "concat_last", "conv1d_op", "dropout_op", "log_softmax_op",
-    "lstm_op", "maxpool1d_op", "mean_time", "mul", "relu", "reverse_time",
-    "sigmoid", "tanh",
+    "affine", "concat_last", "conv1d_op", "dropout_op", "log_softmax_op",
+    "lstm_op", "maxpool1d_op", "mean_time", "relu", "reverse_time",
     "BatchNorm1d", "BiLSTM", "Conv1d", "Dense", "Dropout", "LSTM", "MaxPool1d",
-    "ModelConfig", "RecognitionModel", "forward_char", "forward_seq2seq",
+    "ModelConfig", "RecognitionModel", "forward_seq2seq",
     "load_checkpoint", "save_checkpoint",
     "Adam", "adam_step",
     "TrainConfig", "train",

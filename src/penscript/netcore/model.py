@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from penscript.dataio import Sample
+from penscript.jsonconfig import JsonConfig
 from penscript.netcore import tensor as T
 from penscript.netcore.layers import BatchNorm1d, BiLSTM, Conv1d, Dense, Dropout, LSTM, MaxPool1d
 from penscript.netcore.tensor import Tensor
@@ -22,7 +23,7 @@ TASKS = ("seq2seq", "char")
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     num_classes: int
     conv_filters: int = 200
     conv_kernel: int = 4
@@ -46,16 +47,6 @@ class ModelConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.recurrent_kind not in ("LSTM", "BiLSTM"):
             raise ValueError("recurrent_kind must be 'LSTM' or 'BiLSTM'")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown model config fields: {sorted(extra)}")
-        return cls(**d)
 
 
 class RecognitionModel:
@@ -136,13 +127,6 @@ def forward_seq2seq(sample: Sample, model: RecognitionModel, mode: str = "eval")
     """Per-frame log-probabilities for one sample, as a plain array."""
     if model.task != "seq2seq":
         raise ValueError("model was built for the character task")
-    return model.forward(sample.values[None, :, :], mode).data[0]
-
-
-def forward_char(sample: Sample, model: RecognitionModel, mode: str = "eval") -> np.ndarray:
-    """Class log-probabilities for one sample, as a plain array."""
-    if model.task != "char":
-        raise ValueError("model was built for the sequence task")
     return model.forward(sample.values[None, :, :], mode).data[0]
 
 

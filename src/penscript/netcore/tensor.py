@@ -14,17 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
@@ -70,28 +59,6 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, (a, b))
-
-    def back(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad += _unbroadcast(g, b.data.shape)
-
-    out._backward = back
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, (a, b))
-
-    def back(g):
-        a.grad += _unbroadcast(g * b.data, a.data.shape)
-        b.grad += _unbroadcast(g * a.data, b.data.shape)
-
-    out._backward = back
-    return out
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b applied along the last axis of x, any leading shape."""
     lead = x.data.shape[:-1]
@@ -109,30 +76,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    out = Tensor(y, (x,))
-
-    def back(g):
-        x.grad += g * (1.0 - y * y)
-
-    out._backward = back
-    return out
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
-    out = Tensor(y, (x,))
-
-    def back(g):
-        x.grad += g * y * (1.0 - y)
-
-    out._backward = back
-    return out
 
 
 def relu(x: Tensor) -> Tensor:
@@ -199,9 +144,9 @@ def lstm_op(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
     wx is (c_in, 4H), wh is (H, 4H) and b is (4H,), gates ordered input,
     forget, cell, output; the initial state is zero. The forward pass runs
-    the time loop on plain arrays doing the same elementwise operations in
-    the same order as a step-by-step composition of affine, add, mul,
-    sigmoid and tanh, so its output is bit-identical to that composition.
+    the time loop on plain arrays; its output is bit-identical to the
+    plain-numpy per-step reference in
+    tests/test_netcore.py::TestLSTM::test_sequence_matches_per_step_reference.
     The backward pass is backpropagation through time with one
     (batch, 4H) @ (4H, H) product per step; the weight, bias and input
     gradients are then single products over all batch * time rows.

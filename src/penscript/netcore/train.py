@@ -14,6 +14,7 @@ import numpy as np
 
 from penscript import metrics
 from penscript.dataio import Sample
+from penscript.jsonconfig import JsonConfig
 from penscript.losses import (
     CHARACTER_LOSSES,
     CTCInfeasibleError,
@@ -29,7 +30,7 @@ from penscript.seeding import stream
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     epochs: int
     learning_rate: float = 1e-4
     batch_size: int = 50
@@ -48,16 +49,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.target_len < 1:
             raise ValueError("target_len must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown train config fields: {sorted(extra)}")
-        return cls(**d)
 
 
 def _prepare_inputs(
@@ -138,6 +129,8 @@ def train(
         eps=train_cfg.adam_eps,
     )
 
+    char_loss = CHARACTER_LOSSES.get(loss_selector)
+
     history: list[dict] = []
     n = len(train_idx)
     for epoch in range(train_cfg.epochs):
@@ -150,36 +143,31 @@ def train(
             out = model.forward(x_train[chosen], "train", rng_drop)
             seed_grad = np.zeros_like(out.data)
 
-            if loss_selector == "ctc":
-                usable = []
-                results = []
-                for row, i in enumerate(chosen):
-                    try:
-                        results.append(ctc_loss(out.data[row], y_train[i]))
-                        usable.append(row)
-                    except CTCInfeasibleError:
-                        skipped += 1
-                if not usable:
-                    continue
-                batch_value = 0.0
-                for row, res in zip(usable, results):
-                    seed_grad[row] = res.grad_logits / len(usable)
-                    batch_value += res.value / len(usable)
-                batch_n = len(usable)
-            elif loss_selector == "joint_opt":
+            if loss_selector == "joint_opt":
                 targets = [y_train[i][0] for i in chosen]
                 res = joint_opt(out.data, targets, params)
                 seed_grad[...] = res.grad_logits
                 batch_value = res.value
                 batch_n = len(chosen)
             else:
-                fn = CHARACTER_LOSSES[loss_selector]
-                batch_value = 0.0
+                results = []
                 for row, i in enumerate(chosen):
-                    res = fn(out.data[row], y_train[i][0], params)
-                    seed_grad[row] = res.grad_logits / len(chosen)
-                    batch_value += res.value / len(chosen)
-                batch_n = len(chosen)
+                    try:
+                        if task == "seq2seq":
+                            res = ctc_loss(out.data[row], y_train[i])
+                        else:
+                            res = char_loss(out.data[row], y_train[i][0], params)
+                    except CTCInfeasibleError:
+                        skipped += 1
+                        continue
+                    results.append((row, res))
+                if not results:
+                    continue
+                batch_n = len(results)
+                batch_value = 0.0
+                for row, res in results:
+                    seed_grad[row] = res.grad_logits / batch_n
+                    batch_value += res.value / batch_n
 
             opt.zero_grad()
             out.backward(seed_grad)

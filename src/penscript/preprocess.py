@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from penscript.dataio import FORCE_CHANNEL, Sample
+from penscript.jsonconfig import JsonConfig
 from penscript.seeding import stream
 
 # canonical application order; also the substream ids
@@ -22,7 +23,7 @@ METHOD_IDS = {"scale": 0, "shift": 1, "jitter": 2, "mag_warp": 3, "time_warp": 4
 
 
 @dataclass(frozen=True)
-class AugmentConfig:
+class AugmentConfig(JsonConfig):
     """Knobs for the five augmentations.
 
     p_apply is the per-channel application probability (per-sample for the
@@ -52,32 +53,6 @@ class AugmentConfig:
         object.__setattr__(
             self, "accelerometer_channels", tuple(int(c) for c in self.accelerometer_channels)
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "p_apply": self.p_apply,
-            "scale_sigma": self.scale_sigma,
-            "jitter_sigma": self.jitter_sigma,
-            "shift_force": self.shift_force,
-            "shift_other": self.shift_other,
-            "mag_warp_low": self.mag_warp_low,
-            "mag_warp_high": self.mag_warp_high,
-            "warp_sigma": self.warp_sigma,
-            "bezier_control_points": self.bezier_control_points,
-            "accelerometer_channels": list(self.accelerometer_channels),
-            "force_channel": self.force_channel,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown augment config fields: {sorted(extra)}")
-        kwargs = dict(d)
-        if "accelerometer_channels" in kwargs:
-            kwargs["accelerometer_channels"] = tuple(kwargs["accelerometer_channels"])
-        return cls(**kwargs)
 
 
 def interpolate(sample: Sample, target_len: int) -> Sample:

@@ -37,6 +37,17 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def write_config(tmp_path, cfg, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+def checkpoint_header(path):
+    with open(path, "rb") as f:
+        return json.loads(f.readline())
+
+
 class TestIngest:
     def test_summary(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng, n=3))
@@ -154,6 +165,16 @@ class TestAugment:
         assert code == 1
         assert "error:" in err
 
+    def test_config_p_apply_zero_leaves_data_unchanged(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=3, channels=13))
+        cfg = write_config(tmp_path, {"augment": {"p_apply": 0}})
+        argv = ["augment", "--data", data, "--labels", labels, "--config", cfg]
+        assert run(capsys, ["--seed", "4"] + argv + ["--out", str(tmp_path / "a")])[0] == 0
+        argv = ["ingest", "--data", data, "--labels", labels, "--out", str(tmp_path / "i")]
+        assert run(capsys, argv)[0] == 0
+        augmented = (tmp_path / "a" / "data.csv").read_bytes()
+        assert augmented == (tmp_path / "i" / "data.csv").read_bytes()
+
 
 class TestSegment:
     def test_manifest_and_pieces(self, tmp_path, capsys):
@@ -252,6 +273,43 @@ class TestTrain:
         assert code == 0
         assert json.loads(out)["epochs"] == 1
 
+    def test_config_sections_reach_checkpoint_and_flags_override(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        cfg = write_config(tmp_path, {
+            "model": {
+                "conv_filters": 5, "conv_kernel": 2, "recurrent_kind": "LSTM",
+                "lstm_units": 3, "dropout_rate": 0.0, "use_batchnorm": False,
+            },
+            "train": {"epochs": 3, "target_len": 12, "batch_size": 4, "adam_eps": 1e-6},
+        })
+        argv = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--config", cfg,
+                "--epochs", "1", "--kernel", "3", "--out", str(tmp_path / "o")]
+        assert run(capsys, argv)[0] == 0
+        header = checkpoint_header(tmp_path / "o" / "model.ckpt")
+        model = header["model"]
+        assert (model["conv_filters"], model["lstm_units"]) == (5, 3)
+        assert model["recurrent_kind"] == "LSTM"
+        assert model["use_batchnorm"] is False
+        assert model["conv_kernel"] == 3
+        assert header["train"]["adam_eps"] == 1e-6
+        assert header["train"]["target_len"] == 12
+        assert header["train"]["epochs"] == 1
+        assert header["epochs_completed"] == 1
+
+    def test_config_loss_section_reaches_training(self, tmp_path, capsys, rng):
+        # LossParams is not part of the checkpoint header; it shows in the loss
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        cfg = write_config(tmp_path, {"loss": {"fl_gamma": 0}})
+        argv = ["train", "--data", data, "--labels", labels, "--loss", "focal",
+                "--epochs", "1"] + TRAIN_FLAGS
+        assert run(capsys, argv + ["--out", str(tmp_path / "a")])[0] == 0
+        assert run(capsys, argv + ["--config", cfg, "--out", str(tmp_path / "b")])[0] == 0
+        losses = [
+            json.loads((tmp_path / d / "history.jsonl").read_text())["train_loss"]
+            for d in ("a", "b")
+        ]
+        assert losses[0] != losses[1]
+
     def test_missing_epochs_fails(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng))
         code, _, err = run(
@@ -260,6 +318,62 @@ class TestTrain:
         )
         assert code == 1
         assert "epochs" in err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command, cfg, expected",
+        [
+            pytest.param("train", {"loss": []}, ["'loss'", "list"], id="loss-list"),
+            pytest.param("train", {"model": []}, ["'model'", "list"], id="model-list"),
+            pytest.param("train", {"model": "abc"}, ["'model'", "str"], id="model-str"),
+            pytest.param("train", {"train": 3}, ["'train'", "int"], id="train-int"),
+            pytest.param(
+                "train", {"model": {"conv_filters": None}},
+                ["ModelConfig.conv_filters", "integer"], id="int-null",
+            ),
+            pytest.param(
+                "train", {"model": {"use_batchnorm": "no"}},
+                ["ModelConfig.use_batchnorm", "true or false"], id="bool-str",
+            ),
+            pytest.param(
+                "train", {"train": {"batch_size": True}},
+                ["TrainConfig.batch_size", "integer"], id="int-bool",
+            ),
+            pytest.param(
+                "train", {"train": {"adam_eps": "1e-8"}},
+                ["TrainConfig.adam_eps", "number"], id="float-str",
+            ),
+            pytest.param(
+                "train", {"loss": {"scale_free": 1}},
+                ["LossParams.scale_free", "true or false"], id="bool-int",
+            ),
+            pytest.param("augment", {"augment": []}, ["'augment'", "list"], id="augment-list"),
+            pytest.param(
+                "augment", {"augment": {"p_apply": "x"}},
+                ["AugmentConfig.p_apply", "number"], id="float-str-augment",
+            ),
+            pytest.param(
+                "augment", {"augment": {"force_channel": 12.0}},
+                ["AugmentConfig.force_channel", "integer"], id="int-float",
+            ),
+            pytest.param(
+                "augment", {"augment": {"accelerometer_channels": [0, 1.5]}},
+                ["AugmentConfig.accelerometer_channels", "list of integers"], id="int-list-float",
+            ),
+        ],
+    )
+    def test_malformed_config_fails_cleanly(self, tmp_path, capsys, rng, command, cfg, expected):
+        data, labels = write_dataset(tmp_path, char_samples(rng, channels=13))
+        argv = [command, "--data", data, "--labels", labels,
+                "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        if command == "train":
+            argv += ["--loss", "cce", "--epochs", "1", "--target-len", "12"]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err.startswith("error:")
+        for word in expected:
+            assert word in err
 
 
 class TestEvaluate:

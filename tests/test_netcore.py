@@ -47,31 +47,21 @@ class TestTensorBasics:
 
     def test_shared_parent_accumulates(self):
         x = Tensor(np.array([3.0]))
-        y = T.mul(x, x)
-        y.backward(np.ones(1))
-        assert np.allclose(x.grad, [6.0])
+        y = T.concat_last([x, x])
+        y.backward(np.array([2.0, 5.0]))
+        assert np.allclose(x.grad, [7.0])
 
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.array([2.0]))
-        T.tanh(x).backward(np.ones(1))
+        T.relu(x).backward(np.ones(1))
         first = x.grad.copy()
-        T.tanh(x).backward(np.ones(1))
+        T.relu(x).backward(np.ones(1))
+        assert np.allclose(first, [1.0])
         assert np.allclose(x.grad, 2 * first)
-
-    def test_add_broadcast_unbroadcasts(self, rng):
-        a = Tensor(rng.normal(0, 1, (4, 3)))
-        b = Tensor(rng.normal(0, 1, (3,)))
-        out = T.add(a, b)
-        g = rng.normal(0, 1, (4, 3))
-        out.backward(g)
-        assert np.allclose(a.grad, g)
-        assert np.allclose(b.grad, g.sum(axis=0))
 
 
 class TestOpGradients:
     CASES = {
-        "tanh": (lambda x: T.tanh(x), (3, 4)),
-        "sigmoid": (lambda x: T.sigmoid(x), (3, 4)),
         "log_softmax": (lambda x: T.log_softmax_op(x), (3, 5)),
         "mean_time": (lambda x: T.mean_time(x), (2, 5, 3)),
         "reverse_time": (lambda x: T.reverse_time(x), (2, 4, 3)),
