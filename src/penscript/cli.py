@@ -23,6 +23,7 @@ from penscript.dataio import (
     Sample,
     build_alphabet,
     equations_alphabet,
+    label_entries,
     make_splits,
     parse_recording,
     write_recording,
@@ -74,14 +75,22 @@ def _alphabet(choice: str, labels: list[str]) -> Alphabet:
 
 def _load_dataset(args) -> tuple[list[Sample], Alphabet]:
     labels_text = _read(args.labels)
-    strings = [
-        str(json.loads(line)["label"])
-        for line in labels_text.splitlines()
-        if line.strip()
-    ]
+    strings = []
+    if args.alphabet == "auto":
+        strings = [str(entry["label"]) for _, entry in label_entries(labels_text)]
     alphabet = _alphabet(args.alphabet, strings)
     samples = parse_recording(_read(args.data), labels_text, alphabet)
     return samples, alphabet
+
+
+def _write_dataset(
+    data_path: Path, labels_path: Path, samples: list[Sample], alphabet: Alphabet
+) -> str:
+    """Write samples as a (data, labels) file pair; returns the data text."""
+    data_text, labels_text = write_recording(samples, alphabet)
+    data_path.write_text(data_text, encoding="utf-8")
+    labels_path.write_text(labels_text, encoding="utf-8")
+    return data_text
 
 
 def _emit(obj: dict) -> None:
@@ -98,9 +107,7 @@ def _out_dir(args) -> Path:
 def cmd_ingest(args) -> int:
     samples, alphabet = _load_dataset(args)
     out = _out_dir(args)
-    data_text, labels_text = write_recording(samples, alphabet)
-    (out / "data.csv").write_text(data_text, encoding="utf-8")
-    (out / "labels.jsonl").write_text(labels_text, encoding="utf-8")
+    _write_dataset(out / "data.csv", out / "labels.jsonl", samples, alphabet)
 
     histogram = {s: 0 for s in alphabet.symbols}
     for s in samples:
@@ -152,9 +159,7 @@ def cmd_augment(args) -> int:
         augment(s, cfg, methods, derive_seed(args.seed, i)) for i, s in enumerate(samples)
     ]
     out = _out_dir(args)
-    data_text, labels_text = write_recording(augmented, alphabet)
-    (out / "data.csv").write_text(data_text, encoding="utf-8")
-    (out / "labels.jsonl").write_text(labels_text, encoding="utf-8")
+    data_text = _write_dataset(out / "data.csv", out / "labels.jsonl", augmented, alphabet)
     digest = hashlib.sha256(data_text.encode("utf-8")).hexdigest()
     _emit({"samples": len(augmented), "methods": sorted(methods), "sha256": digest})
     return 0
@@ -169,9 +174,8 @@ def cmd_segment(args) -> int:
         result = split_equation(
             s, threshold=args.threshold, min_len=args.min_len, alphabet=alphabet
         )
-        data_text, labels_text = write_recording(result.samples, alphabet)
-        (out / f"sample{i:04d}.csv").write_text(data_text, encoding="utf-8")
-        (out / f"sample{i:04d}.jsonl").write_text(labels_text, encoding="utf-8")
+        stem = f"sample{i:04d}"
+        _write_dataset(out / f"{stem}.csv", out / f"{stem}.jsonl", result.samples, alphabet)
         piece_count += len(result)
         manifest.append(
             {
@@ -192,8 +196,8 @@ def cmd_train(args) -> int:
     samples, alphabet = _load_dataset(args)
     cfg_file = _load_config(args.config)
 
+    # the model fields this command sets itself, by config or by flag
     model_dict = dict(_section(cfg_file, "model"))
-    model_dict.setdefault("num_classes", alphabet.size)
     for flag, key in (
         ("filters", "conv_filters"),
         ("kernel", "conv_kernel"),
@@ -207,7 +211,7 @@ def cmd_train(args) -> int:
             model_dict[key] = value
     if args.no_batchnorm:
         model_dict["use_batchnorm"] = False
-    model_cfg = ModelConfig.from_dict(model_dict)
+    model_cfg = ModelConfig.from_dict({"num_classes": alphabet.size, **model_dict})
 
     train_dict = dict(_section(cfg_file, "train"))
     train_dict["seed"] = args.seed
@@ -238,6 +242,13 @@ def cmd_train(args) -> int:
     if args.resume:
         start_model, header = load_checkpoint(args.resume)
         completed = int(header.get("epochs_completed", 0))
+        saved, requested = start_model.cfg.to_dict(), model_cfg.to_dict()
+        for key in model_dict:
+            if requested[key] != saved[key]:
+                raise ValueError(
+                    f"--resume: the checkpoint has {key} = {saved[key]!r},"
+                    f" but this run asks for {requested[key]!r}"
+                )
 
     model, history = train(
         samples, fold, model_cfg, train_cfg, args.loss, loss_params, model=start_model
@@ -253,6 +264,7 @@ def cmd_train(args) -> int:
         extra={
             "train": train_cfg.to_dict(),
             "loss": args.loss,
+            "loss_params": loss_params.to_dict(),
             "alphabet": list(alphabet.symbols),
             "epochs_completed": completed + train_cfg.epochs,
         },

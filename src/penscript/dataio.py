@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -184,6 +184,32 @@ def _parse_header(line: str) -> tuple[int, float]:
     return channels, rate_hz
 
 
+def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a labels file.
+
+    Raises RecordingFormatError naming the line when it is not JSON, not an
+    object, or lacks one of the keys label, start, end and writer_id.
+    """
+    for lineno, line in enumerate(labels_text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordingFormatError(f"labels line {lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(entry, dict):
+            raise RecordingFormatError(
+                f"labels line {lineno}: expected a JSON object, got {type(entry).__name__}"
+            )
+        missing = [key for key in ("label", "start", "end", "writer_id") if key not in entry]
+        if missing:
+            raise RecordingFormatError(
+                f"labels line {lineno}: expected keys label, start, end, writer_id;"
+                f" missing {', '.join(missing)}"
+            )
+        yield lineno, entry
+
+
 def parse_recording(
     raw_text: str,
     labels_text: str,
@@ -227,17 +253,7 @@ def parse_recording(
         raise ValueError("force channel contains negative values")
 
     samples: list[Sample] = []
-    for lineno, line in enumerate(labels_text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            raise RecordingFormatError(f"labels line {lineno}: invalid JSON") from None
-        if not isinstance(entry, dict) or not {"label", "start", "end", "writer_id"} <= set(entry):
-            raise RecordingFormatError(
-                f"labels line {lineno}: expected keys label, start, end, writer_id"
-            )
+    for lineno, entry in label_entries(labels_text):
         start, end = int(entry["start"]), int(entry["end"])
         if not 0 <= start <= end < len(data):
             raise ValueError(

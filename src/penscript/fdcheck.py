@@ -9,6 +9,8 @@ carries its own independent checker.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from penscript import losses
@@ -40,50 +42,43 @@ def central_diff(fn, x: np.ndarray, h: float = H) -> np.ndarray:
     return g
 
 
-def check_loss(name: str, rng: np.random.Generator, draws: int = 20) -> float:
-    """Worst relative gradient error for one per-sample loss."""
-    fn = losses.CHARACTER_LOSSES[name]
-    params = losses.LossParams()
+def _draw_char(rng: np.random.Generator):
+    k = int(rng.integers(2, 8))
+    x = rng.normal(0, 2, k)
+    return x, int(rng.integers(k))
+
+
+def _draw_batch(rng: np.random.Generator):
+    b, k = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    x = rng.normal(0, 2, (b, k))
+    return x, [int(rng.integers(k)) for _ in range(b)]
+
+
+def _draw_ctc(rng: np.random.Generator):
+    """A (log-probs, target) pair, or None when the drawn target cannot fit."""
+    t_len, k = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+    target = tuple(int(v) for v in rng.integers(0, k, rng.integers(1, 3)))
+    if not losses.ctc_feasible(t_len, target):
+        return None
+    return losses.log_softmax(rng.normal(0, 1, (t_len, k + 1))), target
+
+
+def check_loss(loss, draw, rng: np.random.Generator, draws: int) -> float:
+    """Worst relative gradient error of loss(x, target) over draws from draw(rng)."""
     worst = 0.0
     for _ in range(draws):
-        k = int(rng.integers(2, 8))
-        x = rng.normal(0, 2, k)
-        t = int(rng.integers(k))
-        analytic = fn(x, t, params).grad_logits
-        fd = central_diff(lambda: fn(x, t, params).value, x)
-        worst = max(worst, rel_error(analytic, fd))
-    return worst
-
-
-def check_joint_opt(rng: np.random.Generator, draws: int = 10) -> float:
-    params = losses.LossParams()
-    worst = 0.0
-    for _ in range(draws):
-        b, k = int(rng.integers(2, 5)), int(rng.integers(2, 6))
-        x = rng.normal(0, 2, (b, k))
-        t = [int(rng.integers(k)) for _ in range(b)]
-        analytic = losses.joint_opt(x, t, params).grad_logits
-        fd = central_diff(lambda: losses.joint_opt(x, t, params).value, x)
-        worst = max(worst, rel_error(analytic, fd))
-    return worst
-
-
-def check_ctc(rng: np.random.Generator, draws: int = 10) -> float:
-    worst = 0.0
-    for _ in range(draws):
-        t_len, k = int(rng.integers(3, 7)), int(rng.integers(2, 4))
-        target = tuple(int(v) for v in rng.integers(0, k, rng.integers(1, 3)))
-        if not losses.ctc_feasible(t_len, target):
+        case = draw(rng)
+        if case is None:
             continue
-        y = losses.log_softmax(rng.normal(0, 1, (t_len, k + 1)))
-        analytic = losses.ctc_loss(y, target).grad_logits
-        fd = central_diff(lambda: losses.ctc_loss(y, target).value, y)
+        x, target = case
+        analytic = loss(x, target).grad_logits
+        fd = central_diff(lambda: loss(x, target).value, x)
         worst = max(worst, rel_error(analytic, fd))
     return worst
 
 
-def _graph_check(build, arrays: list[np.ndarray], rng: np.random.Generator) -> float:
-    """Check d(projection of build() output)/d(each array in arrays)."""
+def _graph_check(build, inputs: list[Tensor], rng: np.random.Generator) -> float:
+    """Check d(projection of build() output)/d(each tensor in inputs)."""
     out = build()
     proj = rng.normal(0, 1, out.data.shape)
 
@@ -92,9 +87,9 @@ def _graph_check(build, arrays: list[np.ndarray], rng: np.random.Generator) -> f
 
     out.backward(proj)
     worst = 0.0
-    for arr, holder in arrays:
-        fd = central_diff(objective, arr)
-        worst = max(worst, rel_error(holder.grad, fd))
+    for tensor in inputs:
+        fd = central_diff(objective, tensor.data)
+        worst = max(worst, rel_error(tensor.grad, fd))
     return worst
 
 
@@ -104,48 +99,30 @@ def check_layers(rng: np.random.Generator) -> dict[str, float]:
 
     x = Tensor(rng.normal(0, 1, (2, 6, 3)))
     conv = layers.Conv1d(3, 4, 3, rng)
-    report["conv1d"] = _graph_check(
-        lambda: conv(x), [(x.data, x), (conv.w.data, conv.w), (conv.b.data, conv.b)], rng
-    )
+    report["conv1d"] = _graph_check(lambda: conv(x), [x, conv.w, conv.b], rng)
 
     # keep window values separated so the pool argmax is stable under h
     xp = Tensor(np.arange(24, dtype=np.float64).reshape(2, 6, 2) * 0.37 % 5.0)
-    report["maxpool1d"] = _graph_check(
-        lambda: T.maxpool1d_op(xp, 2), [(xp.data, xp)], rng
-    )
+    report["maxpool1d"] = _graph_check(lambda: T.maxpool1d_op(xp, 2), [xp], rng)
 
     xb = Tensor(rng.normal(0, 1, (3, 5, 4)))
     bn = layers.BatchNorm1d(4)
-    report["batchnorm1d"] = _graph_check(
-        lambda: bn(xb, "train"),
-        [(xb.data, xb), (bn.gamma.data, bn.gamma), (bn.beta.data, bn.beta)],
-        rng,
-    )
+    report["batchnorm1d"] = _graph_check(lambda: bn(xb, "train"), [xb, bn.gamma, bn.beta], rng)
 
     xd = Tensor(rng.normal(0, 1, (2, 7)))
     dense = layers.Dense(7, 3, rng)
-    report["dense"] = _graph_check(
-        lambda: dense(xd), [(xd.data, xd), (dense.w.data, dense.w), (dense.b.data, dense.b)], rng
-    )
+    report["dense"] = _graph_check(lambda: dense(xd), [xd, dense.w, dense.b], rng)
 
     xl = Tensor(rng.normal(0, 1, (2, 3, 2)))
     lstm = layers.LSTM(2, 2, rng)
-    report["lstm"] = _graph_check(
-        lambda: lstm(xl),
-        [(xl.data, xl)] + [(p.data, p) for _, p in lstm.parameters()],
-        rng,
-    )
+    report["lstm"] = _graph_check(lambda: lstm(xl), [xl] + [p for _, p in lstm.parameters()], rng)
 
     xbi = Tensor(rng.normal(0, 1, (2, 3, 2)))
     bi = layers.BiLSTM(2, 2, rng)
-    report["bilstm"] = _graph_check(
-        lambda: bi(xbi),
-        [(xbi.data, xbi)] + [(p.data, p) for _, p in bi.parameters()],
-        rng,
-    )
+    report["bilstm"] = _graph_check(lambda: bi(xbi), [xbi] + [p for _, p in bi.parameters()], rng)
 
     xs = Tensor(rng.normal(0, 1, (2, 4)))
-    report["log_softmax"] = _graph_check(lambda: T.log_softmax_op(xs), [(xs.data, xs)], rng)
+    report["log_softmax"] = _graph_check(lambda: T.log_softmax_op(xs), [xs], rng)
 
     return report
 
@@ -153,10 +130,11 @@ def check_layers(rng: np.random.Generator) -> dict[str, float]:
 def run_all(seed: int = 0) -> dict[str, float]:
     """Every check; returns name -> max relative error."""
     rng = np.random.default_rng(seed)
+    params = losses.LossParams()
     report = {}
-    for name in losses.CHARACTER_LOSSES:
-        report[name] = check_loss(name, rng)
-    report["joint_opt"] = check_joint_opt(rng)
-    report["ctc"] = check_ctc(rng)
+    for name, fn in losses.CHARACTER_LOSSES.items():
+        report[name] = check_loss(partial(fn, params=params), _draw_char, rng, 20)
+    report["joint_opt"] = check_loss(partial(losses.joint_opt, params=params), _draw_batch, rng, 10)
+    report["ctc"] = check_loss(losses.ctc_loss, _draw_ctc, rng, 10)
     report.update(check_layers(rng))
     return report

@@ -2,16 +2,19 @@
 
 Per-sample losses take raw logits and a target index and return both the
 loss value and its gradient with respect to the logits, all in double
-precision. The family shares one pattern: map logits to probabilities p,
-differentiate the loss in p, then pull back through the softmax Jacobian
-as p * (g - p.g). Values use a (1/K) class normalization throughout
-(switchable off via LossParams.scale_free); probability logs are clamped
-so saturated predictions stay finite.
+precision. The seven character losses share one scaffold,
+`_character_loss`: it checks the arguments, maps logits to probabilities
+p, takes clamped logs (so saturated predictions stay finite) and the
+(1/K) class scale (switchable off via LossParams.scale_free), then pulls
+the loss's gradient in p back through the softmax Jacobian as
+p * (g - p.g). Each loss supplies only its value and d(loss)/dp.
 
 The sequence side is connectionist temporal classification: a loss that
 marginalizes over all monotonic frame-to-label alignments using a
 reserved blank class at the last index, plus greedy and prefix beam
-decoders.
+decoders. One log-space recursion, `_forward`, gives both CTC passes:
+the backward variables are the forward variables of the lattice reversed
+in time and in state.
 """
 
 from __future__ import annotations
@@ -94,139 +97,121 @@ def _clamped_log(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return np.log(safe), dlog
 
 
-def _pullback(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Chain a d(loss)/d(p) vector through the softmax Jacobian."""
-    return p * (g - np.dot(p, g))
+def _character_loss(body):
+    """Make a per-sample loss from body(p, logp, dlog, t, scale, params).
+
+    The body returns the loss value and its gradient g in p; the wrapper
+    checks the arguments, supplies the softmax, the clamped log and the
+    (1/K) scale, and chains g through the softmax Jacobian as p * (g - p.g).
+    """
+
+    def loss(logits: np.ndarray, target_index: int, params: LossParams | None = None) -> LossOutput:
+        params = params or LossParams()
+        x = np.asarray(logits, dtype=np.float64)
+        if x.ndim != 1:
+            raise ValueError("per-sample losses take a 1-D logit vector")
+        k = x.shape[0]
+        if not 0 <= target_index < k:
+            raise ValueError(f"target index {target_index} out of range for {k} classes")
+        scale = 1.0 if params.scale_free else 1.0 / k
+        p = softmax(x)
+        logp, dlog = _clamped_log(p, params.log_clamp_eps)
+        value, g = body(p, logp, dlog, int(target_index), scale, params)
+        return LossOutput(value, p * (g - np.dot(p, g)))
+
+    loss.__name__ = loss.__qualname__ = body.__name__
+    loss.__doc__ = body.__doc__
+    return loss
 
 
-def _prepare(logits: np.ndarray, target_index: int) -> tuple[np.ndarray, int, int]:
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("per-sample losses take a 1-D logit vector")
-    k = x.shape[0]
-    if not 0 <= target_index < k:
-        raise ValueError(f"target index {target_index} out of range for {k} classes")
-    return x, int(target_index), k
-
-
-def cce(logits: np.ndarray, target_index: int, params: LossParams | None = None) -> LossOutput:
+@_character_loss
+def cce(p, logp, dlog, t, scale, params):
     """Class-normalized cross entropy: -(1/K) log p(target)."""
-    params = params or LossParams()
-    x, t, k = _prepare(logits, target_index)
-    scale = 1.0 if params.scale_free else 1.0 / k
-    p = softmax(x)
-    logp, dlog = _clamped_log(p, params.log_clamp_eps)
-    g = np.zeros(k)
+    g = np.zeros_like(p)
     g[t] = -scale * dlog[t]
-    return LossOutput(-scale * logp[t], _pullback(p, g))
+    return -scale * logp[t], g
 
 
-def focal(logits: np.ndarray, target_index: int, params: LossParams | None = None) -> LossOutput:
+@_character_loss
+def focal(p, logp, dlog, t, scale, params):
     """Cross entropy damped by (1 - p_t)^gamma so easy samples contribute little."""
-    params = params or LossParams()
-    x, t, k = _prepare(logits, target_index)
-    scale = (1.0 if params.scale_free else 1.0 / k) * params.fl_alpha
+    scale = scale * params.fl_alpha
     gamma = params.fl_gamma
-    p = softmax(x)
     pt = p[t]
+    g = np.zeros_like(p)
     if pt >= 1.0:
-        return LossOutput(0.0, np.zeros(k))
-    logp, dlog = _clamped_log(p, params.log_clamp_eps)
+        return 0.0, g
     mod = (1.0 - pt) ** gamma
     dmod = 0.0 if gamma == 0 else gamma * (1.0 - pt) ** (gamma - 1.0)
-    g = np.zeros(k)
     # d/dp_t of -(1-p_t)^gamma log p_t
     g[t] = scale * (dmod * logp[t] - mod * dlog[t])
-    return LossOutput(-scale * mod * logp[t], _pullback(p, g))
+    return -scale * mod * logp[t], g
 
 
-def lsr(logits: np.ndarray, target_index: int, params: LossParams | None = None) -> LossOutput:
+@_character_loss
+def lsr(p, logp, dlog, t, scale, params):
     """Cross entropy plus a confidence penalty: -(beta/K) * entropy(p)."""
-    params = params or LossParams()
-    x, t, k = _prepare(logits, target_index)
-    scale = 1.0 if params.scale_free else 1.0 / k
-    p = softmax(x)
-    logp, dlog = _clamped_log(p, params.log_clamp_eps)
     pen = params.lsr_beta * scale
     value = -scale * logp[t] + pen * np.dot(p, logp)
     g = pen * (logp + p * dlog)
     g[t] += -scale * dlog[t]
-    return LossOutput(value, _pullback(p, g))
+    return value, g
 
 
-def boot_soft(
-    logits: np.ndarray, target_index: int, params: LossParams | None = None
-) -> LossOutput:
+@_character_loss
+def boot_soft(p, logp, dlog, t, scale, params):
     """Cross entropy against beta * one-hot target + (1 - beta) * own prediction."""
-    params = params or LossParams()
-    x, t, k = _prepare(logits, target_index)
-    scale = 1.0 if params.scale_free else 1.0 / k
     beta = params.sbs_beta
-    p = softmax(x)
-    logp, dlog = _clamped_log(p, params.log_clamp_eps)
     value = -scale * (beta * logp[t] + (1.0 - beta) * np.dot(p, logp))
     g = -scale * (1.0 - beta) * (logp + p * dlog)
     g[t] += -scale * beta * dlog[t]
-    return LossOutput(value, _pullback(p, g))
+    return value, g
 
 
-def boot_hard(
-    logits: np.ndarray, target_index: int, params: LossParams | None = None
-) -> LossOutput:
+@_character_loss
+def boot_hard(p, logp, dlog, t, scale, params):
     """Like boot_soft but mixing in the argmax prediction as a hard label.
 
     The argmax choice itself is treated as a constant, so the gradient is
     exact everywhere except on decision boundaries.
     """
-    params = params or LossParams()
-    x, t, k = _prepare(logits, target_index)
-    scale = 1.0 if params.scale_free else 1.0 / k
     beta = params.hbs_beta
-    p = softmax(x)
     z = int(np.argmax(p))
-    logp, dlog = _clamped_log(p, params.log_clamp_eps)
     value = -scale * (beta * logp[t] + (1.0 - beta) * logp[z])
-    g = np.zeros(k)
+    g = np.zeros_like(p)
     g[t] += -scale * beta * dlog[t]
     g[z] += -scale * (1.0 - beta) * dlog[z]
-    return LossOutput(value, _pullback(p, g))
+    return value, g
 
 
-def gce(logits: np.ndarray, target_index: int, params: LossParams | None = None) -> LossOutput:
+@_character_loss
+def gce(p, logp, dlog, t, scale, params):
     """Box-Cox loss (1 - p_t^alpha) / alpha, spanning cross entropy to MAE.
 
     No (1/K) factor here: as alpha -> 0 the value approaches -log p_t, the
     unnormalized cross entropy.
     """
-    params = params or LossParams()
-    x, t, k = _prepare(logits, target_index)
     alpha = params.gce_alpha
-    p = softmax(x)
     pt = p[t]
-    value = (1.0 - pt**alpha) / alpha
-    g = np.zeros(k)
+    g = np.zeros_like(p)
     g[t] = -max(pt, params.log_clamp_eps) ** (alpha - 1.0)
-    return LossOutput(value, _pullback(p, g))
+    return (1.0 - pt**alpha) / alpha, g
 
 
-def sce(logits: np.ndarray, target_index: int, params: LossParams | None = None) -> LossOutput:
+@_character_loss
+def sce(p, logp, dlog, t, scale, params):
     """Symmetric sum of cross entropy and reverse cross entropy.
 
     The reverse term swaps prediction and target; log 0 on the one-hot
     target is replaced by the finite rce_log_zero.
     """
-    params = params or LossParams()
-    x, t, k = _prepare(logits, target_index)
-    scale = 1.0 if params.scale_free else 1.0 / k
     a, b = params.sce_alpha, params.sce_beta
     zero = params.rce_log_zero
-    p = softmax(x)
-    logp, dlog = _clamped_log(p, params.log_clamp_eps)
     rce_value = -scale * zero * (1.0 - p[t])
     value = a * (-scale * logp[t]) + b * rce_value
-    g = np.full(k, -b * scale * zero)
+    g = np.full_like(p, -b * scale * zero)
     g[t] = -a * scale * dlog[t]
-    return LossOutput(value, _pullback(p, g))
+    return value, g
 
 
 def joint_opt(
@@ -298,20 +283,27 @@ class CTCInfeasibleError(ValueError):
     """Raised when the frame count cannot fit the target under CTC rules."""
 
 
-def _extended_target(target: Sequence[int], blank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blank-interleaved target plus skip masks for both recursion directions."""
-    ext = np.full(2 * len(target) + 1, blank, dtype=np.int64)
-    ext[1::2] = target
-    s = len(ext)
-    skip_back = np.zeros(s, dtype=bool)
-    skip_fwd = np.zeros(s, dtype=bool)
-    for i in range(2, s):
-        # only label states may skip the separating blank, and only between
-        # distinct labels
-        skip_back[i] = i % 2 == 1 and ext[i] != ext[i - 2]
-    for i in range(s - 2):
-        skip_fwd[i] = i % 2 == 1 and ext[i + 2] != ext[i]
-    return ext, skip_back, skip_fwd
+def _skip_mask(ext: np.ndarray) -> np.ndarray:
+    """States that may also be entered from two states back: labels that differ
+    from the label before them (a blank never differs from the blank before)."""
+    return np.r_[False, False, ext[2:] != ext[:-2]][: len(ext)]
+
+
+def _forward(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Log-space forward variables over a (T, S) emission lattice."""
+    t_len, s_len = emit.shape
+    alpha = np.full((t_len, s_len), NEG_INF)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        step = np.full(s_len, NEG_INF)
+        step[1:] = prev[:-1]
+        jump = np.full(s_len, NEG_INF)
+        jump[2:] = prev[:-2]
+        comb = np.logaddexp(prev, step)
+        comb = np.logaddexp(comb, np.where(skip, jump, NEG_INF))
+        alpha[t] = emit[t] + comb
+    return alpha
 
 
 def ctc_feasible(num_frames: int, target: Sequence[int]) -> bool:
@@ -343,47 +335,21 @@ def ctc_loss(log_probs: np.ndarray, target: Sequence[int]) -> LossOutput:
             f"{t_len} frames cannot align to a length-{len(target)} target"
         )
 
-    ext, skip_back, skip_fwd = _extended_target(target, blank)
-    s_len = len(ext)
+    ext = np.full(2 * len(target) + 1, blank, dtype=np.int64)
+    ext[1::2] = target
     emit = y[:, ext]  # (T, S)
 
-    alpha = np.full((t_len, s_len), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        step = np.full(s_len, NEG_INF)
-        step[1:] = prev[:-1]
-        skip = np.full(s_len, NEG_INF)
-        skip[2:] = prev[:-2]
-        comb = np.logaddexp(prev, step)
-        comb = np.logaddexp(comb, np.where(skip_back, skip, NEG_INF))
-        alpha[t] = emit[t] + comb
-
-    total = alpha[t_len - 1, s_len - 1]
-    if s_len > 1:
-        total = np.logaddexp(total, alpha[t_len - 1, s_len - 2])
-
-    beta = np.full((t_len, s_len), NEG_INF)
-    beta[t_len - 1, s_len - 1] = emit[t_len - 1, s_len - 1]
-    if s_len > 1:
-        beta[t_len - 1, s_len - 2] = emit[t_len - 1, s_len - 2]
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1]
-        step = np.full(s_len, NEG_INF)
-        step[:-1] = nxt[1:]
-        skip = np.full(s_len, NEG_INF)
-        skip[:-2] = nxt[2:]
-        comb = np.logaddexp(nxt, step)
-        comb = np.logaddexp(comb, np.where(skip_fwd, skip, NEG_INF))
-        beta[t] = emit[t] + comb
+    alpha = _forward(emit, _skip_mask(ext))
+    total = alpha[-1, -1]
+    if len(ext) > 1:
+        total = np.logaddexp(total, alpha[-1, -2])
+    # the backward pass is the forward pass over the reversed lattice
+    beta = _forward(emit[::-1, ::-1], _skip_mask(ext[::-1]))[::-1, ::-1]
 
     # alpha and beta both include the emission at t, so divide it out once
     post = alpha + beta - emit - total
     grad = np.zeros_like(y)
-    for s in range(s_len):
-        grad[:, ext[s]] -= np.exp(post[:, s])
+    np.subtract.at(grad, (slice(None), ext), np.exp(post))
     return LossOutput(-total, grad)
 
 
@@ -417,16 +383,9 @@ def beam_decode(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
     beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, NEG_INF)}
     for t in range(y.shape[0]):
         new: dict[tuple[int, ...], list[float]] = {}
-
-        def bucket(prefix):
-            entry = new.get(prefix)
-            if entry is None:
-                entry = new[prefix] = [NEG_INF, NEG_INF]
-            return entry
-
         for prefix, (p_blank, p_label) in beams.items():
             p_total = lae(p_blank, p_label)
-            entry = bucket(prefix)
+            entry = new.setdefault(prefix, [NEG_INF, NEG_INF])
             entry[0] = lae(entry[0], p_total + y[t, blank])
             if prefix:
                 entry[1] = lae(entry[1], p_label + y[t, prefix[-1]])
@@ -436,7 +395,7 @@ def beam_decode(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
                 src = p_blank if prefix and k == prefix[-1] else p_total
                 if src == NEG_INF:
                     continue
-                entry = bucket(prefix + (k,))
+                entry = new.setdefault(prefix + (k,), [NEG_INF, NEG_INF])
                 entry[1] = lae(entry[1], src + y[t, k])
 
         ranked = sorted(
@@ -444,5 +403,5 @@ def beam_decode(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
         )
         beams = {prefix: (pb, pl) for prefix, (pb, pl) in ranked[:beam_width]}
 
-    best = min(beams.items(), key=lambda kv: (-lae(kv[1][0], kv[1][1]), len(kv[0]), kv[0]))
-    return best[0]
+    # beams holds the survivors in rank order, so the first is the best
+    return next(iter(beams))

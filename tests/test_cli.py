@@ -6,6 +6,7 @@ import pytest
 
 from penscript.cli import main
 from penscript.dataio import Sample, equations_alphabet, parse_recording, write_recording
+from penscript.losses import LossParams
 from synth import make_equation_sample
 
 ALPHABET = equations_alphabet()
@@ -86,6 +87,29 @@ class TestIngest:
         assert code == 1
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("alphabet", ["equations", "auto"])
+    @pytest.mark.parametrize(
+        "bad_line, expected",
+        [
+            pytest.param("[1, 2]", "expected a JSON object, got list", id="list"),
+            pytest.param('{"start": 0, "end": 0, "writer_id": 0}', "missing label", id="no-label"),
+            pytest.param('{"label": "1", "start": 0,', "invalid JSON", id="broken-json"),
+        ],
+    )
+    def test_bad_labels_line_names_the_line(self, tmp_path, capsys, rng, alphabet, bad_line, expected):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=3))
+        lines = (tmp_path / "ds.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = bad_line
+        (tmp_path / "ds.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["ingest", "--data", data, "--labels", labels, "--alphabet", alphabet, "--out", str(tmp_path / "o")],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: labels line 2: ")
+        assert expected in err
 
 
 class TestSplit:
@@ -245,6 +269,29 @@ class TestTrain:
         )
         assert header["epochs_completed"] == 2
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (["--filters", "9"], "conv_filters = 4, but this run asks for 9"),
+            ({"model": {"dense_units": 7}}, "dense_units = 100, but this run asks for 7"),
+        ],
+        ids=["flag", "config"],
+    )
+    def test_resume_rejects_conflicting_model_setting(self, tmp_path, capsys, rng, change, message):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        base = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1"] + TRAIN_FLAGS
+        assert run(capsys, base + ["--out", str(tmp_path / "a")])[0] == 0
+        if isinstance(change, dict):
+            change = ["--config", write_config(tmp_path, change)]
+        code, out, err = run(
+            capsys,
+            base + change + ["--resume", str(tmp_path / "a" / "model.ckpt"), "--out", str(tmp_path / "b")],
+        )
+        assert code == 1
+        assert out == ""
+        assert f"the checkpoint has {message}" in err
+        assert not (tmp_path / "b" / "model.ckpt").exists()
+
     def test_fold_plan_drives_validation(self, tmp_path, capsys, rng):
         samples = char_samples(rng, n=9)
         data, labels = write_dataset(tmp_path, samples)
@@ -297,7 +344,6 @@ class TestTrain:
         assert header["epochs_completed"] == 1
 
     def test_config_loss_section_reaches_training(self, tmp_path, capsys, rng):
-        # LossParams is not part of the checkpoint header; it shows in the loss
         data, labels = write_dataset(tmp_path, char_samples(rng))
         cfg = write_config(tmp_path, {"loss": {"fl_gamma": 0}})
         argv = ["train", "--data", data, "--labels", labels, "--loss", "focal",
@@ -309,6 +355,9 @@ class TestTrain:
             for d in ("a", "b")
         ]
         assert losses[0] != losses[1]
+        headers = [checkpoint_header(tmp_path / d / "model.ckpt") for d in ("a", "b")]
+        assert headers[0]["loss_params"] == LossParams().to_dict()
+        assert headers[1]["loss_params"] == LossParams(fl_gamma=0.0).to_dict()
 
     def test_missing_epochs_fails(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng))

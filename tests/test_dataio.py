@@ -10,6 +10,7 @@ from penscript.dataio import (
     Sample,
     build_alphabet,
     equations_alphabet,
+    label_entries,
     make_splits,
     parse_recording,
     write_recording,
@@ -128,6 +129,24 @@ class TestParseRecording:
         raw = make_recording([[1.0, 2.0]])
         with pytest.raises(RecordingFormatError, match="labels line 1"):
             parse_recording(raw, "{not json")
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("[1, 2]", "labels line 2: expected a JSON object, got list"),
+            ('{"label": "1", "start": 0}', "labels line 2: .*missing end, writer_id"),
+            ("{not json", "labels line 2: invalid JSON"),
+        ],
+        ids=["list", "missing-keys", "broken-json"],
+    )
+    def test_bad_label_line_is_named(self, line, expected):
+        raw = make_recording([[1.0, 2.0]])
+        with pytest.raises(RecordingFormatError, match=expected):
+            parse_recording(raw, label_line("1", 0, 0) + "\n" + line)
+
+    def test_label_entries_skips_blank_lines(self):
+        text = label_line("1", 0, 0) + "\n\n" + label_line("2", 1, 1) + "\n"
+        assert [(n, e["label"]) for n, e in label_entries(text)] == [(1, "1"), (3, "2")]
 
     def test_negative_force_rejected(self):
         rows = [[0.0] * 13, [0.0] * 12 + [-1.0]]
