@@ -195,15 +195,20 @@ def cmd_segment(args) -> int:
 def cmd_train(args) -> int:
     samples, alphabet = _load_dataset(args)
     cfg_file = _load_config(args.config)
+    start_model, header = load_checkpoint(args.resume) if args.resume else (None, {})
 
-    # the model fields this command sets itself, by config or by flag
+    # the model fields this command sets itself, by config or by flag;
+    # --units sizes whichever recurrent kind this run ends up with
     model_dict = dict(_section(cfg_file, "model"))
+    if args.recurrent is not None:
+        model_dict["recurrent_kind"] = args.recurrent
+    default_kind = start_model.cfg.recurrent_kind if start_model else ModelConfig.recurrent_kind
+    kind = model_dict.get("recurrent_kind", default_kind)
     for flag, key in (
         ("filters", "conv_filters"),
         ("kernel", "conv_kernel"),
         ("pool", "pool_size"),
-        ("units", "lstm_units"),
-        ("recurrent", "recurrent_kind"),
+        ("units", "lstm_units" if kind == "LSTM" else "bilstm_units"),
         ("dropout", "dropout_rate"),
     ):
         value = getattr(args, flag)
@@ -232,18 +237,26 @@ def cmd_train(args) -> int:
 
     if args.folds:
         plan = FoldPlan.from_json(_read(args.folds))
-        fold = plan.folds[args.fold]
+        index = 0 if args.fold is None else args.fold
+        if not 0 <= index < plan.k:
+            raise ValueError(f"--fold {index} is outside the plan's folds 0..{plan.k - 1}")
+        fold = plan.folds[index]
+    elif args.fold is not None:
+        raise ValueError("--fold needs a fold plan from --folds")
     else:
         everything = tuple(range(len(samples)))
         fold = (everything, everything)
 
-    start_model = None
-    completed = 0
-    if args.resume:
-        start_model, header = load_checkpoint(args.resume)
-        completed = int(header.get("epochs_completed", 0))
+    completed = int(header.get("epochs_completed", 0))
+    if start_model is not None:
+        saved_symbols = header.get("alphabet")
+        if saved_symbols is not None and saved_symbols != list(alphabet.symbols):
+            raise ValueError(
+                f"--resume: the checkpoint's alphabet is {saved_symbols},"
+                f" but this dataset's is {list(alphabet.symbols)}"
+            )
         saved, requested = start_model.cfg.to_dict(), model_cfg.to_dict()
-        for key in model_dict:
+        for key in ("num_classes", *model_dict):
             if requested[key] != saved[key]:
                 raise ValueError(
                     f"--resume: the checkpoint has {key} = {saved[key]!r},"
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--loss", required=True, help="ctc, joint_opt, or a character loss")
     p.add_argument("--folds", default=None, help="fold plan JSON; omit to train on everything")
-    p.add_argument("--fold", type=int, default=0)
+    p.add_argument("--fold", type=int, default=None, help="fold of the plan to train on (default 0)")
     p.add_argument("--config", default=None)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--epochs", type=int, default=None)

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from penscript.jsonconfig import is_int
 from penscript.seeding import stream
 
 CHANNEL_NAMES = (
@@ -188,7 +189,8 @@ def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a labels file.
 
     Raises RecordingFormatError naming the line when it is not JSON, not an
-    object, or lacks one of the keys label, start, end and writer_id.
+    object, lacks one of the keys label, start, end and writer_id, or when
+    start, end or writer_id is not a JSON integer.
     """
     for lineno, line in enumerate(labels_text.splitlines(), start=1):
         if not line.strip():
@@ -207,6 +209,11 @@ def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
                 f"labels line {lineno}: expected keys label, start, end, writer_id;"
                 f" missing {', '.join(missing)}"
             )
+        for key in ("start", "end", "writer_id"):
+            if not is_int(entry[key]):
+                raise RecordingFormatError(
+                    f"labels line {lineno}: {key} must be an integer, got {entry[key]!r}"
+                )
         yield lineno, entry
 
 
@@ -254,7 +261,7 @@ def parse_recording(
 
     samples: list[Sample] = []
     for lineno, entry in label_entries(labels_text):
-        start, end = int(entry["start"]), int(entry["end"])
+        start, end = entry["start"], entry["end"]
         if not 0 <= start <= end < len(data):
             raise ValueError(
                 f"labels line {lineno}: window [{start}, {end}] out of range for {len(data)} rows"
@@ -263,7 +270,7 @@ def parse_recording(
             Sample(
                 values=data[start : end + 1].copy(),
                 label=alphabet.encode_label(str(entry["label"])),
-                writer_id=int(entry["writer_id"]),
+                writer_id=entry["writer_id"],
                 rate_hz=rate_hz,
             )
         )
@@ -339,11 +346,26 @@ class FoldPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FoldPlan":
-        folds = tuple(
-            (tuple(int(i) for i in f["train"]), tuple(int(i) for i in f["val"]))
-            for f in d["folds"]
-        )
-        return cls(mode=d["mode"], k=int(d["k"]), seed=int(d["seed"]), folds=folds)
+        """Rebuild a plan; a ValueError names any missing key or non-integer value."""
+        _require_keys(d, ("mode", "k", "seed", "folds"), "fold plan")
+        for key in ("k", "seed"):
+            if not is_int(d[key]):
+                raise ValueError(f"fold plan: {key} must be an integer, got {d[key]!r}")
+        if not isinstance(d["folds"], list):
+            raise ValueError("fold plan: folds must be a list")
+        folds = []
+        for n, f in enumerate(d["folds"]):
+            _require_keys(f, ("train", "val"), f"fold plan fold {n}")
+            for part in ("train", "val"):
+                if not isinstance(f[part], list):
+                    raise ValueError(f"fold plan fold {n}: {part} must be a list of indices")
+                for i in f[part]:
+                    if not is_int(i):
+                        raise ValueError(
+                            f"fold plan fold {n}: {part} index {i!r} is not an integer"
+                        )
+            folds.append((tuple(f["train"]), tuple(f["val"])))
+        return cls(mode=d["mode"], k=d["k"], seed=d["seed"], folds=tuple(folds))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -351,6 +373,14 @@ class FoldPlan:
     @classmethod
     def from_json(cls, text: str) -> "FoldPlan":
         return cls.from_dict(json.loads(text))
+
+
+def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing the key(s) {', '.join(missing)}")
 
 
 def make_splits(samples: Sequence[Sample], mode: str, k: int, seed: int) -> FoldPlan:

@@ -14,19 +14,20 @@ from dataclasses import fields
 from typing import get_type_hints
 
 
-def _is_int(v) -> bool:
+def is_int(v) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 # field type -> (what the error message asks for, accepted-value test)
 _ACCEPTS = {
-    int: ("an integer", _is_int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    int: ("an integer", is_int),
+    float: ("a number", lambda v: is_int(v) or isinstance(v, float)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple[int, ...]: (
         "a list of integers",
-        lambda v: isinstance(v, (list, tuple)) and all(_is_int(c) for c in v),
+        lambda v: isinstance(v, (list, tuple)) and all(is_int(c) for c in v),
     ),
 }
 

@@ -3,6 +3,7 @@
 from penscript.netcore.tensor import (
     Tensor,
     affine,
+    batchnorm_op,
     concat_last,
     conv1d_op,
     dropout_op,
@@ -34,7 +35,7 @@ from penscript.netcore.train import TrainConfig, train
 
 __all__ = [
     "Tensor",
-    "affine", "concat_last", "conv1d_op", "dropout_op", "log_softmax_op",
+    "affine", "batchnorm_op", "concat_last", "conv1d_op", "dropout_op", "log_softmax_op",
     "lstm_op", "maxpool1d_op", "mean_time", "relu", "reverse_time",
     "BatchNorm1d", "BiLSTM", "Conv1d", "Dense", "Dropout", "LSTM", "MaxPool1d",
     "ModelConfig", "RecognitionModel", "forward_seq2seq",

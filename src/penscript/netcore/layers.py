@@ -1,4 +1,4 @@
-"""Trainable layers over the Tensor kernel.
+"""Trainable layers: each is parameters and state around one op of tensor.py.
 
 Initialization: dense and conv weights are uniform in
 +-sqrt(6/(fan_in+fan_out)), recurrent matrices uniform in +-1/sqrt(H),
@@ -83,41 +83,13 @@ class BatchNorm1d:
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
             self.initialized = True
-            return self._normalize(x, mu, var, train=True)
-        if mode == "eval":
+        elif mode == "eval":
             if not self.initialized:
                 raise RuntimeError("eval-mode batchnorm before any training step")
-            return self._normalize(x, self.running_mean, self.running_var, train=False)
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-    def _normalize(self, x: Tensor, mu, var, train: bool) -> Tensor:
-        gamma, beta = self.gamma, self.beta
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x.data - mu) * inv
-        out = Tensor(gamma.data * xhat + beta.data, (x, gamma, beta))
-        axes = tuple(range(x.data.ndim - 1))
-        n = x.data.size // x.data.shape[-1]
-
-        def back(g):
-            gamma.grad += (g * xhat).sum(axis=axes)
-            beta.grad += g.sum(axis=axes)
-            dxhat = g * gamma.data
-            if train:
-                # mean and variance depend on x, so subtract their pullbacks
-                x.grad += (
-                    inv
-                    / n
-                    * (
-                        n * dxhat
-                        - dxhat.sum(axis=axes)
-                        - xhat * (dxhat * xhat).sum(axis=axes)
-                    )
-                )
-            else:
-                x.grad += dxhat * inv
-
-        out._backward = back
-        return out
+            mu, var = self.running_mean, self.running_var
+        else:
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        return T.batchnorm_op(x, self.gamma, self.beta, mu, var, self.eps, train=(mode == "train"))
 
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -144,12 +116,7 @@ class Dropout:
 
 
 class LSTM:
-    """Single-direction LSTM returning the full hidden sequence.
-
-    Gate layout along the 4H axis is input, forget, cell, output; the
-    initial state is zero. tanh activations throughout. The whole sequence
-    is one tape node (tensor.lstm_op) with a hand-written BPTT backward.
-    """
+    """Single-direction LSTM returning the full hidden sequence (see tensor.lstm_op)."""
 
     def __init__(self, c_in: int, hidden: int, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(hidden)

@@ -1,11 +1,11 @@
 """Reverse-mode autodiff on numpy arrays, just enough for the models here.
 
-Every op builds a Tensor holding the forward value, its parents, and a
-closure that pushes the output gradient, passed in as its argument, into
-the parents. backward() runs the closures in reverse topological order
-from a caller-supplied seed gradient. A closure never refers to its own
-output Tensor, so a tape holds no reference cycle and is freed as soon as
-its last reference goes, without waiting for the cyclic garbage collector.
+Every op defines a closure that pushes the output gradient, passed in as
+its argument, into the parents, and then returns Tensor(value, parents,
+closure). The constructor takes the pullback, so a closure cannot see its
+own output, which does not exist yet: a tape holds no reference cycle and
+is freed as soon as its last reference goes. backward() runs the closures
+in reverse topological order from a caller-supplied seed gradient.
 Everything is float64; batches lead the shape.
 """
 
@@ -17,11 +17,11 @@ import numpy as np
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, parents: tuple = ()):
+    def __init__(self, data, parents: tuple = (), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self._parents = parents
-        self._backward = None
+        self._backward = backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,7 +64,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     lead = x.data.shape[:-1]
     fan_in = x.data.shape[-1]
     x2 = x.data.reshape(-1, fan_in)
-    out = Tensor((x2 @ w.data + b.data).reshape(*lead, w.data.shape[1]), (x, w, b))
 
     def back(g):
         g2 = g.reshape(-1, w.data.shape[1])
@@ -72,8 +71,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         w.grad += x2.T @ g2
         b.grad += g2.sum(axis=0)
 
-    out._backward = back
-    return out
+    return Tensor((x2 @ w.data + b.data).reshape(*lead, w.data.shape[1]), (x, w, b), back)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -81,18 +79,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), (x,))
-
     def back(g):
         x.grad += g * (x.data > 0)
 
-    out._backward = back
-    return out
+    return Tensor(np.maximum(x.data, 0.0), (x,), back)
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1), tuple(parts))
-
     def back(g):
         pos = 0
         for p in parts:
@@ -100,43 +93,35 @@ def concat_last(parts: list[Tensor]) -> Tensor:
             p.grad += g[..., pos : pos + width]
             pos += width
 
-    out._backward = back
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
 
 
 def reverse_time(x: Tensor) -> Tensor:
-    out = Tensor(x.data[:, ::-1, :].copy(), (x,))
-
     def back(g):
         x.grad += g[:, ::-1, :]
 
-    out._backward = back
-    return out
+    return Tensor(x.data[:, ::-1, :].copy(), (x,), back)
 
 
 def mean_time(x: Tensor) -> Tensor:
     """Mean over the time axis of (batch, time, features)."""
     n = x.data.shape[1]
-    out = Tensor(x.data.mean(axis=1), (x,))
 
     def back(g):
         x.grad += g[:, None, :] / n
 
-    out._backward = back
-    return out
+    return Tensor(x.data.mean(axis=1), (x,), back)
 
 
 def log_softmax_op(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = Tensor(logp, (x,))
 
     def back(g):
         p = np.exp(logp)
         x.grad += g - p * g.sum(axis=-1, keepdims=True)
 
-    out._backward = back
-    return out
+    return Tensor(logp, (x,), back)
 
 
 def lstm_op(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -174,7 +159,6 @@ def lstm_op(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         tc = np.tanh(c_t)
         h_t = a[:, 3 * h :] * tc
         acts[t], cs[t], tcs[t], out_data[:, t, :] = a, c_t, tc, h_t
-    out = Tensor(out_data, (x, wx, wh, b))
 
     def back(g):
         i_g, f_g, g_g, o_g = (acts[:, :, k * h : (k + 1) * h] for k in range(4))
@@ -202,8 +186,7 @@ def lstm_op(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         b.grad += dz2.sum(axis=0)
         x.grad += (dz2 @ wx_d.T).reshape(x.data.shape)
 
-    out._backward = back
-    return out
+    return Tensor(out_data, (x, wx, wh, b), back)
 
 
 def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -224,7 +207,6 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cols2 = cols.reshape(bsz * t_len, c_in * k)
     wmat = w.data.reshape(c_out, c_in * k).T
     out_data = (cols2 @ wmat + b.data).reshape(bsz, t_len, c_out)
-    out = Tensor(out_data, (x, w, b))
 
     def back(g):
         g2 = g.reshape(bsz * t_len, c_out)
@@ -236,8 +218,7 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             gxp[:, i : i + t_len, :] += gcols[:, :, :, i]
         x.grad += gxp[:, left : left + t_len, :]
 
-    out._backward = back
-    return out
+    return Tensor(out_data, (x, w, b), back)
 
 
 def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
@@ -250,15 +231,47 @@ def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (0, pad), (0, 0)), constant_values=-np.inf)
     win = xp.reshape(bsz, t_out, pool, ch)
     idx = win.argmax(axis=2)  # first index on ties
-    out = Tensor(np.take_along_axis(win, idx[:, :, None, :], axis=2)[:, :, 0, :], (x,))
 
     def back(g):
         gwin = np.zeros_like(win)
         np.put_along_axis(gwin, idx[:, :, None, :], g[:, :, None, :], axis=2)
         x.grad += gwin.reshape(bsz, t_out * pool, ch)[:, :t_len, :]
 
-    out._backward = back
-    return out
+    return Tensor(np.take_along_axis(win, idx[:, :, None, :], axis=2)[:, :, 0, :], (x,), back)
+
+
+def batchnorm_op(
+    x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray, var: np.ndarray, eps: float, train: bool
+) -> Tensor:
+    """gamma * (x - mu) / sqrt(var + eps) + beta, per channel (the last axis).
+
+    train=True means mu and var are the statistics of x over every leading
+    axis, so the pullback into x also goes through them; else they are fixed.
+    """
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    axes = tuple(range(x.data.ndim - 1))
+    n = x.data.size // x.data.shape[-1]
+
+    def back(g):
+        gamma.grad += (g * xhat).sum(axis=axes)
+        beta.grad += g.sum(axis=axes)
+        dxhat = g * gamma.data
+        if train:
+            # mean and variance depend on x, so subtract their pullbacks
+            x.grad += (
+                inv
+                / n
+                * (
+                    n * dxhat
+                    - dxhat.sum(axis=axes)
+                    - xhat * (dxhat * xhat).sum(axis=axes)
+                )
+            )
+        else:
+            x.grad += dxhat * inv
+
+    return Tensor(gamma.data * xhat + beta.data, (x, gamma, beta), back)
 
 
 def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -268,10 +281,8 @@ def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = Tensor(x.data * mask, (x,))
 
     def back(g):
         x.grad += g * mask
 
-    out._backward = back
-    return out
+    return Tensor(x.data * mask, (x,), back)

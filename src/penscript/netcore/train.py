@@ -98,6 +98,9 @@ def train(
     train_idx, val_idx = fold
     if len(train_idx) == 0:
         raise ValueError("empty training split")
+    for i in (*train_idx, *val_idx):
+        if not 0 <= i < len(dataset):
+            raise ValueError(f"fold index {i} is out of range for {len(dataset)} samples")
     known = {"ctc", "joint_opt", *CHARACTER_LOSSES}
     if loss_selector not in known:
         raise ValueError(f"loss_selector must be one of {sorted(known)}")

@@ -95,6 +95,16 @@ class TestIngest:
             pytest.param("[1, 2]", "expected a JSON object, got list", id="list"),
             pytest.param('{"start": 0, "end": 0, "writer_id": 0}', "missing label", id="no-label"),
             pytest.param('{"label": "1", "start": 0,', "invalid JSON", id="broken-json"),
+            pytest.param(
+                '{"label": "1", "start": "x", "end": 0, "writer_id": 0}',
+                "start must be an integer, got 'x'",
+                id="start-str",
+            ),
+            pytest.param(
+                '{"label": "1", "start": 0, "end": 20.9, "writer_id": 0}',
+                "end must be an integer, got 20.9",
+                id="end-float",
+            ),
         ],
     )
     def test_bad_labels_line_names_the_line(self, tmp_path, capsys, rng, alphabet, bad_line, expected):
@@ -305,6 +315,109 @@ class TestTrain:
         )
         assert code == 0
         assert "crr" in json.loads(out)["final"]
+
+    def wi_plan(self, tmp_path, capsys, rng):
+        """A 6-recording dataset and its 3-fold writer-independent plan."""
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=6))
+        argv = ["split", "--data", data, "--labels", labels, "--mode", "WI", "--k", "3"]
+        assert run(capsys, argv + ["--out", str(tmp_path / "s")])[0] == 0
+        return data, labels, tmp_path / "s" / "folds.json"
+
+    @pytest.mark.parametrize("fold", ["7", "-1", "3"])
+    def test_fold_outside_the_plan_is_rejected(self, tmp_path, capsys, rng, fold):
+        data, labels, plan = self.wi_plan(tmp_path, capsys, rng)
+        code, out, err = run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--folds", str(plan), "--fold", fold, "--out", str(tmp_path / "o")] + TRAIN_FLAGS,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"error: --fold {fold} is outside the plan's folds 0..2" in err
+
+    def test_fold_without_a_plan_is_rejected(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        code, out, err = run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--fold", "2", "--out", str(tmp_path / "o")] + TRAIN_FLAGS,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--fold needs a fold plan from --folds" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["folds"][0]["val"].append(99), "fold index 99 is out of range for 6 samples"),
+            (lambda p: p["folds"][0]["train"].append(-1), "fold index -1 is out of range for 6 samples"),
+            (lambda p: p.pop("folds"), "fold plan is missing the key(s) folds"),
+            (lambda p: p["folds"][0]["train"].append(1.5), "train index 1.5 is not an integer"),
+        ],
+        ids=["index-99", "index-negative", "no-folds", "index-float"],
+    )
+    def test_bad_fold_plan_is_named(self, tmp_path, capsys, rng, edit, message):
+        data, labels, plan_path = self.wi_plan(tmp_path, capsys, rng)
+        plan = json.loads(plan_path.read_text())
+        edit(plan)
+        plan_path.write_text(json.dumps(plan))
+        code, out, err = run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--folds", str(plan_path), "--fold", "0", "--out", str(tmp_path / "o")] + TRAIN_FLAGS,
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_units_size_the_default_bilstm(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        code, _, _ = run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--filters", "4", "--kernel", "2", "--units", "5", "--target-len", "12", "--out", str(tmp_path / "o")],
+        )
+        assert code == 0
+        header = checkpoint_header(tmp_path / "o" / "model.ckpt")
+        shapes = {a["name"]: a["shape"] for a in header["arrays"]}
+        assert shapes["recurrent0.fwd.wh"] == [5, 20]
+        assert (header["model"]["bilstm_units"], header["model"]["lstm_units"]) == (5, 100)
+
+    @pytest.mark.parametrize(
+        "first, units, message",
+        [
+            (["--recurrent", "LSTM", "--units", "3"], "3", None),
+            (["--units", "5"], "5", None),
+            (["--units", "5"], "7", "bilstm_units = 5, but this run asks for 7"),
+        ],
+        ids=["lstm-same", "bilstm-same", "bilstm-other"],
+    )
+    def test_resume_units_follow_the_checkpoint_kind(self, tmp_path, capsys, rng, first, units, message):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        base = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--filters", "4", "--kernel", "2", "--target-len", "12"]
+        assert run(capsys, base + first + ["--out", str(tmp_path / "a")])[0] == 0
+        code, _, err = run(
+            capsys,
+            base + ["--units", units, "--resume", str(tmp_path / "a" / "model.ckpt"), "--out", str(tmp_path / "b")],
+        )
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 1
+            assert message in err
+
+    def test_resume_rejects_another_alphabet(self, tmp_path, capsys, rng):
+        samples = [
+            Sample(rng.normal(0, 1, (12, 3)), (i,), writer_id=i, rate_hz=100.0) for i in range(7)
+        ]
+        data, labels = write_dataset(tmp_path, samples)
+        base = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1"] + TRAIN_FLAGS
+        assert run(capsys, base + ["--out", str(tmp_path / "a")])[0] == 0
+        code, out, err = run(
+            capsys,
+            base + ["--alphabet", "auto", "--resume", str(tmp_path / "a" / "model.ckpt"), "--out", str(tmp_path / "b")],
+        )
+        assert code == 1
+        assert out == ""
+        assert "the checkpoint's alphabet is ['0', '1', '2', '3', '4', '5', '6', '7', '8', '9', '+'" in err
+        assert "this dataset's is ['0', '1', '2', '3', '4', '5', '6']" in err
+        assert not (tmp_path / "b" / "model.ckpt").exists()
 
     def test_ctc_training(self, tmp_path, capsys, rng):
         samples = []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,8 +137,14 @@ class TestParseRecording:
             ("[1, 2]", "labels line 2: expected a JSON object, got list"),
             ('{"label": "1", "start": 0}', "labels line 2: .*missing end, writer_id"),
             ("{not json", "labels line 2: invalid JSON"),
+            ('{"label": "1", "start": "x", "end": 0, "writer_id": 0}',
+             "labels line 2: start must be an integer, got 'x'"),
+            ('{"label": "1", "start": 0, "end": 0.9, "writer_id": 0}',
+             "labels line 2: end must be an integer, got 0.9"),
+            ('{"label": "1", "start": 0, "end": 0, "writer_id": true}',
+             "labels line 2: writer_id must be an integer, got True"),
         ],
-        ids=["list", "missing-keys", "broken-json"],
+        ids=["list", "missing-keys", "broken-json", "start-str", "end-float", "writer-bool"],
     )
     def test_bad_label_line_is_named(self, line, expected):
         raw = make_recording([[1.0, 2.0]])
@@ -227,6 +234,26 @@ class TestMakeSplits:
         samples = make_writer_corpus(writers=4, per_writer=4)
         plan = make_splits(samples, "WI", 2, seed=5)
         assert FoldPlan.from_json(plan.to_json()) == plan
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("k"), "fold plan is missing the key(s) k"),
+            (lambda p: p.update(k="2"), "fold plan: k must be an integer, got '2'"),
+            (lambda p: p.update(seed=5.5), "fold plan: seed must be an integer, got 5.5"),
+            (lambda p: p.update(folds={}), "fold plan: folds must be a list"),
+            (lambda p: p["folds"][1].pop("train"), "fold plan fold 1 is missing the key(s) train"),
+            (lambda p: p["folds"].append([0, 1]), "fold plan fold 2 must be a JSON object, got list"),
+            (lambda p: p["folds"][0]["val"].append(True), "fold 0: val index True is not an integer"),
+            (lambda p: p["folds"][0].update(train=3), "fold 0: train must be a list of indices"),
+        ],
+        ids=["no-k", "k-str", "seed-float", "folds-dict", "no-train", "fold-list", "index-bool", "train-int"],
+    )
+    def test_fold_plan_names_a_bad_entry(self, edit, message):
+        plan = make_splits(make_writer_corpus(writers=4, per_writer=2), "WI", 2, seed=5).to_dict()
+        edit(plan)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FoldPlan.from_dict(plan)
 
     def test_bad_mode(self):
         samples = make_writer_corpus(writers=2, per_writer=2)

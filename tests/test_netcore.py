@@ -659,6 +659,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(data, ((), range(8)), SMALL, SMALL_TRAIN, "cce")
 
+    @pytest.mark.parametrize(
+        "fold, index", [(((0, 1, -1), ()), -1), (((0, 1), (8,)), 8)], ids=["negative", "past-end"]
+    )
+    def test_fold_index_out_of_range_is_named(self, rng, fold, index):
+        data = tiny_dataset(rng)
+        with pytest.raises(ValueError, match=f"fold index {index} is out of range for 8 samples"):
+            train(data, fold, SMALL, SMALL_TRAIN, "cce")
+
     def test_config_round_trip_and_validation(self):
         assert TrainConfig.from_dict(SMALL_TRAIN.to_dict()) == SMALL_TRAIN
         with pytest.raises(ValueError):
