@@ -309,6 +309,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.beam < 1:
+        raise ValueError(f"--beam must be >= 1, got {args.beam}")
     model, header = load_checkpoint(args.checkpoint)
     alphabet = Alphabet(header["alphabet"])
     samples = parse_recording(_read(args.data), _read(args.labels), alphabet)
@@ -316,11 +318,14 @@ def cmd_decode(args) -> int:
 
     decoded = []
     refs, hyps = [], []
-    for s in samples:
+    for i, s in enumerate(samples):
         prepared = interpolate(s, target_len)
         out = model.forward(prepared.values[None, :, :], "eval").data[0]
         if model.task == "seq2seq":
-            hyp = beam_decode(out, args.beam) if args.beam > 1 else greedy_decode(out)
+            try:
+                hyp = beam_decode(out, args.beam) if args.beam > 1 else greedy_decode(out)
+            except ValueError as exc:
+                raise ValueError(f"recording {i}: {exc}") from exc
         else:
             hyp = (int(np.argmax(out)),)
         refs.append(s.label)

@@ -306,6 +306,14 @@ def _forward(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return alpha
 
 
+def _log_prob_matrix(log_probs: np.ndarray) -> np.ndarray:
+    """log_probs as a float64 (frames, classes+blank) matrix."""
+    y = np.asarray(log_probs, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] < 2:
+        raise ValueError("log_probs must be (frames, classes+blank) with >= 2 columns")
+    return y
+
+
 def ctc_feasible(num_frames: int, target: Sequence[int]) -> bool:
     """A target fits iff frames cover every label plus blanks between repeats."""
     repeats = sum(1 for a, b in zip(target, target[1:]) if a == b)
@@ -320,9 +328,7 @@ def ctc_loss(log_probs: np.ndarray, target: Sequence[int]) -> LossOutput:
     the forward recursion over the blank-interleaved target; the gradient
     (with respect to log_probs) comes from the forward-backward posteriors.
     """
-    y = np.asarray(log_probs, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] < 2:
-        raise ValueError("log_probs must be (frames, classes+blank) with >= 2 columns")
+    y = _log_prob_matrix(log_probs)
     t_len, width = y.shape
     blank = width - 1
     target = tuple(int(i) for i in target)
@@ -353,9 +359,18 @@ def ctc_loss(log_probs: np.ndarray, target: Sequence[int]) -> LossOutput:
     return LossOutput(-total, grad)
 
 
+def _decoder_input(log_probs: np.ndarray) -> np.ndarray:
+    """log_probs as a float64 (frames, classes+blank) matrix without NaNs."""
+    y = _log_prob_matrix(log_probs)
+    nan_frames = np.flatnonzero(np.isnan(y).any(axis=1))
+    if nan_frames.size:
+        raise ValueError(f"log_probs are NaN at frame {nan_frames[0]}")
+    return y
+
+
 def greedy_decode(log_probs: np.ndarray) -> tuple[int, ...]:
     """Best-path decoding: frame argmaxes, collapse repeats, drop blanks."""
-    y = np.asarray(log_probs)
+    y = _decoder_input(log_probs)
     blank = y.shape[1] - 1
     out = []
     prev = -1
@@ -367,41 +382,81 @@ def greedy_decode(log_probs: np.ndarray) -> tuple[int, ...]:
 
 
 def beam_decode(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
-    """Prefix beam search over collapsed labelings.
+    """Prefix beam search over collapsed labelings (Hannun et al. 2014).
 
-    Each surviving prefix tracks separate blank-ending and label-ending
-    path masses so extensions by a repeated label stay distinguishable
-    from collapsed repeats. With a beam at least as wide as the number of
+    The surviving beams are parallel arrays: blank-ending mass, label-ending
+    mass and last label (-1 for the empty prefix), beside a list of prefix
+    tuples. At each frame every beam stays (by a blank, or by repeating its
+    last label) and extends by every label at once, as one (beam, label)
+    array; extending by its own last label takes only the blank-ending mass,
+    since label-ending paths collapse into the repeat. An extension whose
+    source mass is -inf is dropped, never a candidate. An extension that is
+    already a surviving beam adds its mass to that beam's label-ending
+    mass; each beam finds its parent by one prefix lookup. Candidates rank
+    by total mass, ties going to the shorter and then the lexicographically
+    smaller prefix; the ranking sorts only those at or above the
+    beam_width-th best mass. With a beam at least as wide as the number of
     reachable prefixes the search is exact.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    y = np.asarray(log_probs, dtype=np.float64)
+    y = _decoder_input(log_probs)
     blank = y.shape[1] - 1
-    lae = np.logaddexp
 
-    beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, NEG_INF)}
-    for t in range(y.shape[0]):
-        new: dict[tuple[int, ...], list[float]] = {}
-        for prefix, (p_blank, p_label) in beams.items():
-            p_total = lae(p_blank, p_label)
-            entry = new.setdefault(prefix, [NEG_INF, NEG_INF])
-            entry[0] = lae(entry[0], p_total + y[t, blank])
-            if prefix:
-                entry[1] = lae(entry[1], p_label + y[t, prefix[-1]])
-            for k in range(blank):
-                # extending with the last label only counts blank-ending
-                # paths; label-ending ones collapse into the repeat above
-                src = p_blank if prefix and k == prefix[-1] else p_total
-                if src == NEG_INF:
-                    continue
-                entry = new.setdefault(prefix + (k,), [NEG_INF, NEG_INF])
-                entry[1] = lae(entry[1], src + y[t, k])
+    prefixes: list[tuple[int, ...]] = [()]
+    p_blank = np.array([0.0])
+    p_label = np.array([NEG_INF])
+    last = np.array([-1])
+    for row in y:
+        n = len(prefixes)
+        nonempty = np.flatnonzero(last >= 0)
+        tail_label = last[nonempty]
+        total = np.logaddexp(p_blank, p_label)
+        stay_blank = total + row[blank]
+        stay_label = np.full(n, NEG_INF)
+        stay_label[nonempty] = p_label[nonempty] + row[tail_label]
+        source = np.repeat(total[:, None], blank, axis=1)
+        source[nonempty, tail_label] = p_blank[nonempty]
+        ext = source + row[:blank]
+        live = source != NEG_INF
 
-        ranked = sorted(
-            new.items(), key=lambda kv: (-lae(kv[1][0], kv[1][1]), len(kv[0]), kv[0])
-        )
-        beams = {prefix: (pb, pl) for prefix, (pb, pl) in ranked[:beam_width]}
+        index = {prefix: b for b, prefix in enumerate(prefixes)}
+        pairs = []
+        for b in nonempty.tolist():
+            parent = index.get(prefixes[b][:-1])
+            if parent is not None:
+                pairs.append((b, parent))
+        if pairs:
+            child, parent = np.array(pairs).T
+            label = last[child]
+            merge = live[parent, label]
+            child, parent, label = child[merge], parent[merge], label[merge]
+            stay_label[child] = np.logaddexp(stay_label[child], ext[parent, label])
+            live[parent, label] = False
 
-    # beams holds the survivors in rank order, so the first is the best
-    return next(iter(beams))
+        ext_beam, ext_label = np.nonzero(live)
+        cand_blank = np.concatenate([stay_blank, np.full(ext_beam.size, NEG_INF)])
+        cand_label = np.concatenate([stay_label, ext[live]])
+        cost = -np.logaddexp(cand_blank, cand_label)
+        if cost.size > beam_width:
+            cut = np.partition(cost, beam_width - 1)[beam_width - 1]
+            chosen = np.flatnonzero(cost <= cut).tolist()
+        else:
+            chosen = range(cost.size)
+        costs, ext_beams, ext_labels = cost.tolist(), ext_beam.tolist(), ext_label.tolist()
+        ranked = []
+        for c in chosen:
+            if c < n:
+                prefix = prefixes[c]
+            else:
+                prefix = prefixes[ext_beams[c - n]] + (ext_labels[c - n],)
+            ranked.append((costs[c], len(prefix), prefix, c))
+        kept = sorted(ranked)[:beam_width]
+        keep = np.array([entry[-1] for entry in kept])
+        prefixes = [entry[2] for entry in kept]
+        p_blank = cand_blank[keep]
+        p_label = cand_label[keep]
+        last = np.concatenate([last, ext_label])[keep]
+
+    # the beams are kept in rank order, so the first is the best
+    return prefixes[0]

@@ -7,6 +7,7 @@ import pytest
 from penscript.cli import main
 from penscript.dataio import Sample, equations_alphabet, parse_recording, write_recording
 from penscript.losses import LossParams
+from penscript.netcore import load_checkpoint, save_checkpoint
 from synth import make_equation_sample
 
 ALPHABET = equations_alphabet()
@@ -616,6 +617,41 @@ class TestDecode:
         )
         assert code == 0
         assert "cer" in json.loads(out)
+
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_beam_below_one_is_rejected(self, tmp_path, capsys, rng, width):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=2))
+        code, out, err = run(
+            capsys,
+            ["decode", "--data", data, "--labels", labels, "--checkpoint", str(tmp_path / "none.ckpt"), "--beam", width],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"--beam must be >= 1, got {width}" in err
+
+    @pytest.mark.parametrize("width", ["1", "4"])
+    def test_nan_model_output_names_the_recording(self, tmp_path, capsys, rng, width):
+        samples = [
+            Sample(rng.normal(0, 1, (16, 3)), (int(rng.integers(0, 4)),), writer_id=i, rate_hz=100.0)
+            for i in range(2)
+        ]
+        data, labels = write_dataset(tmp_path, samples)
+        ckpt = str(tmp_path / "o" / "model.ckpt")
+        run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "ctc", "--epochs", "1", "--target-len", "16", "--filters", "4", "--kernel", "2", "--pool", "2", "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0", "--batch-size", "2", "--out", str(tmp_path / "o")],
+        )
+        model, header = load_checkpoint(ckpt)
+        dict(model.parameters())["head.b"].data[:] = np.nan
+        save_checkpoint(ckpt, model, extra={k: header[k] for k in ("train", "alphabet")})
+        code, out, err = run(
+            capsys,
+            ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt, "--beam", width],
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: recording 0: log_probs are NaN at frame 0" in err
 
 
 class TestGradcheck:

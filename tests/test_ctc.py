@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +173,24 @@ class TestGreedyDecode:
         assert greedy_decode(lp) == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "decode", [greedy_decode, lambda lp: beam_decode(lp, 4)], ids=["greedy", "beam"]
+)
+class TestDecoderInput:
+    def test_not_a_matrix_rejected(self, decode):
+        with pytest.raises(ValueError, match=r"log_probs must be \(frames, classes\+blank\)"):
+            decode(np.zeros(3))
+        with pytest.raises(ValueError, match="log_probs must be"):
+            decode(np.zeros((2, 3, 4)))
+
+    def test_nan_names_the_first_nan_frame(self, decode, rng):
+        lp = random_log_probs(rng, 5, 2)
+        lp[2, 1] = np.nan
+        lp[4, :] = np.nan
+        with pytest.raises(ValueError, match="NaN at frame 2$"):
+            decode(lp)
+
+
 class TestBeamDecode:
     def test_one_hot_rows_recover_path(self, rng):
         for _ in range(20):
@@ -210,6 +230,57 @@ class TestBeamDecode:
         a = beam_decode(lp, beam_width=4)
         b = beam_decode(lp, beam_width=4)
         assert a == b
+
+    @pytest.mark.parametrize("width", [1, 2, 10])
+    def test_exact_ties_go_to_shorter_then_smaller(self, width, rng):
+        # one frame: () and (0,) tie exactly, then (0,) and (1,)
+        assert beam_decode(np.log([[0.4, 0.2, 0.4]]), width) == ()
+        assert beam_decode(np.log([[0.4, 0.4, 0.2]]), width) == (0,)
+        # with label 1 a copy of label 0, swapping them keeps every mass,
+        # so the result never holds a 1 before its first 0
+        for _ in range(50):
+            lp = random_log_probs(rng, int(rng.integers(2, 7)), 3)
+            lp[:, 1] = lp[:, 0]
+            got = beam_decode(lp, width)
+            swapped = tuple({0: 1, 1: 0}.get(v, v) for v in got)
+            assert got <= swapped, (got, width)
+
+    def test_impossible_label_never_appears(self, rng):
+        for t_len in (1, 2, 3, 4):
+            for _ in range(10):
+                lp = random_log_probs(rng, t_len, 3)
+                lp[:, 1] = -np.inf
+                got = beam_decode(lp, beam_width=64)
+                assert 1 not in got
+                assert got == best_labeling_oracle(np.exp(lp)), (t_len, got)
+
+    def test_frame_without_labels_decodes_silently(self, rng):
+        lp = random_log_probs(rng, 6, 3)
+        lp[2, :3] = -np.inf
+        lp[2, 3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = beam_decode(lp, beam_width=64)
+        assert got == best_labeling_oracle(np.exp(lp))
+
+    # Pinned by running the dict-based beam_decode, which held each beam in
+    # a {prefix: masses} map, on these inputs before the search moved to
+    # parallel arrays; the prefixes are ~150 labels long, so each is pinned
+    # by its length and the sha256 of its repr.
+    @pytest.mark.parametrize(
+        "seed, length, digest",
+        [
+            (1, 168, "1646308602ebfef3987270b0699c595bbd9c79bf707c330b173cf9be1195b16e"),
+            (2, 150, "af8d02d656680d040199d9b324ab422627dce0ee06532ed3f96e6d181f78ffa7"),
+            (3, 151, "7bf1a00475a1c7b77b39f4f81f186e37bba72d55376a28b2c3b09533dbe48cf5"),
+        ],
+    )
+    def test_paper_shape_prefix_is_pinned(self, seed, length, digest):
+        logits = np.random.default_rng(seed).normal(0, 2, (400, 16))
+        logits[:, -1] += 4.0
+        got = beam_decode(log_softmax(logits), beam_width=10)
+        assert len(got) == length
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
 
 
 class TestForwardBackwardInvariant:
