@@ -327,6 +327,8 @@ def cmd_decode(args) -> int:
             except ValueError as exc:
                 raise ValueError(f"recording {i}: {exc}") from exc
         else:
+            if np.isnan(out).any():
+                raise ValueError(f"recording {i}: model output is NaN")
             hyp = (int(np.argmax(out)),)
         refs.append(s.label)
         hyps.append(hyp)

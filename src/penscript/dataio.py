@@ -6,6 +6,13 @@ labels file with one JSON object per line holding ``label``, ``start``,
 ``end`` and ``writer_id``. Each label line yields one :class:`Sample` whose
 values are the data rows from ``start`` to ``end`` inclusive.
 
+Blank and whitespace-only data lines are skipped. A numeric field is any
+token that Python's ``float()`` accepts (so ``" 1.5"``, ``"+2"``, ``"1e3"``
+and ``"1_0"`` all parse), and every value must be finite. A malformed file
+fails with an error that names its first bad line. ``write_recording``
+writes every value and the header's ``rate_hz`` so that they read back
+exactly.
+
 The standard 13-channel layout is front accelerometer (x,y,z), rear
 accelerometer (x,y,z), gyroscope (x,y,z), magnetometer (x,y,z) and force;
 the force channel is last and must be non-negative.
@@ -217,6 +224,57 @@ def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
         yield lineno, entry
 
 
+# rows converted per step: large enough to amortise the per-block numpy
+# calls, small enough that a block's token list stays a few hundred KB
+_PARSE_BLOCK_ROWS = 256
+
+
+def _data_rows(lines: list[str], channels: int) -> np.ndarray:
+    """The (rows, channels) matrix of the data lines after the header.
+
+    Blank lines are skipped. Good rows are converted a block at a time; if
+    any check fails, _raise_first_bad_line rescans line by line to name it.
+    """
+    body = [line for line in lines[1:] if line.strip()]
+    if not body:
+        raise RecordingFormatError("recording has no data rows")
+    width = channels + 1
+    if all(line.count(",") == channels for line in body):
+        table = np.empty((len(body), width), dtype=np.float64)
+        try:
+            for start in range(0, len(body), _PARSE_BLOCK_ROWS):
+                block = body[start : start + _PARSE_BLOCK_ROWS]
+                tokens = ",".join(block).split(",")
+                table[start : start + len(block)] = np.fromiter(
+                    map(float, tokens), dtype=np.float64, count=len(tokens)
+                ).reshape(len(block), width)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(table).all():
+                return table[:, 1:]
+    _raise_first_bad_line(lines, channels)
+    raise AssertionError("block parse rejected rows that the line scan accepts")
+
+
+def _raise_first_bad_line(lines: list[str], channels: int) -> None:
+    """Raise the error for the first malformed data line, naming its number."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != channels + 1:
+            raise RecordingFormatError(
+                f"line {lineno}: expected timestep + {channels} channel fields, got {len(parts)}"
+            )
+        try:
+            parsed = [float(p) for p in parts]
+        except ValueError:
+            raise RecordingFormatError(f"line {lineno}: non-numeric field") from None
+        if not all(np.isfinite(v) for v in parsed):
+            raise ValueError(f"line {lineno}: non-finite value")
+
+
 def parse_recording(
     raw_text: str,
     labels_text: str,
@@ -236,25 +294,7 @@ def parse_recording(
         raise RecordingFormatError("missing header line")
     channels, rate_hz = _parse_header(lines[0])
 
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != channels + 1:
-            raise RecordingFormatError(
-                f"line {lineno}: expected timestep + {channels} channel fields, got {len(parts)}"
-            )
-        try:
-            parsed = [float(p) for p in parts]
-        except ValueError:
-            raise RecordingFormatError(f"line {lineno}: non-numeric field") from None
-        if not all(np.isfinite(v) for v in parsed):
-            raise ValueError(f"line {lineno}: non-finite value")
-        rows.append(parsed[1:])
-    if not rows:
-        raise RecordingFormatError("recording has no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    data = _data_rows(lines, channels)
 
     if channels == len(CHANNEL_NAMES) and (data[:, FORCE_CHANNEL] < 0).any():
         raise ValueError("force channel contains negative values")
@@ -277,6 +317,12 @@ def parse_recording(
     return samples
 
 
+def _rate_text(rate_hz: float) -> str:
+    """rate_hz as the short ``:g`` text when that parses back to the same float, else repr."""
+    short = f"{rate_hz:g}"
+    return short if float(short) == rate_hz else repr(float(rate_hz))
+
+
 def write_recording(
     samples: Sequence[Sample],
     alphabet: Alphabet | None = None,
@@ -285,7 +331,9 @@ def write_recording(
 
     Sample rows are concatenated into one stream with consecutive label
     windows, so parse_recording(*write_recording(samples)) reproduces the
-    samples bit-exactly. Floats are written with repr, which round-trips.
+    samples bit-exactly. Values are written with repr, which round-trips;
+    rate_hz keeps its short ``:g`` text (``rate_hz:100``) unless that would
+    lose digits, and is then written with repr too.
     """
     if not samples:
         raise ValueError("nothing to write")
@@ -297,13 +345,12 @@ def write_recording(
         if s.num_channels != channels or s.rate_hz != rate_hz:
             raise ValueError("samples disagree on channel count or rate")
 
-    data_lines = [f"channels:{channels},rate_hz:{rate_hz:g}"]
+    data_lines = [f"channels:{channels},rate_hz:{_rate_text(rate_hz)}"]
     label_lines = []
     offset = 0
     for s in samples:
-        for t in range(s.num_timesteps):
-            row = ",".join(repr(float(v)) for v in s.values[t])
-            data_lines.append(f"{offset + t},{row}")
+        for t, row in enumerate(s.values.tolist(), start=offset):
+            data_lines.append(f"{t},{','.join(map(repr, row))}")
         label_lines.append(
             json.dumps(
                 {

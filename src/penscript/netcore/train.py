@@ -64,9 +64,16 @@ def _prepare_inputs(
 
 
 def _evaluate_split(
-    model: RecognitionModel, inputs: np.ndarray, labels: list[tuple[int, ...]]
+    model: RecognitionModel,
+    inputs: np.ndarray,
+    labels: list[tuple[int, ...]],
+    indices: Sequence[int],
 ) -> dict:
+    """Validation scores; a ValueError names the dataset index of a NaN output."""
     out = model.forward(inputs, "eval").data
+    nan_rows = np.flatnonzero(np.isnan(out).reshape(len(out), -1).any(axis=1))
+    if nan_rows.size:
+        raise ValueError(f"validation sample {indices[nan_rows[0]]}: model output is NaN")
     if model.task == "seq2seq":
         hyps = [greedy_decode(out[i]) for i in range(len(labels))]
         exact = sum(1 for h, r in zip(hyps, labels) if h == r)
@@ -186,7 +193,7 @@ def train(
             "skipped": skipped,
         }
         if x_val is not None:
-            record.update(_evaluate_split(model, x_val, y_val))
+            record.update(_evaluate_split(model, x_val, y_val, val_idx))
         history.append(record)
 
     return model, history

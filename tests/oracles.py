@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and written against the
 definitions, not against the package: a memoized prefix recursion for
 edit distance, exhaustive path enumeration for the sequence loss and
-decoder, and a central finite-difference differentiator.
+decoder, a central finite-difference differentiator, and the original
+one-line-at-a-time recording reader and per-value writer.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+
+from penscript.dataio import RecordingFormatError
 
 
 @lru_cache(maxsize=None)
@@ -126,3 +129,47 @@ def assert_valid_script(script) -> None:
     assert (i, j) == (len(ref), len(hyp)), "ops do not cover both sequences"
     assert (subs, ins, dels) == (script.subs, script.ins, script.dels)
     assert script.distance == subs + ins + dels
+
+
+def recording_rows_oracle(raw_text: str) -> np.ndarray:
+    """The (rows, channels) data matrix of a recording, one line at a time.
+
+    This is the original reader: each non-blank line after the header is
+    split, converted with float() and checked on its own, so the first bad
+    line raises. The header is assumed well formed.
+    """
+    lines = raw_text.splitlines()
+    header = dict(part.split(":") for part in lines[0].split(","))
+    channels = int(header["channels"])
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != channels + 1:
+            raise RecordingFormatError(
+                f"line {lineno}: expected timestep + {channels} channel fields, got {len(parts)}"
+            )
+        try:
+            parsed = [float(p) for p in parts]
+        except ValueError:
+            raise RecordingFormatError(f"line {lineno}: non-numeric field") from None
+        if not all(np.isfinite(v) for v in parsed):
+            raise ValueError(f"line {lineno}: non-finite value")
+        rows.append(parsed[1:])
+    if not rows:
+        raise RecordingFormatError("recording has no data rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def recording_text_oracle(value_blocks, rate_hz: float) -> str:
+    """Data-file text for consecutive value matrices, one repr(float(v)) per value."""
+    channels = value_blocks[0].shape[1]
+    lines = [f"channels:{channels},rate_hz:{rate_hz:g}"]
+    offset = 0
+    for values in value_blocks:
+        for t in range(values.shape[0]):
+            row = ",".join(repr(float(v)) for v in values[t])
+            lines.append(f"{offset + t},{row}")
+        offset += values.shape[0]
+    return "\n".join(lines) + "\n"

@@ -653,6 +653,24 @@ class TestDecode:
         assert out == ""
         assert "error: recording 0: log_probs are NaN at frame 0" in err
 
+    def test_nan_char_output_names_the_recording(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=3))
+        ckpt = str(tmp_path / "o" / "model.ckpt")
+        run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--target-len", "12", "--filters", "4", "--kernel", "2", "--pool", "2", "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0", "--batch-size", "3", "--out", str(tmp_path / "o")],
+        )
+        model, header = load_checkpoint(ckpt)
+        assert model.task == "char"
+        dict(model.parameters())["head.b"].data[:] = np.nan
+        save_checkpoint(ckpt, model, extra={k: header[k] for k in ("train", "alphabet")})
+        code, out, err = run(
+            capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt]
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: recording 0: model output is NaN" in err
+
 
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):

@@ -16,6 +16,7 @@ from penscript.dataio import (
     parse_recording,
     write_recording,
 )
+from oracles import recording_rows_oracle, recording_text_oracle
 from synth import make_writer_corpus
 
 
@@ -167,6 +168,82 @@ class TestParseRecording:
         assert samples[0].label == (1,)
 
 
+def rows_text(n, channels=2, bad=None, sep="\n", final_newline=True):
+    """A recording of n rows with value t + c/8 in channel c; bad maps a row index to its line."""
+    lines = [f"channels:{channels},rate_hz:100"]
+    for t in range(n):
+        line = ",".join([str(t)] + [repr(t + c / 8) for c in range(1, channels + 1)])
+        lines.append((bad or {}).get(t, line))
+    return sep.join(lines) + (sep if final_newline else "")
+
+
+class TestParseMatchesOracle:
+    """parse_recording against the original line-by-line reader in oracles.py."""
+
+    @staticmethod
+    def check(raw):
+        try:
+            expected = recording_rows_oracle(raw)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                parse_recording(raw, label_line("1", 0, 0))
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+            return str(exc)
+        (sample,) = parse_recording(raw, label_line("1", 0, len(expected) - 1))
+        assert sample.values.shape == expected.shape
+        assert sample.values.tobytes() == expected.tobytes()
+        return None
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 1000])
+    def test_good_rows_across_block_edges(self, n):
+        assert self.check(rows_text(n, channels=13)) is None
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("x", "line 600: non-numeric field"),
+            ("", "line 600: non-numeric field"),
+            ("nan", "line 600: non-finite value"),
+            ("inf", "line 600: non-finite value"),
+            ("-inf", "line 600: non-finite value"),
+        ],
+    )
+    def test_bad_value_past_the_first_block(self, token, message):
+        raw = rows_text(1000, bad={598: f"598,1.0,{token}"})
+        assert self.check(raw) == message
+
+    @pytest.mark.parametrize("row", [3, 255, 300, 998])
+    def test_extra_then_missing_field_keeps_token_count(self, row):
+        raw = rows_text(1000, bad={row: f"{row},1.0,2.0,3.0", row + 1: f"{row + 1},1.0"})
+        assert self.check(raw) == f"line {row + 2}: expected timestep + 2 channel fields, got 4"
+
+    def test_first_bad_line_wins(self):
+        raw = rows_text(1000, bad={700: "700,x,1.0", 400: "400,nan,1.0", 900: "900,1.0"})
+        assert self.check(raw) == "line 402: non-finite value"
+
+    def test_blank_lines_crlf_and_no_final_newline(self):
+        body = ["0,1.0,2.0", "", "   ", "1,3.0,4.0", "\t", "2,5.0,6.0"] * 200
+        for sep in ("\n", "\r\n"):
+            for end in ("", sep):
+                raw = sep.join(["channels:2,rate_hz:100", *body]) + end
+                assert self.check(raw) is None
+        raw = "\r\n".join(["channels:2,rate_hz:100", *body[:-1], "599,1.0,inf"])
+        assert self.check(raw) == f"line {len(body) + 1}: non-finite value"
+
+    def test_float_syntax_tokens(self):
+        raw = "channels:4,rate_hz:100\n0, 1.5,+2,1e3,1_0\n1,-0.0,.5,1E-3 ,0x1\n"
+        assert self.check(raw) == "line 3: non-numeric field"
+        raw = "channels:4,rate_hz:100\n0, 1.5,+2,1e3,1_0\n1,-0.0,.5,1E-3 ,  7\n"
+        assert self.check(raw) is None
+        (sample,) = parse_recording(raw, label_line("1", 0, 1))
+        assert sample.values[0].tolist() == [1.5, 2.0, 1000.0, 10.0]
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n", "\r\n\r\n"])
+    def test_only_blank_lines(self, body):
+        assert self.check("channels:2,rate_hz:100\n" + body) == "recording has no data rows"
+
+
 class TestWriteRecording:
     def test_round_trip_bit_exact(self, rng):
         values = rng.normal(0, 1, (5, 3))
@@ -182,6 +259,38 @@ class TestWriteRecording:
             assert a.writer_id == b.writer_id
             assert a.rate_hz == b.rate_hz
             assert np.array_equal(a.values, b.values)
+
+    def test_bytes_match_the_per_value_writer(self, rng):
+        special = [
+            -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300, -1e300,
+            1.0, -3.0, 1e16, 2.0**53, 0.1 + 0.2, 1 / 3, 123456789.12345678,
+        ]
+        blocks = [
+            np.array(special[:12]).reshape(4, 3),
+            np.array(special[12:] + [7.0]).reshape(1, 3),
+            rng.normal(0, 1, (300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 3)),
+        ]
+        samples = [Sample(v, (i,), i, 100.0) for i, v in enumerate(blocks)]
+        data_text, labels_text = write_recording(samples)
+        assert data_text == recording_text_oracle(blocks, 100.0)
+        for a, b in zip(samples, parse_recording(data_text, labels_text)):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(np.signbit(a.values), np.signbit(b.values))
+
+    @pytest.mark.parametrize(
+        "rate, header",
+        [
+            (100.0, "rate_hz:100"),
+            (200.5, "rate_hz:200.5"),
+            (100.123456789, "rate_hz:100.123456789"),
+            (1e7 + 0.5, "rate_hz:10000000.5"),
+        ],
+    )
+    def test_rate_reads_back_exactly(self, rate, header):
+        data_text, labels_text = write_recording([Sample(np.ones((2, 2)), (1,), 0, rate)])
+        assert data_text.splitlines()[0] == f"channels:2,{header}"
+        (back,) = parse_recording(data_text, labels_text)
+        assert back.rate_hz == rate
 
     def test_inconsistent_samples_rejected(self):
         a = Sample(np.zeros((2, 2)), (0,), 0, 100.0)

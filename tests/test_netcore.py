@@ -646,6 +646,15 @@ class TestTrain:
             for b, (_, p) in zip(before, model.parameters())
         )
 
+    @pytest.mark.parametrize("loss", ["cce", "ctc"])
+    def test_nan_validation_output_names_the_sample(self, rng, loss):
+        data = tiny_dataset(rng)
+        model, _ = train(data, (range(8), ()), SMALL, SMALL_TRAIN, loss)
+        # train mode normalises with batch statistics, so only eval sees the NaN
+        model.norm.running_mean = np.full_like(model.norm.running_mean, np.nan)
+        with pytest.raises(ValueError, match="^validation sample 5: model output is NaN$"):
+            train(data, ((0, 1, 2, 3), (5, 6)), SMALL, SMALL_TRAIN, loss, model=model)
+
     def test_task_mismatch_rejected(self, rng):
         data = tiny_dataset(rng)
         model, _ = train(data, (range(8), ()), SMALL, SMALL_TRAIN, "cce")
