@@ -28,7 +28,7 @@ from penscript.dataio import (
     parse_recording,
     write_recording,
 )
-from penscript.losses import LossParams, beam_decode, greedy_decode
+from penscript.losses import CHARACTER_LOSSES, LossParams, beam_decode, greedy_decode
 from penscript.netcore.model import (
     ModelConfig,
     RecognitionModel,
@@ -296,7 +296,7 @@ def cmd_evaluate(args) -> int:
     scripts = [metrics.edit_distance(r, h) for r, h in zip(refs, hyps)]
     hists = metrics.error_positions(scripts, [len(r) for r in refs], args.bins)
     report = {
-        "cer": metrics.cer(refs, hyps),
+        "cer": metrics.cer_of_scripts(scripts),
         "wer": metrics.wer([[r] for r in refs], [[h] for h in hyps]),
         "histograms": {k: v.tolist() for k, v in hists.items()},
         "confusion": metrics.confusion_matrix(scripts, alphabet).tolist(),
@@ -312,6 +312,8 @@ def cmd_decode(args) -> int:
     if args.beam < 1:
         raise ValueError(f"--beam must be >= 1, got {args.beam}")
     model, header = load_checkpoint(args.checkpoint)
+    if args.beam > 1 and model.task != "seq2seq":
+        raise ValueError(f"--beam {args.beam} needs a seq2seq model, not a {model.task} one")
     alphabet = Alphabet(header["alphabet"])
     samples = parse_recording(_read(args.data), _read(args.labels), alphabet)
     target_len = int(header.get("train", {}).get("target_len", 800))
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     _add_dataset_args(p)
-    p.add_argument("--loss", required=True, help="ctc, joint_opt, or a character loss")
+    p.add_argument("--loss", required=True, help="ctc or one of " + ", ".join(CHARACTER_LOSSES))
     p.add_argument("--folds", default=None, help="fold plan JSON; omit to train on everything")
     p.add_argument("--fold", type=int, default=None, help="fold of the plan to train on (default 0)")
     p.add_argument("--config", default=None)
@@ -425,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode samples with a trained model")
     _add_dataset_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--beam", type=int, default=1, help="beam width; 1 = greedy")
+    p.add_argument("--beam", type=int, default=1, help="beam width (ctc models); 1 = greedy")
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks on losses and layers")

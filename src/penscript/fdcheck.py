@@ -42,12 +42,6 @@ def central_diff(fn, x: np.ndarray, h: float = H) -> np.ndarray:
     return g
 
 
-def _draw_char(rng: np.random.Generator):
-    k = int(rng.integers(2, 8))
-    x = rng.normal(0, 2, k)
-    return x, int(rng.integers(k))
-
-
 def _draw_batch(rng: np.random.Generator):
     b, k = int(rng.integers(2, 5)), int(rng.integers(2, 6))
     x = rng.normal(0, 2, (b, k))
@@ -133,8 +127,7 @@ def run_all(seed: int = 0) -> dict[str, float]:
     params = losses.LossParams()
     report = {}
     for name, fn in losses.CHARACTER_LOSSES.items():
-        report[name] = check_loss(partial(fn, params=params), _draw_char, rng, 20)
-    report["joint_opt"] = check_loss(partial(losses.joint_opt, params=params), _draw_batch, rng, 10)
+        report[name] = check_loss(partial(fn, params=params), _draw_batch, rng, 20)
     report["ctc"] = check_loss(losses.ctc_loss, _draw_ctc, rng, 10)
     report.update(check_layers(rng))
     return report

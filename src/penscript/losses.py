@@ -1,13 +1,14 @@
 """Classification losses with analytic gradients, and the CTC machinery.
 
-Per-sample losses take raw logits and a target index and return both the
-loss value and its gradient with respect to the logits, all in double
-precision. The seven character losses share one scaffold,
-`_character_loss`: it checks the arguments, maps logits to probabilities
-p, takes clamped logs (so saturated predictions stay finite) and the
-(1/K) class scale (switchable off via LossParams.scale_free), then pulls
-the loss's gradient in p back through the softmax Jacobian as
-p * (g - p.g). Each loss supplies only its value and d(loss)/dp.
+The eight character losses take a logit vector and a target index, or a
+(B, K) logit matrix and B targets scored as the mean over rows, and return
+both the value and its gradient with respect to the logits, all in double
+precision. They share one scaffold, `_character_loss`: it checks the
+arguments, maps logits to probabilities p, takes clamped logs (so
+saturated predictions stay finite) and the (1/K) class scale (switchable
+off via LossParams.scale_free), then pulls the loss's gradient in p back
+through the softmax Jacobian as p * (g - p.g). Each loss supplies only its
+row values and d(loss)/dp.
 
 The sequence side is connectionist temporal classification: a loss that
 marginalizes over all monotonic frame-to-label alignments using a
@@ -97,27 +98,43 @@ def _clamped_log(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return np.log(safe), dlog
 
 
-def _character_loss(body):
-    """Make a per-sample loss from body(p, logp, dlog, t, scale, params).
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each rounded as np.dot rounds that row alone."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    The body returns the loss value and its gradient g in p; the wrapper
-    checks the arguments, supplies the softmax, the clamped log and the
-    (1/K) scale, and chains g through the softmax Jacobian as p * (g - p.g).
+
+def _character_loss(body):
+    """Make a character loss from body(p, logp, dlog, t, scale, params).
+
+    The body sees (B, K) arrays and t = (rows, targets), which indexes each
+    row's target entry, and returns the B row values and their gradient g
+    in p. The wrapper checks the arguments, supplies the softmax, the
+    clamped log and the (1/K) scale, chains g through the softmax Jacobian
+    as p * (g - p.g) and returns the mean over rows, summed in row order as
+    a loop over per-sample calls would, with its gradient.
     """
 
-    def loss(logits: np.ndarray, target_index: int, params: LossParams | None = None) -> LossOutput:
+    def loss(logits: np.ndarray, targets, params: LossParams | None = None) -> LossOutput:
         params = params or LossParams()
         x = np.asarray(logits, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError("per-sample losses take a 1-D logit vector")
-        k = x.shape[0]
-        if not 0 <= target_index < k:
-            raise ValueError(f"target index {target_index} out of range for {k} classes")
+        single = x.ndim == 1
+        if single:
+            x = x[None]
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise ValueError("character losses take a logit vector or a (B >= 1, K) matrix")
+        b, k = x.shape
+        t = np.array(targets, dtype=np.int64, ndmin=1)
+        if t.shape != (b,):
+            raise ValueError("batch size mismatch between logits and targets")
+        bad = t[(t < 0) | (t >= k)]
+        if bad.size:
+            raise ValueError(f"target index {bad[0]} out of range for {k} classes")
         scale = 1.0 if params.scale_free else 1.0 / k
         p = softmax(x)
         logp, dlog = _clamped_log(p, params.log_clamp_eps)
-        value, g = body(p, logp, dlog, int(target_index), scale, params)
-        return LossOutput(value, p * (g - np.dot(p, g)))
+        rows, g = body(p, logp, dlog, (np.arange(b), t), scale, params)
+        grad = p * (g - _row_dot(p, g)[:, None]) / b
+        return LossOutput(sum(rows / b), grad[0] if single else grad)
 
     loss.__name__ = loss.__qualname__ = body.__name__
     loss.__doc__ = body.__doc__
@@ -138,11 +155,12 @@ def focal(p, logp, dlog, t, scale, params):
     scale = scale * params.fl_alpha
     gamma = params.fl_gamma
     pt = p[t]
+    # rows with p_t = 1 give 0: base 1 keeps their powers finite, live zeroes them
+    live = pt < 1.0
+    q = np.where(live, 1.0 - pt, 1.0)
+    mod = live * q**gamma
+    dmod = 0.0 if gamma == 0 else live * gamma * q ** (gamma - 1.0)
     g = np.zeros_like(p)
-    if pt >= 1.0:
-        return 0.0, g
-    mod = (1.0 - pt) ** gamma
-    dmod = 0.0 if gamma == 0 else gamma * (1.0 - pt) ** (gamma - 1.0)
     # d/dp_t of -(1-p_t)^gamma log p_t
     g[t] = scale * (dmod * logp[t] - mod * dlog[t])
     return -scale * mod * logp[t], g
@@ -152,7 +170,7 @@ def focal(p, logp, dlog, t, scale, params):
 def lsr(p, logp, dlog, t, scale, params):
     """Cross entropy plus a confidence penalty: -(beta/K) * entropy(p)."""
     pen = params.lsr_beta * scale
-    value = -scale * logp[t] + pen * np.dot(p, logp)
+    value = -scale * logp[t] + pen * _row_dot(p, logp)
     g = pen * (logp + p * dlog)
     g[t] += -scale * dlog[t]
     return value, g
@@ -162,7 +180,7 @@ def lsr(p, logp, dlog, t, scale, params):
 def boot_soft(p, logp, dlog, t, scale, params):
     """Cross entropy against beta * one-hot target + (1 - beta) * own prediction."""
     beta = params.sbs_beta
-    value = -scale * (beta * logp[t] + (1.0 - beta) * np.dot(p, logp))
+    value = -scale * (beta * logp[t] + (1.0 - beta) * _row_dot(p, logp))
     g = -scale * (1.0 - beta) * (logp + p * dlog)
     g[t] += -scale * beta * dlog[t]
     return value, g
@@ -176,7 +194,7 @@ def boot_hard(p, logp, dlog, t, scale, params):
     exact everywhere except on decision boundaries.
     """
     beta = params.hbs_beta
-    z = int(np.argmax(p))
+    z = (t[0], np.argmax(p, axis=1))
     value = -scale * (beta * logp[t] + (1.0 - beta) * logp[z])
     g = np.zeros_like(p)
     g[t] += -scale * beta * dlog[t]
@@ -194,7 +212,7 @@ def gce(p, logp, dlog, t, scale, params):
     alpha = params.gce_alpha
     pt = p[t]
     g = np.zeros_like(p)
-    g[t] = -max(pt, params.log_clamp_eps) ** (alpha - 1.0)
+    g[t] = -np.maximum(pt, params.log_clamp_eps) ** (alpha - 1.0)
     return (1.0 - pt**alpha) / alpha, g
 
 
@@ -214,58 +232,22 @@ def sce(p, logp, dlog, t, scale, params):
     return value, g
 
 
-def joint_opt(
-    logits_batch: np.ndarray,
-    targets_batch: Sequence[int],
-    params: LossParams | None = None,
-    class_prior: np.ndarray | None = None,
-) -> LossOutput:
-    """Batch loss: mean cross entropy + prior KL + mean prediction entropy.
+@_character_loss
+def joint_opt(p, logp, dlog, t, scale, params):
+    """Cross entropy + prior KL + prediction entropy (Tanaka et al. 2018).
 
-    The KL term pulls the batch-mean prediction toward class_prior
-    (uniform by default), the entropy term pushes individual predictions
-    toward confidence; together they resist degenerate label fitting.
+    The KL term, added to every row, pulls the batch-mean prediction toward
+    the uniform prior; the entropy term pushes each prediction toward
+    confidence. Together they resist degenerate label fitting.
     """
-    params = params or LossParams()
-    x = np.asarray(logits_batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("joint_opt needs a non-empty (batch, classes) logit matrix")
-    bsz, k = x.shape
-    targets = [int(t) for t in targets_batch]
-    if len(targets) != bsz:
-        raise ValueError("batch size mismatch between logits and targets")
-    if any(not 0 <= t < k for t in targets):
-        raise ValueError("target index out of range")
-    if class_prior is None:
-        prior = np.full(k, 1.0 / k)
-    else:
-        prior = np.asarray(class_prior, dtype=np.float64)
-        if prior.shape != (k,) or (prior < 0).any() or abs(prior.sum() - 1.0) > 1e-8:
-            raise ValueError("class_prior must be a length-K distribution")
-
-    scale = 1.0 if params.scale_free else 1.0 / k
-    eps = params.log_clamp_eps
-    p = softmax(x)
-    logp, dlog = _clamped_log(p, eps)
-    rows = np.arange(bsz)
-
-    ce_mean = -scale * logp[rows, targets].mean()
-
-    pbar = p.mean(axis=0)
-    log_pbar, dlog_pbar = _clamped_log(pbar, eps)
-    log_prior = np.log(np.maximum(prior, eps))
-    kl = float(np.sum(np.where(prior > 0, prior * (log_prior - log_pbar), 0.0)))
-
-    ent_mean = float(-(p * logp).sum(axis=1).mean())
-
-    value = ce_mean + params.jo_alpha * kl + params.jo_beta * ent_mean
-
-    g = np.zeros_like(p)
-    g[rows, targets] -= scale * dlog[rows, targets] / bsz
-    g += params.jo_alpha * (-prior * dlog_pbar) / bsz
-    g += params.jo_beta * (-(logp + p * dlog)) / bsz
-    grad = p * (g - (p * g).sum(axis=1, keepdims=True))
-    return LossOutput(value, grad)
+    prior = 1.0 / p.shape[1]
+    log_pbar, dlog_pbar = _clamped_log(p.mean(axis=0), params.log_clamp_eps)
+    kl = np.sum(prior * (np.log(max(prior, params.log_clamp_eps)) - log_pbar))
+    value = -scale * logp[t] + params.jo_alpha * kl - params.jo_beta * _row_dot(p, logp)
+    # a row's share of d(kl)/dp is 1/B of this; the wrapper's 1/B supplies it
+    g = -params.jo_alpha * prior * dlog_pbar - params.jo_beta * (logp + p * dlog)
+    g[t] -= scale * dlog[t]
+    return value, g
 
 
 CHARACTER_LOSSES = {
@@ -276,6 +258,7 @@ CHARACTER_LOSSES = {
     "boot_hard": boot_hard,
     "gce": gce,
     "sce": sce,
+    "joint_opt": joint_opt,
 }
 
 

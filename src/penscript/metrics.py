@@ -104,11 +104,15 @@ def cer(references: Sequence[Sequence], hypotheses: Sequence[Sequence]) -> float
     """Summed edit operations over the total reference character count."""
     if len(references) != len(hypotheses):
         raise ValueError("references and hypotheses differ in length")
-    total_chars = sum(len(r) for r in references)
+    return cer_of_scripts([edit_distance(r, h) for r, h in zip(references, hypotheses)])
+
+
+def cer_of_scripts(scripts: Sequence[EditScript]) -> float:
+    """cer from edit scripts already computed, one per pair."""
+    total_chars = sum(len(s.reference) for s in scripts)
     if total_chars == 0:
         raise ValueError("references contain no characters")
-    total_ops = sum(edit_distance(r, h).distance for r, h in zip(references, hypotheses))
-    return total_ops / total_chars
+    return sum(s.distance for s in scripts) / total_chars
 
 
 def wer(references: Sequence[Sequence[str]], hypotheses: Sequence[Sequence[str]]) -> float:

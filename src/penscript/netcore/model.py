@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from penscript.dataio import Sample
-from penscript.jsonconfig import JsonConfig
+from penscript.jsonconfig import JsonConfig, is_int
 from penscript.netcore import tensor as T
 from penscript.netcore.layers import BatchNorm1d, BiLSTM, Conv1d, Dense, Dropout, LSTM, MaxPool1d
 from penscript.netcore.tensor import Tensor
@@ -153,34 +153,60 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
-    """Rebuild the model from a checkpoint; returns (model, header)."""
+    """Rebuild the model from a checkpoint; returns (model, header).
+
+    A header or blob that does not hold exactly the model's arrays fails
+    with a ValueError naming the file and the key or array.
+    """
     with open(path, "rb") as f:
         header_line = f.readline()
         blob = f.read()
-    header = json.loads(header_line.decode("utf-8"))
-    cfg = ModelConfig.from_dict(header["model"])
-    model = RecognitionModel(
-        cfg, header["in_channels"], header["task"], np.random.default_rng(0)
-    )
-    flat = np.frombuffer(blob, dtype="<f8")
-    targets = dict(model.parameters())
-    buffers = dict(model.buffers())
-    pos = 0
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        chunk = flat[pos : pos + size].reshape(shape)
-        pos += size
-        name = spec["name"]
-        if name in targets:
-            targets[name].data = chunk.astype(np.float64).copy()
-            targets[name].grad = np.zeros(shape)
-        elif name in buffers:
-            buffers[name][...] = chunk
-        else:
-            raise ValueError(f"checkpoint array {name!r} has no home in the model")
-    if pos != flat.size:
-        raise ValueError("checkpoint blob size disagrees with its manifest")
+
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: {problem}")
+
+    try:
+        header = json.loads(header_line)
+    except ValueError:
+        raise bad("the header line is not JSON") from None
+    if not isinstance(header, dict):
+        raise bad("the header line is not a JSON object")
+    for key in ("model", "task", "in_channels", "arrays"):
+        if key not in header:
+            raise bad(f"the header has no {key!r}")
+    in_channels = header["in_channels"]
+    if not is_int(in_channels) or in_channels < 1:
+        raise bad(f"in_channels must be a positive integer, got {in_channels!r}")
+    try:
+        cfg = ModelConfig.from_dict(header["model"])
+        model = RecognitionModel(cfg, in_channels, header["task"], np.random.default_rng(0))
+    except ValueError as exc:
+        raise bad(str(exc)) from None
+
+    homes = {**{name: p.data for name, p in model.parameters()}, **dict(model.buffers())}
+    specs = header["arrays"]
+    if not isinstance(specs, list) or not all(
+        isinstance(spec, dict) and isinstance(spec.get("name"), str) for spec in specs
+    ):
+        raise bad("'arrays' must be a list of objects with a name and a shape")
+    names = [spec["name"] for spec in specs]
+    for spec, name in zip(specs, names):
+        if name not in homes:
+            raise bad(f"array {name!r} has no home in the model")
+        if names.count(name) > 1:
+            raise bad(f"array {name!r} appears twice")
+        shape = list(homes[name].shape)
+        if spec.get("shape") != shape:
+            raise bad(f"array {name!r} has shape {spec.get('shape')}, the model's is {shape}")
+    missing = [name for name in homes if name not in names]
+    if missing:
+        raise bad(f"array {missing[0]!r} is missing")
+
+    sizes = [homes[name].size for name in names]
+    if len(blob) != 8 * sum(sizes):
+        raise bad(f"the blob holds {len(blob)} bytes, but its manifest needs {8 * sum(sizes)}")
+    for name, chunk in zip(names, np.split(np.frombuffer(blob, "<f8"), np.cumsum(sizes)[:-1])):
+        homes[name][...] = chunk.reshape(homes[name].shape)
     if model.norm is not None:
         model.norm.initialized = True
     return model, header

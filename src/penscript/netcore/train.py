@@ -21,7 +21,6 @@ from penscript.losses import (
     LossParams,
     ctc_loss,
     greedy_decode,
-    joint_opt,
 )
 from penscript.netcore.model import ModelConfig, RecognitionModel
 from penscript.netcore.optim import Adam
@@ -98,7 +97,7 @@ def train(
     """Train on fold[0], validate on fold[1]; returns (model, history).
 
     loss_selector is "ctc" for the sequence task or one of the character
-    losses (plus "joint_opt") for single-label samples. Samples whose
+    losses, scored a batch per call, for single-label samples. Samples whose
     target cannot align to the frame count under the sequence loss are
     skipped and counted per epoch. Pass a model to continue training it.
     """
@@ -108,7 +107,7 @@ def train(
     for i in (*train_idx, *val_idx):
         if not 0 <= i < len(dataset):
             raise ValueError(f"fold index {i} is out of range for {len(dataset)} samples")
-    known = {"ctc", "joint_opt", *CHARACTER_LOSSES}
+    known = {"ctc", *CHARACTER_LOSSES}
     if loss_selector not in known:
         raise ValueError(f"loss_selector must be one of {sorted(known)}")
     params = loss_params or LossParams()
@@ -151,26 +150,17 @@ def train(
         for start in range(0, n, train_cfg.batch_size):
             chosen = order[start : start + train_cfg.batch_size]
             out = model.forward(x_train[chosen], "train", rng_drop)
-            seed_grad = np.zeros_like(out.data)
-
-            if loss_selector == "joint_opt":
-                targets = [y_train[i][0] for i in chosen]
-                res = joint_opt(out.data, targets, params)
-                seed_grad[...] = res.grad_logits
-                batch_value = res.value
-                batch_n = len(chosen)
+            if task == "char":
+                res = char_loss(out.data, [y_train[i][0] for i in chosen], params)
+                seed_grad, batch_value, batch_n = res.grad_logits, res.value, len(chosen)
             else:
+                seed_grad = np.zeros_like(out.data)
                 results = []
                 for row, i in enumerate(chosen):
                     try:
-                        if task == "seq2seq":
-                            res = ctc_loss(out.data[row], y_train[i])
-                        else:
-                            res = char_loss(out.data[row], y_train[i][0], params)
+                        results.append((row, ctc_loss(out.data[row], y_train[i])))
                     except CTCInfeasibleError:
                         skipped += 1
-                        continue
-                    results.append((row, res))
                 if not results:
                     continue
                 batch_n = len(results)

@@ -672,6 +672,30 @@ class TestDecode:
         assert "error: recording 0: model output is NaN" in err
 
 
+    def test_beam_on_char_checkpoint_is_rejected(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=3))
+        ckpt = str(tmp_path / "o" / "model.ckpt")
+        run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--out", str(tmp_path / "o")] + TRAIN_FLAGS,
+        )
+        code, out, err = run(
+            capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt, "--beam", "4"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: --beam 4 needs a seq2seq model, not a char one" in err
+
+    def test_config_file_as_checkpoint_names_the_file(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=2))
+        cfg = write_config(tmp_path, {"train": {"epochs": 1}})
+        code, out, err = run(
+            capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", cfg]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip() == f"error: checkpoint {cfg}: the header has no 'model'"
+
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):
         code, out, _ = run(capsys, ["--seed", "0", "gradcheck"])

@@ -198,9 +198,61 @@ class TestJointOpt:
         with pytest.raises(ValueError):
             joint_opt(np.zeros((0, 3)), [], P)
 
-    def test_bad_prior_rejected(self):
-        with pytest.raises(ValueError):
-            joint_opt(np.zeros((1, 3)), [0], P, class_prior=np.array([0.5, 0.5, 0.5]))
+    def test_vector_call_is_a_batch_of_one(self, rng):
+        for _ in range(20):
+            k = int(rng.integers(2, 8))
+            x = rng.normal(0, 2, k)
+            t = int(rng.integers(k))
+            one = joint_opt(x, t, P)
+            batch = joint_opt(x[None], [t], P)
+            assert one.grad_logits.shape == (k,)
+            assert one.value == batch.value
+            assert np.array_equal(one.grad_logits, batch.grad_logits[0])
+
+    def test_kl_reaches_every_row(self):
+        # a batch of one is its own mean: the KL term is KL(uniform || p)
+        x = np.array([1.0, 0.0, -1.0])
+        p = softmax(x)
+        only_kl = LossParams(jo_beta=0.0, jo_alpha=1.0)
+        expected = -np.log(p[0]) / 3 + np.sum(np.log(1 / 3) - np.log(p)) / 3
+        assert abs(joint_opt(x, 0, only_kl).value - expected) < 1e-12
+
+
+SEPARABLE = sorted(set(CHARACTER_LOSSES) - {"joint_opt"})
+
+
+class TestBatchCall:
+    """A (B, K) call of a separable loss is exactly the mean of its rows."""
+
+    @pytest.mark.parametrize("name", SEPARABLE)
+    def test_rows_match_per_sample_calls(self, name, rng):
+        fn = CHARACTER_LOSSES[name]
+        for _ in range(50):
+            b, k = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+            x = rng.normal(0, 3, (b, k))
+            x[0, 0] += 60.0 if rng.random() < 0.2 else 0.0  # p = 1 in a row
+            targets = [int(v) for v in rng.integers(0, k, b)]
+            gamma = float(rng.choice([0.0, 0.5, 2.0, 8.0]))
+            params = LossParams(fl_gamma=gamma, scale_free=bool(rng.random() < 0.5))
+            batch = fn(x, targets, params)
+            rows = [fn(x[i], targets[i], params) for i in range(b)]
+            assert batch.grad_logits.shape == (b, k)
+            for i, row in enumerate(rows):
+                assert np.array_equal(batch.grad_logits[i], row.grad_logits / b)
+            value = 0.0
+            for row in rows:
+                value += row.value / b
+            assert batch.value == value
+
+    @pytest.mark.parametrize("name", sorted(CHARACTER_LOSSES))
+    def test_bad_batches_rejected(self, name):
+        fn = CHARACTER_LOSSES[name]
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            fn(np.zeros((2, 3)), [0], P)
+        with pytest.raises(ValueError, match="target index 3 out of range for 3 classes"):
+            fn(np.zeros((2, 3)), [0, 3], P)
+        with pytest.raises(ValueError, match="logit vector or a"):
+            fn(np.zeros((2, 3, 1)), [0, 0], P)
 
 
 class TestValidation:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from penscript.dataio import equations_alphabet
 from penscript.metrics import (
     cer,
+    cer_of_scripts,
     confusion_matrix,
     crr,
     edit_distance,
@@ -95,6 +96,17 @@ class TestRates:
     def test_cer_empty_references(self):
         with pytest.raises(ValueError):
             cer([""], ["a"])
+
+    @given(st.lists(st.tuples(short_strings.filter(len), short_strings), min_size=1, max_size=4))
+    @settings(deadline=None, max_examples=100)
+    def test_cer_of_scripts_matches_oracle(self, pairs):
+        scripts = [edit_distance(r, h) for r, h in pairs]
+        expected = sum(ed_oracle(r, h) for r, h in pairs) / sum(len(r) for r, _ in pairs)
+        assert cer_of_scripts(scripts) == expected
+
+    def test_cer_of_no_scripts_rejected(self):
+        with pytest.raises(ValueError, match="no characters"):
+            cer_of_scripts([])
 
     def test_wer_half(self):
         assert wer([["ab"], ["cd"]], [["ab"], ["ce"]]) == 0.5

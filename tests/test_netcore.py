@@ -1,4 +1,6 @@
 import gc
+import json
+import re
 
 import numpy as np
 import pytest
@@ -571,6 +573,113 @@ class TestCheckpoint:
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-16])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+
+def saved_checkpoint(tmp_path, rng):
+    """A saved char checkpoint with batchnorm: (path, header, blob)."""
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, RecognitionModel(SMALL, 3, "char", rng))
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+        blob = f.read()
+    return path, header, blob
+
+
+def rewrite(path, header, blob):
+    with open(path, "wb") as f:
+        f.write(json.dumps(header).encode("utf-8") + b"\n" + blob)
+
+
+def rejected(path, problem):
+    """Expect load_checkpoint to fail with a message starting with problem."""
+    return pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {path}: {problem}"))
+
+
+class TestCheckpointChecks:
+    """Every rejected checkpoint names the file and the key or array."""
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            (b"{not json", "is not JSON"),
+            (b"\xff\xfe\x00", "is not JSON"),
+            (b"[1, 2]", "is not a JSON object"),
+        ],
+        ids=["bad-json", "binary", "list"],
+    )
+    def test_bad_header_line(self, tmp_path, line, problem):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(line + b"\n")
+        with rejected(path, f"the header line {problem}"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key", ["model", "task", "in_channels", "arrays"])
+    def test_missing_header_key(self, tmp_path, rng, key):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        del header[key]
+        rewrite(path, header, blob)
+        with rejected(path, f"the header has no '{key}'"):
+            load_checkpoint(path)
+
+    def test_bad_model_config_names_the_file(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        header["model"]["conv_filters"] = "6"
+        rewrite(path, header, blob)
+        with rejected(path, "ModelConfig.conv_filters must be an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["3", 0, True])
+    def test_bad_in_channels(self, tmp_path, rng, value):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        header["in_channels"] = value
+        rewrite(path, header, blob)
+        with rejected(path, f"in_channels must be a positive integer, got {value!r}"):
+            load_checkpoint(path)
+
+    def test_unknown_array(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        header["arrays"][1]["name"] = "conv.bias"
+        rewrite(path, header, blob)
+        with rejected(path, "array 'conv.bias' has no home in the model"):
+            load_checkpoint(path)
+
+    def test_repeated_array(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        header["arrays"][1]["name"] = "conv.w"
+        rewrite(path, header, blob)
+        with rejected(path, "array 'conv.w' appears twice"):
+            load_checkpoint(path)
+
+    def test_missing_array(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        spec = header["arrays"].pop()
+        assert spec["name"] == "norm.running_var"
+        rewrite(path, header, blob[: -8 * spec["shape"][0]])
+        with rejected(path, "array 'norm.running_var' is missing"):
+            load_checkpoint(path)
+
+    def test_transposed_array(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        spec = next(s for s in header["arrays"] if s["name"] == "head.w")
+        rows, cols = spec["shape"]
+        spec["shape"] = [cols, rows]
+        rewrite(path, header, blob)
+        expected = f"array 'head.w' has shape {[cols, rows]}, the model's is {[rows, cols]}"
+        with rejected(path, expected):
+            load_checkpoint(path)
+
+    def test_malformed_manifest(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        header["arrays"][0] = ["conv.w"]
+        rewrite(path, header, blob)
+        with rejected(path, "'arrays' must be a list of objects"):
+            load_checkpoint(path)
+
+    def test_short_blob_names_the_file(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        rewrite(path, header, blob[:-3])
+        with rejected(path, "the blob holds"):
             load_checkpoint(path)
 
 
