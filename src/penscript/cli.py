@@ -28,6 +28,7 @@ from penscript.dataio import (
     parse_recording,
     write_recording,
 )
+from penscript.jsonconfig import is_int
 from penscript.losses import CHARACTER_LOSSES, LossParams, beam_decode, greedy_decode
 from penscript.netcore.model import (
     ModelConfig,
@@ -308,15 +309,49 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _decode_settings(
+    path: str, model: RecognitionModel, header: dict
+) -> tuple[Alphabet, int]:
+    """The alphabet and target_len of the run that wrote a checkpoint.
+
+    A missing or malformed key, or an alphabet that does not size the
+    model's classes, fails with a ValueError naming the file and the key.
+    """
+
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: {problem}")
+
+    if "alphabet" not in header:
+        raise bad("the header has no 'alphabet'")
+    symbols = header["alphabet"]
+    if not isinstance(symbols, list):
+        raise bad(f"'alphabet' must be a list of symbols, got {symbols!r}")
+    try:
+        alphabet = Alphabet(symbols)
+    except ValueError as exc:
+        raise bad(f"'alphabet': {exc}") from None
+    if alphabet.size != model.cfg.num_classes:
+        raise bad(
+            f"'alphabet' has {alphabet.size} symbols,"
+            f" but the model has {model.cfg.num_classes} classes"
+        )
+    train_section = header.get("train")
+    if not isinstance(train_section, dict) or "target_len" not in train_section:
+        raise bad("the header has no 'train.target_len'")
+    target_len = train_section["target_len"]
+    if not is_int(target_len) or target_len < 1:
+        raise bad(f"'train.target_len' must be a positive integer, got {target_len!r}")
+    return alphabet, target_len
+
+
 def cmd_decode(args) -> int:
     if args.beam < 1:
         raise ValueError(f"--beam must be >= 1, got {args.beam}")
     model, header = load_checkpoint(args.checkpoint)
     if args.beam > 1 and model.task != "seq2seq":
         raise ValueError(f"--beam {args.beam} needs a seq2seq model, not a {model.task} one")
-    alphabet = Alphabet(header["alphabet"])
+    alphabet, target_len = _decode_settings(args.checkpoint, model, header)
     samples = parse_recording(_read(args.data), _read(args.labels), alphabet)
-    target_len = int(header.get("train", {}).get("target_len", 800))
 
     decoded = []
     refs, hyps = [], []

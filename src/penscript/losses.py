@@ -13,9 +13,11 @@ row values and d(loss)/dp.
 The sequence side is connectionist temporal classification: a loss that
 marginalizes over all monotonic frame-to-label alignments using a
 reserved blank class at the last index, plus greedy and prefix beam
-decoders. One log-space recursion, `_forward`, gives both CTC passes:
-the backward variables are the forward variables of the lattice reversed
-in time and in state.
+decoders. `ctc_loss` takes one (T, K+1) matrix and one target, or a
+(B, T, K+1) batch and B targets scored as the mean over rows, like the
+character losses. One log-space recursion over the padded (B, T, S)
+lattices, `_forward`, gives both CTC passes: the backward variables are
+the forward variables of the lattice reversed in time and in state.
 """
 
 from __future__ import annotations
@@ -269,24 +271,25 @@ class CTCInfeasibleError(ValueError):
 def _skip_mask(ext: np.ndarray) -> np.ndarray:
     """States that may also be entered from two states back: labels that differ
     from the label before them (a blank never differs from the blank before)."""
-    return np.r_[False, False, ext[2:] != ext[:-2]][: len(ext)]
+    skip = np.zeros(ext.shape, dtype=bool)
+    skip[:, 2:] = ext[:, 2:] != ext[:, :-2]
+    return skip
 
 
-def _forward(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Log-space forward variables over a (T, S) emission lattice."""
-    t_len, s_len = emit.shape
-    alpha = np.full((t_len, s_len), NEG_INF)
-    alpha[0, :2] = emit[0, :2]
+def _forward(emit: np.ndarray, skip: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Log-space forward variables over a (B, T, S) emission lattice whose
+    row r begins at state start[r]; the states below it stay at -inf."""
+    b, t_len, s_len = emit.shape
+    first = np.arange(s_len) - start[:, None]
+    # two leading -inf columns stand in for the states before state 0
+    alpha = np.full((b, t_len, s_len + 2), NEG_INF)
+    alpha[:, 0, 2:] = np.where((first >= 0) & (first < 2), emit[:, 0], NEG_INF)
     for t in range(1, t_len):
-        prev = alpha[t - 1]
-        step = np.full(s_len, NEG_INF)
-        step[1:] = prev[:-1]
-        jump = np.full(s_len, NEG_INF)
-        jump[2:] = prev[:-2]
-        comb = np.logaddexp(prev, step)
-        comb = np.logaddexp(comb, np.where(skip, jump, NEG_INF))
-        alpha[t] = emit[t] + comb
-    return alpha
+        prev = alpha[:, t - 1]
+        comb = np.logaddexp(prev[:, 2:], prev[:, 1:-1])
+        comb = np.logaddexp(comb, np.where(skip, prev[:, :-2], NEG_INF))
+        np.add(emit[:, t], comb, out=alpha[:, t, 2:])
+    return alpha[:, :, 2:]
 
 
 def _log_prob_matrix(log_probs: np.ndarray) -> np.ndarray:
@@ -303,43 +306,65 @@ def ctc_feasible(num_frames: int, target: Sequence[int]) -> bool:
     return num_frames >= len(target) + repeats
 
 
-def ctc_loss(log_probs: np.ndarray, target: Sequence[int]) -> LossOutput:
+def ctc_loss(log_probs: np.ndarray, targets) -> LossOutput:
     """Negative log-probability of the target under all CTC alignments.
 
     log_probs is a (T, K+1) matrix of per-frame log-probabilities with the
-    blank in the last column. The value sums every monotonic alignment via
-    the forward recursion over the blank-interleaved target; the gradient
-    (with respect to log_probs) comes from the forward-backward posteriors.
+    blank in the last column and targets one label sequence, or a
+    (B, T, K+1) batch and B label sequences scored as the mean over rows
+    (summed in row order, as a loop over per-row calls would) with its
+    (B, T, K+1) gradient. The value sums every monotonic alignment via the
+    forward recursion over the blank-interleaved target; the gradient (with
+    respect to log_probs) comes from the forward-backward posteriors. A
+    batch pads its lattices to the longest with states that emit 0.
     """
-    y = _log_prob_matrix(log_probs)
-    t_len, width = y.shape
-    blank = width - 1
-    target = tuple(int(i) for i in target)
-    if any(i == blank for i in target):
-        raise ValueError("target may not contain the blank index")
-    if any(not 0 <= i < blank for i in target):
-        raise ValueError(f"target index out of range for {blank} classes")
-    if not ctc_feasible(t_len, target):
-        raise CTCInfeasibleError(
-            f"{t_len} frames cannot align to a length-{len(target)} target"
+    y = np.asarray(log_probs, dtype=np.float64)
+    single = y.ndim == 2
+    if single:
+        y, targets = y[None], [targets]
+    if y.ndim != 3 or len(y) < 1 or y.shape[2] < 2:
+        raise ValueError(
+            "log_probs must be (frames, classes+blank) or (B >= 1, frames, classes+blank),"
+            " with >= 2 columns"
         )
+    if len(targets) != len(y):
+        raise ValueError("batch size mismatch between log_probs and targets")
+    b, t_len, width = y.shape
+    blank = width - 1
+    targets = [tuple(int(i) for i in target) for target in targets]
+    s_len = np.array([2 * len(target) + 1 for target in targets])
+    ext = np.full((b, s_len.max()), width)  # padding reads the zero column appended below
+    for r, target in enumerate(targets):
+        where = "" if single else f"row {r}: "
+        if any(i == blank for i in target):
+            raise ValueError(f"{where}target may not contain the blank index")
+        if any(not 0 <= i < blank for i in target):
+            raise ValueError(f"{where}target index out of range for {blank} classes")
+        if not ctc_feasible(t_len, target):
+            raise CTCInfeasibleError(
+                f"{where}{t_len} frames cannot align to a length-{len(target)} target"
+            )
+        ext[r, : s_len[r]] = blank
+        ext[r, 1 : s_len[r] : 2] = target
+    padded = np.concatenate([y, np.zeros((b, t_len, 1))], axis=2)
+    emit = np.take_along_axis(padded, ext[:, None, :], axis=2)  # (B, T, S)
 
-    ext = np.full(2 * len(target) + 1, blank, dtype=np.int64)
-    ext[1::2] = target
-    emit = y[:, ext]  # (T, S)
-
-    alpha = _forward(emit, _skip_mask(ext))
-    total = alpha[-1, -1]
-    if len(ext) > 1:
-        total = np.logaddexp(total, alpha[-1, -2])
-    # the backward pass is the forward pass over the reversed lattice
-    beta = _forward(emit[::-1, ::-1], _skip_mask(ext[::-1]))[::-1, ::-1]
+    rows = np.arange(b)
+    alpha = _forward(emit, _skip_mask(ext), np.zeros_like(s_len))
+    last = alpha[rows, -1, s_len - 1]
+    total = np.logaddexp(last, np.where(s_len > 1, alpha[rows, -1, s_len - 2], NEG_INF))
+    # the backward pass is the forward pass over the reversed lattice, whose
+    # padding comes first, so each row starts where its padding ends
+    start = ext.shape[1] - s_len
+    beta = _forward(emit[:, ::-1, ::-1], _skip_mask(ext[:, ::-1]), start)[:, ::-1, ::-1]
 
     # alpha and beta both include the emission at t, so divide it out once
-    post = alpha + beta - emit - total
-    grad = np.zeros_like(y)
-    np.subtract.at(grad, (slice(None), ext), np.exp(post))
-    return LossOutput(-total, grad)
+    post = alpha + beta - emit - total[:, None, None]
+    grad = np.zeros_like(padded)
+    cells = (rows[:, None, None], np.arange(t_len)[:, None], ext[:, None])
+    np.subtract.at(grad, cells, np.exp(post))
+    grad = grad[:, :, :width] / b
+    return LossOutput(sum(-total / b), grad[0] if single else grad)
 
 
 def _decoder_input(log_probs: np.ndarray) -> np.ndarray:

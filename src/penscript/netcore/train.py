@@ -17,8 +17,8 @@ from penscript.dataio import Sample
 from penscript.jsonconfig import JsonConfig
 from penscript.losses import (
     CHARACTER_LOSSES,
-    CTCInfeasibleError,
     LossParams,
+    ctc_feasible,
     ctc_loss,
     greedy_decode,
 )
@@ -150,30 +150,24 @@ def train(
         for start in range(0, n, train_cfg.batch_size):
             chosen = order[start : start + train_cfg.batch_size]
             out = model.forward(x_train[chosen], "train", rng_drop)
+            labels = [y_train[i] for i in chosen]
             if task == "char":
-                res = char_loss(out.data, [y_train[i][0] for i in chosen], params)
-                seed_grad, batch_value, batch_n = res.grad_logits, res.value, len(chosen)
+                keep = list(range(len(chosen)))
+                res = char_loss(out.data, [label[0] for label in labels], params)
             else:
-                seed_grad = np.zeros_like(out.data)
-                results = []
-                for row, i in enumerate(chosen):
-                    try:
-                        results.append((row, ctc_loss(out.data[row], y_train[i])))
-                    except CTCInfeasibleError:
-                        skipped += 1
-                if not results:
+                keep = [r for r, label in enumerate(labels) if ctc_feasible(out.shape[1], label)]
+                skipped += len(chosen) - len(keep)
+                if not keep:
                     continue
-                batch_n = len(results)
-                batch_value = 0.0
-                for row, res in results:
-                    seed_grad[row] = res.grad_logits / batch_n
-                    batch_value += res.value / batch_n
+                res = ctc_loss(out.data[keep], [labels[r] for r in keep])
+            seed_grad = np.zeros_like(out.data)
+            seed_grad[keep] = res.grad_logits
 
             opt.zero_grad()
             out.backward(seed_grad)
             opt.step()
-            epoch_loss += batch_value * batch_n
-            counted += batch_n
+            epoch_loss += res.value * len(keep)
+            counted += len(keep)
             # free this batch's tape before the next forward builds its own
             del out, seed_grad
 

@@ -120,6 +120,30 @@ def _substream(seed: int, method: str, channel: int) -> np.random.Generator:
     return stream(seed, METHOD_IDS[method], channel)
 
 
+def _scale(col: np.ndarray, c: int, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
+    return col * rng.uniform(1.0 - cfg.scale_sigma, 1.0 + cfg.scale_sigma)
+
+
+def _shift(col: np.ndarray, c: int, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
+    amp = cfg.shift_force if c == cfg.force_channel else cfg.shift_other
+    return col + rng.uniform(-amp, amp)
+
+
+def _jitter(col: np.ndarray, c: int, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
+    std = cfg.jitter_sigma * col.std()
+    return col + (rng.normal(0.0, std, size=len(col)) if std > 0 else 0.0)
+
+
+def _mag_warp(col: np.ndarray, c: int, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
+    ctrl = rng.uniform(cfg.mag_warp_low, cfg.mag_warp_high, cfg.bezier_control_points)
+    return col * bezier(ctrl, len(col))
+
+
+# the per-channel methods in application order: each maps a channel's
+# column, once its coin lands, to the new column, drawing from its substream
+_CHANNEL_METHODS = {"scale": _scale, "shift": _shift, "jitter": _jitter, "mag_warp": _mag_warp}
+
+
 def augment(sample: Sample, cfg: AugmentConfig, methods: set[str], seed: int) -> Sample:
     """Apply the selected augmentations, each gated by a seeded coin.
 
@@ -145,32 +169,14 @@ def augment(sample: Sample, cfg: AugmentConfig, methods: set[str], seed: int) ->
 
     values = np.array(sample.values)
 
-    if "scale" in methods:
-        for c in range(l):
-            rng = _substream(seed, "scale", c)
+    for method, transform in _CHANNEL_METHODS.items():
+        if method not in methods:
+            continue
+        channels = cfg.accelerometer_channels if method == "mag_warp" else range(l)
+        for c in channels:
+            rng = _substream(seed, method, c)
             if rng.random() < cfg.p_apply:
-                values[:, c] *= rng.uniform(1.0 - cfg.scale_sigma, 1.0 + cfg.scale_sigma)
-
-    if "shift" in methods:
-        for c in range(l):
-            rng = _substream(seed, "shift", c)
-            if rng.random() < cfg.p_apply:
-                amp = cfg.shift_force if c == cfg.force_channel else cfg.shift_other
-                values[:, c] += rng.uniform(-amp, amp)
-
-    if "jitter" in methods:
-        for c in range(l):
-            rng = _substream(seed, "jitter", c)
-            if rng.random() < cfg.p_apply:
-                std = cfg.jitter_sigma * values[:, c].std()
-                values[:, c] += rng.normal(0.0, std, size=m) if std > 0 else 0.0
-
-    if "mag_warp" in methods:
-        for c in cfg.accelerometer_channels:
-            rng = _substream(seed, "mag_warp", c)
-            if rng.random() < cfg.p_apply:
-                ctrl = rng.uniform(cfg.mag_warp_low, cfg.mag_warp_high, cfg.bezier_control_points)
-                values[:, c] *= bezier(ctrl, m)
+                values[:, c] = transform(values[:, c], c, rng, cfg)
 
     if "time_warp" in methods and m > 2:
         rng = _substream(seed, "time_warp", 0)

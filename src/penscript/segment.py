@@ -11,7 +11,6 @@ total matches the detected strokes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -72,17 +71,32 @@ class SplitResult(Sequence):
         return self.samples[i]
 
 
-def _feasible_assignments(
+def _smallest_assignment(
     options: list[tuple[int, ...]], total: int
-) -> list[tuple[int, ...]]:
-    """All per-character stroke-count choices that sum to total, sorted.
+) -> tuple[tuple[int, ...], bool] | None:
+    """The lexicographically smallest per-character stroke-count choice that
+    sums to total, and whether another choice does too; None if none does.
 
-    The option lists are tiny (at most two counts per character), so the
-    raw product is cheap for realistic label lengths.
+    ways[j][r] counts the choices for characters j.. that sum to r, capped
+    at 2 since only "more than one" matters, so each character takes its
+    smallest count that leaves a reachable rest. The cost is linear in the
+    label length times total, where enumerating choices doubles with every
+    two-count symbol.
     """
-    out = [a for a in product(*options) if sum(a) == total]
-    out.sort()
-    return out
+    n = len(options)
+    ways = [[0] * (total + 1) for _ in range(n + 1)]
+    ways[n][0] = 1
+    for j in range(n - 1, -1, -1):
+        for r in range(total + 1):
+            ways[j][r] = min(2, sum(ways[j + 1][r - c] for c in options[j] if c <= r))
+    if not ways[0][total]:
+        return None
+    choice = []
+    left = total
+    for j, opts in enumerate(options):
+        choice.append(next(c for c in opts if c <= left and ways[j + 1][left - c]))
+        left -= choice[-1]
+    return tuple(choice), ways[0][total] > 1
 
 
 def split_equation(
@@ -115,12 +129,12 @@ def split_equation(
         raise SegmentationError(f"no strokes detected for label {''.join(symbols)!r}")
 
     options = [tuple(sorted(constraints[s])) for s in symbols]
-    feasible = _feasible_assignments(options, len(strokes))
-    if not feasible:
+    found = _smallest_assignment(options, len(strokes))
+    if found is None:
         raise SegmentationError(
             f"{len(strokes)} strokes cannot be assigned to label {''.join(symbols)!r}"
         )
-    assignment = feasible[0]
+    assignment, ambiguous = found
 
     pieces = []
     pos = 0
@@ -137,5 +151,5 @@ def split_equation(
         )
         pos += count
     return SplitResult(
-        samples=tuple(pieces), assignment=assignment, ambiguous=len(feasible) > 1
+        samples=tuple(pieces), assignment=assignment, ambiguous=ambiguous
     )

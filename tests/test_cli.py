@@ -235,6 +235,8 @@ class TestSegment:
         assert (tmp_path / "o" / "sample0001.jsonl").exists()
 
 
+EQUATIONS = list(equations_alphabet().symbols)
+
 TRAIN_FLAGS = [
     "--filters", "4", "--kernel", "2", "--pool", "2",
     "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0",
@@ -695,6 +697,34 @@ class TestDecode:
         assert code == 1
         assert out == ""
         assert err.strip() == f"error: checkpoint {cfg}: the header has no 'model'"
+
+    @pytest.mark.parametrize(
+        "extra, problem",
+        [
+            (None, "the header has no 'alphabet'"),
+            ({"train": {"target_len": 12}}, "the header has no 'alphabet'"),
+            ({"alphabet": "0123", "train": {"target_len": 12}}, "'alphabet' must be a list of symbols, got '0123'"),
+            ({"alphabet": ["0", "0", "1", "2"], "train": {"target_len": 12}}, "'alphabet': alphabet symbols must be distinct"),
+            ({"alphabet": ["0", "1", "2"], "train": {"target_len": 12}}, "'alphabet' has 3 symbols, but the model has 15 classes"),
+            ({"alphabet": EQUATIONS}, "the header has no 'train.target_len'"),
+            ({"alphabet": EQUATIONS, "train": {}}, "the header has no 'train.target_len'"),
+            ({"alphabet": EQUATIONS, "train": {"target_len": "12"}}, "'train.target_len' must be a positive integer, got '12'"),
+        ],
+        ids=["library-saved", "no-alphabet", "alphabet-str", "alphabet-repeats", "alphabet-size", "no-train", "no-target-len", "target-len-str"],
+    )
+    def test_checkpoint_run_fields_are_checked(self, tmp_path, capsys, rng, extra, problem):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        run(
+            capsys,
+            ["--seed", "3", "train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--out", str(tmp_path / "o")] + TRAIN_FLAGS,
+        )
+        model, _ = load_checkpoint(str(tmp_path / "o" / "model.ckpt"))
+        ckpt = str(tmp_path / "resaved.ckpt")
+        save_checkpoint(ckpt, model, extra)
+        code, out, err = run(capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt])
+        assert code == 1
+        assert out == ""
+        assert err.strip() == f"error: checkpoint {ckpt}: {problem}"
 
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):

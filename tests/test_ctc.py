@@ -146,6 +146,53 @@ class TestCtcErrors:
             ctc_loss(np.zeros((3, 1)), ())
 
 
+class TestCtcBatch:
+    def test_batch_is_the_mean_of_its_rows_bit_for_bit(self, rng):
+        # mixed target lengths, empty targets and B = 1, at toy and paper shape
+        shapes = [(1, 4, 2, 0), (1, 5, 3, 3), (3, 6, 2, 3), (5, 9, 4, 4), (10, 400, 15, 24)]
+        for b, t_len, k, max_len in shapes:
+            y = log_softmax(rng.normal(0, 2, (b, t_len, k + 1)))
+            targets = [
+                tuple(int(v) for v in rng.integers(0, k, rng.integers(0, max_len + 1)))
+                for _ in range(b)
+            ]
+            targets = [t if ctc_feasible(t_len, t) else () for t in targets]
+            out = ctc_loss(y, targets)
+            rows = [ctc_loss(y[r], targets[r]) for r in range(b)]
+            assert out.value == sum(np.array([row.value for row in rows]) / b)
+            assert out.grad_logits.shape == y.shape
+            for r, row in enumerate(rows):
+                assert np.array_equal(out.grad_logits[r], row.grad_logits / b)
+
+    def test_all_empty_targets(self, rng):
+        y = log_softmax(rng.normal(0, 1, (2, 3, 3)))
+        out = ctc_loss(y, [(), ()])
+        assert abs(out.value - (-y[:, :, 2].sum() / 2)) < 1e-12
+
+    def test_infeasible_row_raises_naming_it(self, rng):
+        y = log_softmax(rng.normal(0, 1, (3, 2, 3)))
+        with pytest.raises(CTCInfeasibleError, match="^row 1: 2 frames cannot align"):
+            ctc_loss(y, [(0,), (0, 0), ()])
+
+    def test_bad_row_target_names_it(self, rng):
+        y = log_softmax(rng.normal(0, 1, (2, 3, 3)))
+        with pytest.raises(ValueError, match="^row 1: target may not contain the blank"):
+            ctc_loss(y, [(0,), (2,)])
+        with pytest.raises(ValueError, match="^row 0: target index out of range"):
+            ctc_loss(y, [(5,), (1,)])
+
+    def test_count_mismatch_raises(self, rng):
+        y = log_softmax(rng.normal(0, 1, (2, 3, 3)))
+        for targets in ([(0,)], [(0,), (1,), ()], []):
+            with pytest.raises(ValueError, match="batch size mismatch"):
+                ctc_loss(y, targets)
+
+    def test_bad_batch_shape_rejected(self):
+        for shape in [(0, 3, 3), (2, 3, 1), (1, 2, 3, 3)]:
+            with pytest.raises(ValueError, match="log_probs must be"):
+                ctc_loss(np.zeros(shape), [(0,)] * shape[0])
+
+
 class TestGreedyDecode:
     def test_examples(self):
         # classes 0,1 + blank 2; framewise argmax 0,0,2,1,1 -> (0, 1)

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 import re
 
@@ -725,6 +726,29 @@ class TestTrain:
         model, history = train(mixed, (range(8), ()), SMALL, cfg, "ctc")
         assert model.task == "seq2seq"
         assert history[0]["skipped"] == 2
+
+    def test_ctc_scores_each_batch_in_one_call(self, rng, monkeypatch):
+        train_module = importlib.import_module("penscript.netcore.train")
+        real = train_module.ctc_loss
+        calls = []
+
+        def spy(log_probs, targets):
+            calls.append((log_probs.shape, list(targets)))
+            return real(log_probs, targets)
+
+        monkeypatch.setattr(train_module, "ctc_loss", spy)
+        data = tiny_dataset(rng, t_len=8)
+        # pooled to 4 frames, (0, 0, 0, 1, 1) cannot fit
+        hard = (0, 0, 0, 1, 1)
+        data = [Sample(s.values, hard, s.writer_id, s.rate_hz) for s in data[:2]] + data[2:]
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=3, target_len=8)
+        _, history = train(data, (range(8), ()), SMALL, cfg, "ctc")
+        assert [rec["skipped"] for rec in history] == [2, 2]
+        # two batches of four an epoch, each with at least two rows that fit
+        assert len(calls) == 4
+        assert sum(shape[0] for shape, _ in calls) == 2 * 6
+        for shape, targets in calls:
+            assert shape[0] == len(targets) and hard not in targets
 
     def test_joint_opt_path(self, rng):
         data = tiny_dataset(rng)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,30 @@ class TestAugment:
         cfg = AugmentConfig(p_apply=0.0)
         out = augment(self.sample, cfg, ALL_METHODS, seed=1)
         assert np.array_equal(out.values, self.sample.values)
+
+    # Pinned from the per-method channel loops that augment ran before its
+    # per-channel methods shared one loop; any change to a draw, its order
+    # or the arithmetic on a column moves the digest.
+    @pytest.mark.parametrize(
+        "methods, digest",
+        [
+            ("scale", "8378fede1d0e12e906899316b182b43fb5b44c311a2da18ce98fb8adffc47e2c"),
+            ("shift", "e8d8aa350503a4ccd65695c037b38d980e80442c93a5a03e4daf94ec6f56a55b"),
+            ("jitter", "5abbbafdb2ab66323695b89fc50a0a45f91b1ca2d9b2831752cdd4d08b087c40"),
+            ("mag_warp", "96a287cf6f594a41b571180aa286438a52574187d3247915549d385c3befa08a"),
+            (
+                "scale,shift,jitter,mag_warp,time_warp",
+                "8fb35cc9f872d625ea86499299073f124c8bef7c58019da2fb23332391b2a8d0",
+            ),
+        ],
+    )
+    def test_same_seed_output_is_pinned(self, methods, digest):
+        values = self.sample.values.copy()
+        values[:, 7] = 2.5  # a constant channel, which jitter leaves alone
+        values[::4, 3] = -0.0
+        sample = make_sample(values, self.sample.label)
+        out = augment(sample, AugmentConfig(p_apply=0.7), set(methods.split(",")), seed=23)
+        assert hashlib.sha256(out.values.tobytes()).hexdigest() == digest
 
     def test_deterministic(self):
         a = augment(self.sample, self.cfg, ALL_METHODS, seed=5)

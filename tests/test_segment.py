@@ -1,9 +1,13 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from penscript.dataio import Sample, equations_alphabet
 from penscript.segment import (
     SegmentationError,
+    _smallest_assignment,
     default_constraints,
     detect_strokes,
     split_equation,
@@ -120,3 +124,29 @@ class TestSplitEquation:
             assert result.assignment == tuple(counts)
             for piece, (start, end) in zip(result, bounds):
                 assert np.array_equal(piece.values, sample.values[start : end + 1])
+
+
+def enumerated_assignment(options, total):
+    """The smallest assignment and the ambiguity flag by listing every choice."""
+    feasible = sorted(a for a in itertools.product(*options) if sum(a) == total)
+    return (feasible[0], len(feasible) > 1) if feasible else None
+
+
+class TestSmallestAssignment:
+    def test_matches_enumeration_on_short_labels(self, rng):
+        menu = [(1,), (2,), (1, 2), (1, 3), (2, 3), (0, 1)]
+        for _ in range(300):
+            options = [menu[i] for i in rng.integers(0, len(menu), rng.integers(1, 7))]
+            for total in range(0, 3 * len(options) + 2):
+                expected = enumerated_assignment(options, total)
+                assert _smallest_assignment(options, total) == expected, (options, total)
+
+    def test_long_ambiguous_label_returns_at_once(self):
+        # forty two-count symbols: enumeration would visit 2**40 choices
+        counts = [2] * 20 + [1] * 20
+        sample, bounds = make_equation_sample("7" * 40, counts)
+        began = time.perf_counter()
+        result = split_equation(sample)
+        assert time.perf_counter() - began < 2.0
+        assert result.ambiguous
+        assert result.assignment == (1,) * 20 + (2,) * 20
