@@ -248,7 +248,12 @@ def cmd_train(args) -> int:
         everything = tuple(range(len(samples)))
         fold = (everything, everything)
 
-    completed = int(header.get("epochs_completed", 0))
+    completed = header.get("epochs_completed", 0)
+    if not is_int(completed) or completed < 0:
+        raise ValueError(
+            f"checkpoint {args.resume}: 'epochs_completed' must be a non-negative integer,"
+            f" got {completed!r}"
+        )
     if start_model is not None:
         saved_symbols = header.get("alphabet")
         if saved_symbols is not None and saved_symbols != list(alphabet.symbols):

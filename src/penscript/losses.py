@@ -292,14 +292,6 @@ def _forward(emit: np.ndarray, skip: np.ndarray, start: np.ndarray) -> np.ndarra
     return alpha[:, :, 2:]
 
 
-def _log_prob_matrix(log_probs: np.ndarray) -> np.ndarray:
-    """log_probs as a float64 (frames, classes+blank) matrix."""
-    y = np.asarray(log_probs, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] < 2:
-        raise ValueError("log_probs must be (frames, classes+blank) with >= 2 columns")
-    return y
-
-
 def ctc_feasible(num_frames: int, target: Sequence[int]) -> bool:
     """A target fits iff frames cover every label plus blanks between repeats."""
     repeats = sum(1 for a, b in zip(target, target[1:]) if a == b)
@@ -319,13 +311,14 @@ def ctc_loss(log_probs: np.ndarray, targets) -> LossOutput:
     batch pads its lattices to the longest with states that emit 0.
     """
     y = np.asarray(log_probs, dtype=np.float64)
+    shape = y.shape
     single = y.ndim == 2
     if single:
         y, targets = y[None], [targets]
-    if y.ndim != 3 or len(y) < 1 or y.shape[2] < 2:
+    if y.ndim != 3 or min(y.shape[:2]) < 1 or y.shape[2] < 2:
         raise ValueError(
-            "log_probs must be (frames, classes+blank) or (B >= 1, frames, classes+blank),"
-            " with >= 2 columns"
+            "log_probs must be (frames >= 1, classes+blank) or"
+            f" (B >= 1, frames >= 1, classes+blank), with >= 2 columns; got shape {shape}"
         )
     if len(targets) != len(y):
         raise ValueError("batch size mismatch between log_probs and targets")
@@ -369,7 +362,9 @@ def ctc_loss(log_probs: np.ndarray, targets) -> LossOutput:
 
 def _decoder_input(log_probs: np.ndarray) -> np.ndarray:
     """log_probs as a float64 (frames, classes+blank) matrix without NaNs."""
-    y = _log_prob_matrix(log_probs)
+    y = np.asarray(log_probs, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] < 2:
+        raise ValueError("log_probs must be (frames, classes+blank) with >= 2 columns")
     nan_frames = np.flatnonzero(np.isnan(y).any(axis=1))
     if nan_frames.size:
         raise ValueError(f"log_probs are NaN at frame {nan_frames[0]}")

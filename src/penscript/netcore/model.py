@@ -104,6 +104,10 @@ class RecognitionModel:
         x = T.relu(self.char_hidden(x))
         return T.log_softmax_op(self.head(x))
 
+    def output_frames(self, frames: int) -> int:
+        """The sequence head's frame count for inputs of this many frames."""
+        return -(-frames // self.cfg.pool_size)
+
     def parameters(self):
         """(name, Tensor) pairs in checkpoint order."""
         named = [("conv.w", self.conv.w), ("conv.b", self.conv.b)]

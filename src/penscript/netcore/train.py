@@ -53,13 +53,8 @@ class TrainConfig(JsonConfig):
 def _prepare_inputs(
     dataset: Sequence[Sample], indices: Sequence[int], target_len: int
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    arrays = []
-    labels = []
-    for i in indices:
-        s = interpolate(dataset[i], target_len)
-        arrays.append(s.values)
-        labels.append(s.label)
-    return np.stack(arrays), labels
+    samples = [interpolate(dataset[i], target_len) for i in indices]
+    return np.array([s.values for s in samples]), [s.label for s in samples]
 
 
 def _evaluate_split(
@@ -97,9 +92,13 @@ def train(
     """Train on fold[0], validate on fold[1]; returns (model, history).
 
     loss_selector is "ctc" for the sequence task or one of the character
-    losses, scored a batch per call, for single-label samples. Samples whose
-    target cannot align to the frame count under the sequence loss are
-    skipped and counted per epoch. Pass a model to continue training it.
+    losses, scored a batch per call, for single-label samples. Under the
+    sequence loss, a training target that cannot align to the model's
+    output frames (which target_len and the pool size fix) is dropped
+    before batching: it never reaches the model, so it moves no batchnorm
+    statistic or dropout draw, and each epoch record counts it as skipped.
+    With no sample left, no step is taken and train_loss is NaN. Pass a
+    model to continue training it.
     """
     train_idx, val_idx = fold
     if len(train_idx) == 0:
@@ -123,12 +122,18 @@ def train(
     elif model.task != task:
         raise ValueError(f"checkpointed model is for task {model.task!r}")
 
-    x_train, y_train = _prepare_inputs(dataset, train_idx, train_cfg.target_len)
-    x_val, y_val = (
-        _prepare_inputs(dataset, val_idx, train_cfg.target_len)
-        if len(val_idx)
-        else (None, None)
-    )
+    kept = list(train_idx)
+    if task == "seq2seq":
+        frames = model.output_frames(train_cfg.target_len)
+        kept = [i for i in kept if ctc_feasible(frames, dataset[i].label)]
+        if not kept and len(val_idx) and model.norm is not None and not model.norm.initialized:
+            raise ValueError(
+                f"none of the {len(train_idx)} training targets fits {frames} output frames,"
+                " and a batchnorm that never trained cannot validate"
+            )
+    skipped = len(train_idx) - len(kept)
+    x_train, y_train = _prepare_inputs(dataset, kept, train_cfg.target_len)
+    x_val, y_val = _prepare_inputs(dataset, val_idx, train_cfg.target_len)
 
     opt = Adam(
         [p for _, p in model.parameters()],
@@ -141,42 +146,32 @@ def train(
     char_loss = CHARACTER_LOSSES.get(loss_selector)
 
     history: list[dict] = []
-    n = len(train_idx)
+    n = len(kept)
     for epoch in range(train_cfg.epochs):
         order = rng_order.permutation(n)
         epoch_loss = 0.0
-        counted = 0
-        skipped = 0
         for start in range(0, n, train_cfg.batch_size):
             chosen = order[start : start + train_cfg.batch_size]
             out = model.forward(x_train[chosen], "train", rng_drop)
             labels = [y_train[i] for i in chosen]
             if task == "char":
-                keep = list(range(len(chosen)))
                 res = char_loss(out.data, [label[0] for label in labels], params)
             else:
-                keep = [r for r, label in enumerate(labels) if ctc_feasible(out.shape[1], label)]
-                skipped += len(chosen) - len(keep)
-                if not keep:
-                    continue
-                res = ctc_loss(out.data[keep], [labels[r] for r in keep])
-            seed_grad = np.zeros_like(out.data)
-            seed_grad[keep] = res.grad_logits
+                res = ctc_loss(out.data, labels)
 
             opt.zero_grad()
-            out.backward(seed_grad)
+            out.backward(res.grad_logits)
             opt.step()
-            epoch_loss += res.value * len(keep)
-            counted += len(keep)
+            epoch_loss += res.value * len(chosen)
             # free this batch's tape before the next forward builds its own
-            del out, seed_grad
+            del out
 
         record = {
             "epoch": epoch,
-            "train_loss": epoch_loss / counted if counted else float("nan"),
+            "train_loss": epoch_loss / n if n else float("nan"),
             "skipped": skipped,
         }
-        if x_val is not None:
+        if len(val_idx):
             record.update(_evaluate_split(model, x_val, y_val, val_idx))
         history.append(record)
 

@@ -283,6 +283,42 @@ class TestTrain:
         assert header["epochs_completed"] == 2
 
     @pytest.mark.parametrize(
+        "completed, problem",
+        [
+            ([1], "got [1]"),
+            ("x", "got 'x'"),
+            (True, "got True"),
+            (2.7, "got 2.7"),
+            (-5, "got -5"),
+            ("absent", None),
+        ],
+        ids=["list", "str", "bool", "float", "negative", "absent"],
+    )
+    def test_resume_checks_epochs_completed(self, tmp_path, capsys, rng, completed, problem):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        base = ["--seed", "3", "train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1"] + TRAIN_FLAGS
+        run(capsys, base + ["--out", str(tmp_path / "a")])
+        ckpt = tmp_path / "a" / "model.ckpt"
+        header_line, blob = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if completed == "absent":
+            del header["epochs_completed"]
+        else:
+            header["epochs_completed"] = completed
+        ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        code, out, err = run(capsys, base + ["--resume", str(ckpt), "--out", str(tmp_path / "b")])
+        if problem is None:
+            assert code == 0
+            assert checkpoint_header(tmp_path / "b" / "model.ckpt")["epochs_completed"] == 1
+            return
+        assert code == 1
+        assert out == ""
+        assert err.strip() == (
+            f"error: checkpoint {ckpt}: 'epochs_completed' must be a non-negative integer, {problem}"
+        )
+        assert not (tmp_path / "b" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize(
         "change, message",
         [
             (["--filters", "9"], "conv_filters = 4, but this run asks for 9"),

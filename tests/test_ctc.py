@@ -145,6 +145,12 @@ class TestCtcErrors:
         with pytest.raises(ValueError):
             ctc_loss(np.zeros((3, 1)), ())
 
+    def test_zero_frames_rejected_naming_the_shape(self):
+        with pytest.raises(ValueError, match=r"frames >= 1.*got shape \(0, 3\)$"):
+            ctc_loss(np.zeros((0, 3)), ())
+        with pytest.raises(ValueError, match=r"frames >= 1.*got shape \(2, 0, 3\)$"):
+            ctc_loss(np.zeros((2, 0, 3)), [(), ()])
+
 
 class TestCtcBatch:
     def test_batch_is_the_mean_of_its_rows_bit_for_bit(self, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import json
@@ -26,6 +27,7 @@ from penscript.netcore import (
     train,
 )
 from penscript.netcore import tensor as T
+from penscript.seeding import stream
 from oracles import central_diff, rel_err
 
 
@@ -744,11 +746,57 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=4, seed=3, target_len=8)
         _, history = train(data, (range(8), ()), SMALL, cfg, "ctc")
         assert [rec["skipped"] for rec in history] == [2, 2]
-        # two batches of four an epoch, each with at least two rows that fit
+        # the two rows that cannot fit leave before batching, so the six
+        # that fit make two batches an epoch, of four and two rows
         assert len(calls) == 4
         assert sum(shape[0] for shape, _ in calls) == 2 * 6
         for shape, targets in calls:
             assert shape[0] == len(targets) and hard not in targets
+
+    def test_infeasible_samples_leave_before_batching(self, rng):
+        # pooled to 4 frames, (0, 0, 0, 1, 1) cannot fit
+        data = tiny_dataset(rng, t_len=8)
+        hard = (1, 4, 6)
+        for i in hard:
+            data[i] = Sample(data[i].values, (0, 0, 0, 1, 1), data[i].writer_id, data[i].rate_hz)
+        fits = [i for i in range(8) if i not in hard]
+        model_cfg = dataclasses.replace(SMALL, dropout_rate=0.3)
+        cfg = TrainConfig(epochs=3, learning_rate=1e-2, batch_size=2, seed=4, target_len=8)
+        mixed, h_mixed = train(data, (range(8), ()), model_cfg, cfg, "ctc")
+        clean, h_clean = train(data, (fits, ()), model_cfg, cfg, "ctc")
+        assert [rec["skipped"] for rec in h_mixed] == [3, 3, 3]
+        assert [rec["skipped"] for rec in h_clean] == [0, 0, 0]
+        assert [rec["train_loss"] for rec in h_mixed] == [rec["train_loss"] for rec in h_clean]
+        for (name, a), (_, b) in zip(mixed.parameters(), clean.parameters()):
+            assert np.array_equal(a.data, b.data), name
+        for (name, a), (_, b) in zip(mixed.buffers(), clean.buffers()):
+            assert np.array_equal(a, b), name
+
+    def test_all_infeasible_steps_nothing(self, rng):
+        data = tiny_dataset(rng, t_len=8)
+        data = [Sample(s.values, (0, 0, 0, 1, 1), s.writer_id, s.rate_hz) for s in data]
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=3, target_len=8)
+        model, history = train(data, (range(8), ()), SMALL, cfg, "ctc")
+        fresh = RecognitionModel(SMALL, 2, "seq2seq", stream(cfg.seed, 0))
+        for (name, a), (_, b) in zip(model.parameters(), fresh.parameters()):
+            assert np.array_equal(a.data, b.data), name
+        for (name, a), (_, b) in zip(model.buffers(), fresh.buffers()):
+            assert np.array_equal(a, b), name
+        assert [rec["skipped"] for rec in history] == [8, 8]
+        assert all(np.isnan(rec["train_loss"]) for rec in history)
+        # a new model's batchnorm has no running stats to validate with
+        message = "none of the 6 training targets fits 4 output frames"
+        with pytest.raises(ValueError, match=message):
+            train(data, (range(6), (6, 7)), SMALL, cfg, "ctc")
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4])
+    def test_output_frames_matches_forward(self, rng, pool):
+        model = RecognitionModel(
+            dataclasses.replace(SMALL, pool_size=pool), 2, "seq2seq", rng
+        )
+        for frames in (1, 2, 5, 7, 8, 12):
+            out = model.forward(rng.normal(0, 1, (1, frames, 2)), "train")
+            assert model.output_frames(frames) == out.shape[1]
 
     def test_joint_opt_path(self, rng):
         data = tiny_dataset(rng)
