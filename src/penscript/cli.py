@@ -78,7 +78,7 @@ def _load_dataset(args) -> tuple[list[Sample], Alphabet]:
     labels_text = _read(args.labels)
     strings = []
     if args.alphabet == "auto":
-        strings = [str(entry["label"]) for _, entry in label_entries(labels_text)]
+        strings = [entry["label"] for _, entry in label_entries(labels_text)]
     alphabet = _alphabet(args.alphabet, strings)
     samples = parse_recording(_read(args.data), labels_text, alphabet)
     return samples, alphabet
@@ -220,6 +220,8 @@ def cmd_train(args) -> int:
     model_cfg = ModelConfig.from_dict({"num_classes": alphabet.size, **model_dict})
 
     train_dict = dict(_section(cfg_file, "train"))
+    if "seed" in train_dict:
+        raise ValueError("config key 'train.seed' is not read; set the seed with --seed")
     train_dict["seed"] = args.seed
     for flag, key in (
         ("epochs", "epochs"),

@@ -175,7 +175,10 @@ def _parse_header(line: str) -> tuple[int, float]:
         key, sep, value = part.partition(":")
         if not sep:
             raise RecordingFormatError(f"malformed header field {part!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise RecordingFormatError(f"header field {key!r} is repeated")
+        fields[key] = value.strip()
     if set(fields) != {"channels", "rate_hz"}:
         raise RecordingFormatError(
             f"header must declare exactly 'channels' and 'rate_hz', got {sorted(fields)}"
@@ -196,8 +199,9 @@ def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a labels file.
 
     Raises RecordingFormatError naming the line when it is not JSON, not an
-    object, lacks one of the keys label, start, end and writer_id, or when
-    start, end or writer_id is not a JSON integer.
+    object, lacks one of the keys label, start, end and writer_id, when
+    label is not a non-empty JSON string, or when start, end or writer_id
+    is not a JSON integer.
     """
     for lineno, line in enumerate(labels_text.splitlines(), start=1):
         if not line.strip():
@@ -215,6 +219,11 @@ def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
             raise RecordingFormatError(
                 f"labels line {lineno}: expected keys label, start, end, writer_id;"
                 f" missing {', '.join(missing)}"
+            )
+        label = entry["label"]
+        if not isinstance(label, str) or not label:
+            raise RecordingFormatError(
+                f"labels line {lineno}: label must be a non-empty string, got {label!r}"
             )
         for key in ("start", "end", "writer_id"):
             if not is_int(entry[key]):
@@ -306,10 +315,14 @@ def parse_recording(
             raise ValueError(
                 f"labels line {lineno}: window [{start}, {end}] out of range for {len(data)} rows"
             )
+        try:
+            label = alphabet.encode_label(entry["label"])
+        except ValueError as exc:
+            raise ValueError(f"labels line {lineno}: {exc}") from None
         samples.append(
             Sample(
                 values=data[start : end + 1].copy(),
-                label=alphabet.encode_label(str(entry["label"])),
+                label=label,
                 writer_id=entry["writer_id"],
                 rate_hz=rate_hz,
             )

@@ -30,7 +30,7 @@ from penscript.netcore.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from penscript.netcore.optim import Adam, adam_step
+from penscript.netcore.optim import Adam
 from penscript.netcore.train import TrainConfig, train
 
 __all__ = [
@@ -40,6 +40,6 @@ __all__ = [
     "BatchNorm1d", "BiLSTM", "Conv1d", "Dense", "Dropout", "LSTM", "MaxPool1d",
     "ModelConfig", "RecognitionModel", "forward_seq2seq",
     "load_checkpoint", "save_checkpoint",
-    "Adam", "adam_step",
+    "Adam",
     "TrainConfig", "train",
 ]

@@ -1,46 +1,15 @@
-"""Adam with bias correction, functional core plus a stateful wrapper."""
+"""Adam with bias correction (Kingma & Ba 2015).
+
+One object holds the whole optimizer state: the first and second moments
+``m`` and ``v``, one array per parameter in parameter order, and the
+number of ``steps`` taken.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from penscript.netcore.tensor import Tensor
-
-
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: dict,
-    *,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> dict:
-    """One in-place update over matching parameter/gradient lists.
-
-    state holds first/second moment lists and the step count; pass {} to
-    start. Returns the advanced state.
-    """
-    if len(params) != len(grads):
-        raise ValueError("parameter and gradient counts differ")
-    if not state:
-        state["m"] = [np.zeros_like(p) for p in params]
-        state["v"] = [np.zeros_like(p) for p in params]
-        state["step"] = 0
-    state["step"] += 1
-    t = state["step"]
-    correct1 = 1.0 - beta1**t
-    correct2 = 1.0 - beta2**t
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
-    return state
 
 
 class Adam:
@@ -59,18 +28,23 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state: dict = {}
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.steps = 0
 
     def step(self) -> None:
-        adam_step(
-            [p.data for p in self.params],
-            [p.grad for p in self.params],
-            self.state,
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-        )
+        """One in-place update of every parameter from its .grad."""
+        self.steps += 1
+        beta1, beta2 = self.beta1, self.beta2
+        correct1 = 1.0 - beta1**self.steps
+        correct2 = 1.0 - beta2**self.steps
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p.data -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

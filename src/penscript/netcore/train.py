@@ -62,9 +62,19 @@ def _evaluate_split(
     inputs: np.ndarray,
     labels: list[tuple[int, ...]],
     indices: Sequence[int],
+    batch_size: int,
 ) -> dict:
-    """Validation scores; a ValueError names the dataset index of a NaN output."""
-    out = model.forward(inputs, "eval").data
+    """Validation scores; a ValueError names the dataset index of a NaN output.
+
+    The split is forwarded batch_size rows at a time, so its peak memory is
+    that of one training batch, not of the whole split.
+    """
+    out = np.concatenate(
+        [
+            model.forward(inputs[start : start + batch_size], "eval").data
+            for start in range(0, len(inputs), batch_size)
+        ]
+    )
     nan_rows = np.flatnonzero(np.isnan(out).reshape(len(out), -1).any(axis=1))
     if nan_rows.size:
         raise ValueError(f"validation sample {indices[nan_rows[0]]}: model output is NaN")
@@ -172,7 +182,7 @@ def train(
             "skipped": skipped,
         }
         if len(val_idx):
-            record.update(_evaluate_split(model, x_val, y_val, val_idx))
+            record.update(_evaluate_split(model, x_val, y_val, val_idx, train_cfg.batch_size))
         history.append(record)
 
     return model, history

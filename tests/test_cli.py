@@ -106,6 +106,16 @@ class TestIngest:
                 "end must be an integer, got 20.9",
                 id="end-float",
             ),
+            pytest.param(
+                '{"label": 12, "start": 0, "end": 0, "writer_id": 0}',
+                "label must be a non-empty string, got 12",
+                id="label-number",
+            ),
+            pytest.param(
+                '{"label": null, "start": 0, "end": 0, "writer_id": 0}',
+                "label must be a non-empty string, got None",
+                id="label-null",
+            ),
         ],
     )
     def test_bad_labels_line_names_the_line(self, tmp_path, capsys, rng, alphabet, bad_line, expected):
@@ -575,6 +585,19 @@ class TestConfigFile:
         assert err.startswith("error:")
         for word in expected:
             assert word in err
+
+    @pytest.mark.parametrize("seed", [123, 0])
+    def test_train_seed_in_config_is_rejected(self, tmp_path, capsys, rng, seed):
+        data, labels = write_dataset(tmp_path, char_samples(rng, channels=13))
+        out = tmp_path / "o"
+        argv = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1",
+                "--target-len", "12", "--out", str(out),
+                "--config", write_config(tmp_path, {"train": {"seed": seed}})]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: config key 'train.seed' is not read; set the seed with --seed\n"
+        assert not out.exists()
 
 
 class TestEvaluate:

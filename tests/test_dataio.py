@@ -103,6 +103,20 @@ class TestParseRecording:
         assert samples[1].values.tolist() == [[5.0, 6.0]]
         assert samples[0].rate_hz == 100.0
 
+    @pytest.mark.parametrize(
+        "header, key",
+        [
+            ("channels:13,channels:2,rate_hz:100", "channels"),
+            ("channels:2,rate_hz:100,rate_hz:50", "rate_hz"),
+            ("rate_hz:100, channels:2,channels :2", "channels"),
+        ],
+        ids=["channels", "rate", "spaced"],
+    )
+    def test_repeated_header_field_rejected(self, header, key):
+        raw = header + "\n0,1.0,2.0\n"
+        with pytest.raises(RecordingFormatError, match=f"^header field '{key}' is repeated$"):
+            parse_recording(raw, label_line("1", 0, 0))
+
     def test_missing_header(self):
         with pytest.raises(RecordingFormatError):
             parse_recording("", label_line("1", 0, 0))
@@ -151,6 +165,22 @@ class TestParseRecording:
         raw = make_recording([[1.0, 2.0]])
         with pytest.raises(RecordingFormatError, match=expected):
             parse_recording(raw, label_line("1", 0, 0) + "\n" + line)
+
+    @pytest.mark.parametrize(
+        "label, expected",
+        [
+            ("1a", "labels line 2: symbol 'a' is not in the alphabet"),
+            ("", "labels line 2: label must be a non-empty string, got ''"),
+            (None, "labels line 2: label must be a non-empty string, got None"),
+            (12, "labels line 2: label must be a non-empty string, got 12"),
+            (["1"], r"labels line 2: label must be a non-empty string, got \['1'\]"),
+        ],
+        ids=["unknown-symbol", "empty", "null", "number", "list"],
+    )
+    def test_bad_label_value_is_named(self, label, expected):
+        raw = make_recording([[1.0, 2.0]])
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            parse_recording(raw, label_line("1", 0, 0) + "\n" + label_line(label, 0, 0))
 
     def test_label_entries_skips_blank_lines(self):
         text = label_line("1", 0, 0) + "\n\n" + label_line("2", 1, 1) + "\n"

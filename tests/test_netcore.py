@@ -21,7 +21,6 @@ from penscript.netcore import (
     RecognitionModel,
     Tensor,
     TrainConfig,
-    adam_step,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -507,28 +506,35 @@ class TestModel:
 
 class TestAdam:
     def test_zero_grad_leaves_params(self):
-        p = np.array([1.0, -2.0])
-        adam_step([p], [np.zeros(2)], {}, lr=0.1)
-        assert np.allclose(p, [1.0, -2.0])
+        p = Tensor([1.0, -2.0])
+        Adam([p], lr=0.1).step()
+        assert np.allclose(p.data, [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
-        p = np.zeros(3)
-        g = np.array([0.5, -3.0, 0.001])
-        adam_step([p], [g], {}, lr=0.1)
-        assert np.allclose(p, -0.1 * np.sign(g), atol=1e-4)
+        p = Tensor(np.zeros(3))
+        p.grad += [0.5, -3.0, 0.001]
+        Adam([p], lr=0.1).step()
+        assert np.allclose(p.data, -0.1 * np.sign(p.grad), atol=1e-4)
 
     def test_state_advances(self):
-        p = np.zeros(2)
-        state = adam_step([p], [np.ones(2)], {}, lr=0.1)
-        assert state["step"] == 1
-        adam_step([p], [np.ones(2)], state, lr=0.1)
-        assert state["step"] == 2
+        p = Tensor(np.zeros(2))
+        p.grad += 1.0
+        opt = Adam([p], lr=0.1)
+        assert opt.steps == 0
+        opt.step()
+        assert opt.steps == 1
+        opt.step()
+        assert opt.steps == 2
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            adam_step([np.zeros(2)], [np.zeros(3)], {}, lr=0.1)
-        with pytest.raises(ValueError):
-            adam_step([np.zeros(2)], [], {}, lr=0.1)
+    def test_first_step_moments(self, rng):
+        params = [Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 4))]
+        opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.99)
+        for p in params:
+            p.grad += rng.normal(0, 1, p.shape)
+        opt.step()
+        for p, m, v in zip(params, opt.m, opt.v):
+            assert np.array_equal(m, (1 - 0.8) * p.grad)
+            assert np.array_equal(v, (1 - 0.99) * p.grad * p.grad)
 
     def test_wrapper_trajectories_bit_equal(self, rng):
         w0 = rng.normal(0, 1, (3, 2))
@@ -835,6 +841,23 @@ class TestTrain:
         model.norm.running_mean = np.full_like(model.norm.running_mean, np.nan)
         with pytest.raises(ValueError, match="^validation sample 5: model output is NaN$"):
             train(data, ((0, 1, 2, 3), (5, 6)), SMALL, SMALL_TRAIN, loss, model=model)
+
+    @pytest.mark.parametrize("loss", ["cce", "ctc"])
+    def test_validation_forwards_at_most_a_batch(self, rng, monkeypatch, loss):
+        real = RecognitionModel.forward
+        eval_rows = []
+
+        def spy(self, x, mode, *args, **kwargs):
+            if mode == "eval":
+                eval_rows.append(len(x))
+            return real(self, x, mode, *args, **kwargs)
+
+        monkeypatch.setattr(RecognitionModel, "forward", spy)
+        data = tiny_dataset(rng, n=10)
+        cfg = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=3, seed=9, target_len=12)
+        _, history = train(data, ((0, 1, 2), range(3, 10)), SMALL, cfg, loss)
+        assert eval_rows == [3, 3, 1] * 2
+        assert len(history) == 2
 
     def test_task_mismatch_rejected(self, rng):
         data = tiny_dataset(rng)
