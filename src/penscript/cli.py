@@ -47,12 +47,20 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _read_json(path: str, what: str):
+    """The parsed JSON file; a ValueError for text that is not JSON names the file."""
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path}: not JSON: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    cfg = json.loads(_read(path))
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"config {path}: must hold a JSON object")
     return cfg
 
 
@@ -239,7 +247,7 @@ def cmd_train(args) -> int:
     loss_params = LossParams.from_dict(_section(cfg_file, "loss"))
 
     if args.folds:
-        plan = FoldPlan.from_json(_read(args.folds))
+        plan = FoldPlan.from_dict(_read_json(args.folds, "fold plan"))
         index = 0 if args.fold is None else args.fold
         if not 0 <= index < plan.k:
             raise ValueError(f"--fold {index} is outside the plan's folds 0..{plan.k - 1}")

@@ -128,23 +128,30 @@ class LSTM:
         self.b = Tensor(bias)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.lstm_op(x, self.wx, self.wh, self.b)
+        return T.lstm_op(x, [self.cell])
+
+    @property
+    def cell(self) -> tuple[Tensor, Tensor, Tensor]:
+        """(wx, wh, b), one direction's entry of tensor.lstm_op's cells."""
+        return self.wx, self.wh, self.b
 
     def parameters(self):
         return [("wx", self.wx), ("wh", self.wh), ("b", self.b)]
 
 
 class BiLSTM:
-    """Forward and backward LSTMs concatenated along features."""
+    """Forward and backward LSTMs concatenated along features.
+
+    fwd and bwd own the parameters of the two directions; a call runs both
+    in one two-direction tensor.lstm_op.
+    """
 
     def __init__(self, c_in: int, hidden: int, rng: np.random.Generator):
         self.fwd = LSTM(c_in, hidden, rng)
         self.bwd = LSTM(c_in, hidden, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out_f = self.fwd(x)
-        out_b = T.reverse_time(self.bwd(T.reverse_time(x)))
-        return T.concat_last([out_f, out_b])
+        return T.lstm_op(x, [self.fwd.cell, self.bwd.cell])
 
     def parameters(self):
         return [(f"fwd.{n}", p) for n, p in self.fwd.parameters()] + [

@@ -11,6 +11,8 @@ Everything is float64; batches lead the shape.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 
@@ -74,10 +76,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor((x2 @ w.data + b.data).reshape(*lead, w.data.shape[1]), (x, w, b), back)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
 def relu(x: Tensor) -> Tensor:
     def back(g):
         x.grad += g * (x.data > 0)
@@ -124,69 +122,133 @@ def log_softmax_op(x: Tensor) -> Tensor:
     return Tensor(logp, (x,), back)
 
 
-def lstm_op(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """Single-direction LSTM over (batch, time, c_in) as one tape node.
+def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """LSTM over (batch, time, c_in) in D = len(cells) directions, one tape node.
 
-    wx is (c_in, 4H), wh is (H, 4H) and b is (4H,), gates ordered input,
-    forget, cell, output; the initial state is zero. The forward pass runs
-    the time loop on plain arrays; its output is bit-identical to the
-    plain-numpy per-step reference in
-    tests/test_netcore.py::TestLSTM::test_sequence_matches_per_step_reference.
-    The backward pass is backpropagation through time with one
-    (batch, 4H) @ (4H, H) product per step; the weight, bias and input
-    gradients are then single products over all batch * time rows.
+    cells holds (wx, wh, b) per direction: wx is (c_in, 4H), wh is (H, 4H)
+    and b is (4H,), gates ordered input, forget, cell, output; the initial
+    state is zero. The first direction reads time forward; a second reads
+    it backward, so D = 2 is a BiLSTM. The output is (batch, time, D * H),
+    the directions side by side, each at the frame it read.
+
+    One Python time loop serves both directions, in the forward pass and
+    in backpropagation through time: step t multiplies the D recurrent
+    states by their wh at once, with a stacked np.matmul, and the BPTT
+    step does the same with wh.T. The backward direction projects a
+    time-reversed copy of x and keeps its state in loop order, so each
+    direction computes exactly what a D = 1 call on its own input does:
+    D = 2 is bit-identical to two D = 1 calls joined by reverse_time and
+    concat_last (tests/test_netcore.py::TestBiLSTM). The per-step stores
+    are (time, D, batch, .), so a step reads and writes contiguous blocks,
+    and the gates, c and tanh(c) are written into them in place. The
+    weight, bias and input gradients are single products over all
+    batch * time rows of each direction.
     """
+    d_n = len(cells)
+    if d_n not in (1, 2):
+        raise ValueError(f"lstm_op runs one or two directions, got {d_n}")
     bsz, t_len, c_in = x.data.shape
-    h = wh.data.shape[0]
-    wx_d, wh_d = wx.data, wh.data
-    x2 = x.data.reshape(-1, c_in)
+    h = cells[0][1].data.shape[0]
+    # each direction's input rows, (batch * time, c_in), in its reading order;
+    # the reversed rows are a C-contiguous copy, as reverse_time makes them
+    x_rows = [x.data.reshape(-1, c_in)]
+    if d_n == 2:
+        x_rows.append(np.ascontiguousarray(x.data[:, ::-1, :]).reshape(-1, c_in))
+    wh_s = np.stack([wh.data for _, wh, _ in cells])
     # hoist the input projection out of the time loop
-    xw = (x2 @ wx_d + b.data).reshape(bsz, t_len, 4 * h)
-    # time-major per-step state kept for the backward pass; acts holds the
-    # four gate activations side by side, like the pre-activations
-    acts = np.empty((t_len, bsz, 4 * h))
-    cs = np.empty((t_len, bsz, h))
-    tcs = np.empty((t_len, bsz, h))
-    out_data = np.empty((bsz, t_len, h))
-    h_t = np.zeros((bsz, h))
-    c_t = np.zeros((bsz, h))
+    xw = np.empty((d_n, bsz * t_len, 4 * h))
+    for d, (wx, _, b) in enumerate(cells):
+        np.matmul(x_rows[d], wx.data, out=xw[d])
+        xw[d] += b.data
+    xw = xw.reshape(d_n, bsz, t_len, 4 * h)
+    # per-step state for the backward pass, in loop order; acts holds the
+    # four gate activations side by side, like the pre-activations. cs and
+    # hs lead with the zero initial state, so step t reads [t], writes [t + 1]
+    acts = np.empty((t_len, d_n, bsz, 4 * h))
+    cs = np.zeros((t_len + 1, d_n, bsz, h))
+    tcs = np.empty((t_len, d_n, bsz, h))
+    hs = np.zeros((t_len + 1, d_n, bsz, h))
+    z = np.empty((d_n, bsz, 4 * h))
+    ig = np.empty((d_n, bsz, h))
     for t in range(t_len):
-        z = xw[:, t, :] + h_t @ wh_d
-        # elementwise, so one call over all four blocks equals one per gate
-        a = _sigmoid(z)
-        a[:, 2 * h : 3 * h] = np.tanh(z[:, 2 * h : 3 * h])
-        c_t = a[:, h : 2 * h] * c_t + a[:, :h] * a[:, 2 * h : 3 * h]
-        tc = np.tanh(c_t)
-        h_t = a[:, 3 * h :] * tc
-        acts[t], cs[t], tcs[t], out_data[:, t, :] = a, c_t, tc, h_t
+        a = acts[t]
+        np.matmul(hs[t], wh_s, out=z)
+        z += xw[:, :, t]
+        # sigmoid over all four blocks, then tanh over the cell block;
+        # maximum then minimum is np.clip(z, -500, 500), without its wrapper
+        np.maximum(z, -500.0, out=a)
+        np.minimum(a, 500.0, out=a)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        np.tanh(z[:, :, 2 * h : 3 * h], out=a[:, :, 2 * h : 3 * h])
+        c = cs[t + 1]
+        np.multiply(a[:, :, h : 2 * h], cs[t], out=c)
+        np.multiply(a[:, :, :h], a[:, :, 2 * h : 3 * h], out=ig)
+        c += ig
+        np.tanh(c, out=tcs[t])
+        np.multiply(a[:, :, 3 * h :], tcs[t], out=hs[t + 1])
+    out_data = np.empty((bsz, t_len, d_n * h))
+    out_data[:, :, :h] = hs[1:, 0].transpose(1, 0, 2)
+    if d_n == 2:
+        out_data[:, :, h:] = hs[:0:-1, 1].transpose(1, 0, 2)
 
     def back(g):
-        i_g, f_g, g_g, o_g = (acts[:, :, k * h : (k + 1) * h] for k in range(4))
-        c_prev = np.concatenate([np.zeros((1, bsz, h)), cs[:-1]])
-        # d(pre-activation)/d(c_t) for the i, f, g gates, stacked on axis 2
-        dz_dc = np.stack(
-            [g_g * i_g * (1.0 - i_g), c_prev * f_g * (1.0 - f_g), i_g * (1.0 - g_g * g_g)], axis=2
-        )
-        dzo_dh = tcs * o_g * (1.0 - o_g)
-        dc_dh = o_g * (1.0 - tcs * tcs)
-        dz = np.empty((t_len, bsz, 4, h))
-        dh = np.zeros((bsz, h))
-        dc = np.zeros((bsz, h))
+        # the output gradient of each direction, in its loop order
+        gs = np.empty((t_len, d_n, bsz, h))
+        gs[:, 0] = g[:, :, :h].transpose(1, 0, 2)
+        if d_n == 2:
+            gs[:, 1] = g[:, ::-1, h:].transpose(1, 0, 2)
+        wh_t = wh_s.transpose(0, 2, 1)
+        i_g, f_g, g_g, o_g = (acts[..., k * h : (k + 1) * h] for k in range(4))
+        # dz is (D, batch, time, 4, H), so the weight gradients read each
+        # direction's (batch * time) rows without a copy; dzt views it in
+        # loop order. It starts as each pre-activation's derivative by c_t
+        # (i, f and g gates) or by h_t (o gate), and the loop scales each
+        # step by dc or dh in place.
+        dz = np.empty((d_n, bsz, t_len, 4, h))
+        dzt = dz.transpose(2, 0, 1, 3, 4)
+        dz_i, dz_f, dz_g, dz_o = (dzt[..., k, :] for k in range(4))
+        one_minus = np.empty((t_len, d_n, bsz, h))
+        np.multiply(g_g, i_g, out=dz_i)
+        dz_i *= np.subtract(1.0, i_g, out=one_minus)
+        np.multiply(cs[:-1], f_g, out=dz_f)
+        dz_f *= np.subtract(1.0, f_g, out=one_minus)
+        np.multiply(g_g, g_g, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_g *= i_g
+        np.multiply(tcs, o_g, out=dz_o)
+        dz_o *= np.subtract(1.0, o_g, out=one_minus)
+        # d(c_t)/d(h_t), in the scratch array's place
+        dc_dh = np.multiply(tcs, tcs, out=one_minus)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o_g
+        dh = np.zeros((d_n, bsz, h))
+        dc = np.zeros((d_n, bsz, h))
+        tmp = np.empty((d_n, bsz, h))
         for t in range(t_len - 1, -1, -1):
-            dh += g[:, t, :]
-            dc += dh * dc_dh[t]
-            np.multiply(dz_dc[t], dc[:, None, :], out=dz[t, :, :3])
-            np.multiply(dh, dzo_dh[t], out=dz[t, :, 3])
-            dc *= f_g[t]
-            dh = dz[t].reshape(bsz, 4 * h) @ wh_d.T
-        dz2 = dz.reshape(t_len, bsz, 4 * h).transpose(1, 0, 2).reshape(-1, 4 * h)
-        h_prev = np.concatenate([np.zeros((bsz, 1, h)), out_data[:, :-1, :]], axis=1)
-        wh.grad += h_prev.reshape(-1, h).T @ dz2
-        wx.grad += x2.T @ dz2
-        b.grad += dz2.sum(axis=0)
-        x.grad += (dz2 @ wx_d.T).reshape(x.data.shape)
+            dz_t = dzt[t]
+            dh += gs[t]
+            np.multiply(dh, dc_dh[t], out=tmp)
+            dc += tmp
+            np.multiply(dz_t[:, :, :3], dc[:, :, None, :], out=dz_t[:, :, :3])
+            np.multiply(dz_t[:, :, 3], dh, out=dz_t[:, :, 3])
+            if t:
+                dc *= f_g[t]
+                np.matmul(dz_t.reshape(d_n, bsz, 4 * h), wh_t, out=dh)
+        # (direction, batch * time, .) rows in each direction's reading order
+        dz2 = dz.reshape(d_n, -1, 4 * h)
+        h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 2, 0, 3)).reshape(d_n, -1, h)
+        for d, (wx, wh, b) in enumerate(cells):
+            wh.grad += h_prev[d].T @ dz2[d]
+            wx.grad += x_rows[d].T @ dz2[d]
+            b.grad += dz2[d].sum(axis=0)
+            gx = (dz2[d] @ wx.data.T).reshape(x.data.shape)
+            x.grad += gx if d == 0 else gx[:, ::-1, :]
 
-    return Tensor(out_data, (x, wx, wh, b), back)
+    params = tuple(p for cell in cells for p in cell)
+    return Tensor(out_data, (x,) + params, back)
 
 
 def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -222,22 +284,51 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
-    """Per-window max over time with a partial final window allowed."""
+    """Per-window max over time with a partial final window allowed.
+
+    A running max over the pool offsets: offset k's frames x[:, k::pool]
+    take a window where they are strictly greater than its best so far, so
+    ties keep the first offset, or where they are NaN and the best so far
+    is not, so a window's first NaN wins. That is np.argmax over each
+    window, with no padded copy and no index array. The backward pass
+    routes g through the saved per-offset masks. Both passes select by
+    integer ops on the float64 bit patterns: exact, and without a branch
+    per element, several times faster than a masked np.copyto.
+    """
     if pool < 1:
         raise ValueError("pool size must be >= 1")
-    bsz, t_len, ch = x.data.shape
-    t_out = -(-t_len // pool)
-    pad = t_out * pool - t_len
-    xp = np.pad(x.data, ((0, 0), (0, pad), (0, 0)), constant_values=-np.inf)
-    win = xp.reshape(bsz, t_out, pool, ch)
-    idx = win.argmax(axis=2)  # first index on ties
+    out = x.data[:, ::pool, :].copy()
+    out_bits = out.view(np.uint64)
+    # takes[k - 1]: where offset k beat offsets 0..k-1 (a final window may lack it)
+    takes = []
+    for k in range(1, pool):
+        xk = x.data[:, k::pool, :]
+        n = xk.shape[1]
+        best, best_bits = out[:, :n, :], out_bits[:, :n, :]
+        take = xk <= best
+        np.logical_not(take, out=take)  # greater, or xk is NaN
+        take &= best == best  # a NaN, once in, stays
+        # best = where(take, xk, best): flip the bits that differ, where taken
+        flip = np.bitwise_xor(best_bits, xk.view(np.uint64))
+        flip *= take
+        best_bits ^= flip
+        takes.append(take)
 
     def back(g):
-        gwin = np.zeros_like(win)
-        np.put_along_axis(gwin, idx[:, :, None, :], g[:, :, None, :], axis=2)
-        x.grad += gwin.reshape(bsz, t_out * pool, ch)[:, :t_len, :]
+        g_bits = g.view(np.uint64)
+        # a later offset's win overrides an earlier one's; offset 0 keeps the rest
+        rest = np.ones(g.shape, dtype=bool)
+        for k in range(pool - 1, 0, -1):
+            take = takes[k - 1]
+            n = take.shape[1]
+            rest_k = rest[:, :n, :]
+            gk = x.grad[:, k::pool, :]
+            gk += (g_bits[:, :n, :] * (take & rest_k)).view(np.float64)
+            rest_k &= ~take
+        g0 = x.grad[:, ::pool, :]
+        g0 += (g_bits * rest).view(np.float64)
 
-    return Tensor(np.take_along_axis(win, idx[:, :, None, :], axis=2)[:, :, 0, :], (x,), back)
+    return Tensor(out, (x,), back)
 
 
 def batchnorm_op(

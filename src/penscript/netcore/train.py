@@ -7,6 +7,7 @@ two runs produce bit-identical weights and history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,8 +41,14 @@ class TrainConfig(JsonConfig):
     target_len: int = 800
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:

@@ -3,8 +3,9 @@
 Everything here is deliberately brute force and written against the
 definitions, not against the package: a memoized prefix recursion for
 edit distance, exhaustive path enumeration for the sequence loss and
-decoder, a central finite-difference differentiator, and the original
-one-line-at-a-time recording reader and per-value writer.
+decoder, max-pooling by np.argmax, a central finite-difference
+differentiator, and the original one-line-at-a-time recording reader and
+per-value writer.
 """
 
 from __future__ import annotations
@@ -100,6 +101,26 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a), np.asarray(b)
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-10)
     return float(np.abs(a - b).max(initial=0.0) / scale)
+
+
+def maxpool_oracle(x: np.ndarray, pool: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-pool of (batch, time, channels) by np.argmax, and the input gradient for g.
+
+    The time axis is padded with -inf to whole windows of `pool` frames,
+    so a partial final window pools the frames it has. np.argmax picks
+    each window's first maximum, or its first NaN; the output is that
+    element and the gradient g goes back to it alone.
+    """
+    bsz, t_len, ch = x.shape
+    t_out = -(-t_len // pool)
+    xp = np.pad(x, ((0, 0), (0, t_out * pool - t_len), (0, 0)), constant_values=-np.inf)
+    win = xp.reshape(bsz, t_out, pool, ch)
+    idx = win.argmax(axis=2)[:, :, None, :]
+    gwin = np.zeros_like(win)
+    np.put_along_axis(gwin, idx, g[:, :, None, :], axis=2)
+    dx = np.zeros_like(x)
+    dx += gwin.reshape(bsz, t_out * pool, ch)[:, :t_len, :]
+    return np.take_along_axis(win, idx, axis=2)[:, :, 0, :], dx
 
 
 def assert_valid_script(script) -> None:

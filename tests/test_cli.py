@@ -416,6 +416,34 @@ class TestTrain:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("text", ["[1", "", "{'k': 3}"], ids=["truncated", "empty", "quotes"])
+    def test_fold_plan_that_is_not_json_names_the_file(self, tmp_path, capsys, rng, text):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=6))
+        plan = tmp_path / "f.json"
+        plan.write_text(text, encoding="utf-8")
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--folds", str(plan), "--out", str(out_dir)] + TRAIN_FLAGS,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: fold plan {plan}: not JSON: ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
+    def test_bad_learning_rate_fails_before_training(self, tmp_path, capsys, rng, lr):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--out", str(out_dir)] + TRAIN_FLAGS + ["--lr", lr],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: learning_rate must be a finite positive number")
+        assert not out_dir.exists()
+
     def test_units_size_the_default_bilstm(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng))
         code, _, _ = run(
@@ -585,6 +613,53 @@ class TestConfigFile:
         assert err.startswith("error:")
         for word in expected:
             assert word in err
+
+    @pytest.mark.parametrize(
+        "section, problem",
+        [
+            ({"learning_rate": float("nan")}, "learning_rate must be a finite positive number"),
+            ({"adam_eps": 0}, "adam_eps must be a finite positive number"),
+            ({"adam_eps": -1}, "adam_eps must be a finite positive number"),
+            ({"adam_beta1": 1.0}, "adam_beta1 must be in [0, 1)"),
+            ({"adam_beta2": -0.5}, "adam_beta2 must be in [0, 1)"),
+        ],
+        ids=["lr-nan", "eps-zero", "eps-negative", "beta1-one", "beta2-negative"],
+    )
+    def test_bad_optimizer_setting_names_the_field(self, tmp_path, capsys, rng, section, problem):
+        data, labels = write_dataset(tmp_path, char_samples(rng, channels=13))
+        out = tmp_path / "o"
+        argv = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1",
+                "--target-len", "12", "--out", str(out),
+                "--config", write_config(tmp_path, {"train": section})]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"error: {problem}, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "augment"])
+    @pytest.mark.parametrize("text", ["{bad", "", "[1, 2"], ids=["bad-key", "empty", "truncated"])
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, capsys, rng, command, text):
+        data, labels = write_dataset(tmp_path, char_samples(rng, channels=13))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text, encoding="utf-8")
+        argv = [command, "--data", data, "--labels", labels, "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        if command == "train":
+            argv += ["--loss", "cce", "--epochs", "1", "--target-len", "12"]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"error: config {cfg}: not JSON: ")
+
+    def test_config_that_is_not_an_object_names_the_file(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng, channels=13))
+        cfg = write_config(tmp_path, [1, 2])
+        argv = ["augment", "--data", data, "--labels", labels, "--config", cfg,
+                "--out", str(tmp_path / "o")]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1
+        assert err == f"error: config {cfg}: must hold a JSON object\n"
 
     @pytest.mark.parametrize("seed", [123, 0])
     def test_train_seed_in_config_is_rejected(self, tmp_path, capsys, rng, seed):

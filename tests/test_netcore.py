@@ -27,7 +27,7 @@ from penscript.netcore import (
 )
 from penscript.netcore import tensor as T
 from penscript.seeding import stream
-from oracles import central_diff, rel_err
+from oracles import central_diff, maxpool_oracle, rel_err
 
 
 def projection_grad(build, x_data, rng):
@@ -41,6 +41,18 @@ def projection_grad(build, x_data, rng):
         return float(np.sum(proj * build(Tensor(x_data)).data))
 
     return x.grad, scalar
+
+
+def tape_nodes(out):
+    """Every tensor in out's graph, out included."""
+    seen = {id(out): out}
+    stack = [out]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
 
 
 class TestTensorBasics:
@@ -174,6 +186,57 @@ class TestMaxPool:
         x = x.reshape(2, 4, 3)
         grad, scalar = projection_grad(lambda v: T.maxpool1d_op(v, 2), x, rng)
         assert rel_err(grad, central_diff(scalar, x)) < 1e-6
+
+    @staticmethod
+    def assert_matches_oracle(x, pool, rng):
+        """Output and input gradient carry the argmax oracle's exact bits."""
+        g = rng.normal(0, 1, (x.shape[0], -(-x.shape[1] // pool), x.shape[2]))
+        xt = Tensor(x)
+        out = T.maxpool1d_op(xt, pool)
+        out.backward(g)
+        want, want_dx = maxpool_oracle(x, pool, g)
+        assert np.array_equal(out.data, want, equal_nan=True)
+        assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(xt.grad.view(np.uint64), want_dx.view(np.uint64))
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t_len", range(1, 10))
+    def test_matches_argmax_oracle_with_ties(self, pool, t_len, rng):
+        # three values over 2 * t_len * 3 entries: most windows hold a tie
+        x = rng.integers(-1, 2, (2, t_len, 3)).astype(np.float64)
+        self.assert_matches_oracle(x, pool, rng)
+
+    @pytest.mark.parametrize("pool", [2, 3, 4])
+    def test_signed_zero_tie_keeps_the_first(self, pool, rng):
+        x = np.zeros((1, pool, 2))
+        x[0, 0, 0] = -0.0
+        x[0, 1:, 1] = -0.0
+        self.assert_matches_oracle(x, pool, rng)
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t_len", [4, 5, 7])
+    def test_minus_inf_windows(self, pool, t_len, rng):
+        x = rng.normal(0, 1, (2, t_len, 2))
+        x[0, :, 0] = -np.inf  # every window of a channel
+        x[1, -1, 1] = -np.inf  # the last frame, which may sit in a partial window
+        x[1, :pool, 0] = -np.inf  # one whole first window
+        self.assert_matches_oracle(x, pool, rng)
+
+    @pytest.mark.parametrize("pool", [2, 3, 4])
+    @pytest.mark.parametrize("t_len", [4, 5, 7])
+    def test_nan_at_each_offset_wins_its_window(self, pool, t_len, rng):
+        for k in range(pool):
+            x = rng.normal(0, 1, (1, t_len, 3))
+            x[0, k::pool, 0] = np.nan  # offset k of every window
+            x[0, :, 1] = 9.0
+            x[0, k::pool, 1] = np.nan  # where a NaN-blind max would pick a 9.0
+            x[0, k:, 2] = np.nan  # a run of NaNs: the first of a window wins
+            self.assert_matches_oracle(x, pool, rng)
+            assert np.isnan(T.maxpool1d_op(Tensor(x), pool).data[0, 0]).all()
+
+    def test_nan_after_max_is_not_hidden(self):
+        x = Tensor(np.array([1.0, np.nan]).reshape(1, 2, 1))
+        assert np.isnan(T.maxpool1d_op(x, 2).data).all()
 
 
 class TestBatchNorm:
@@ -348,17 +411,10 @@ class TestLSTM:
             setattr(layer, name, Tensor(w))
 
     def test_paper_shaped_model_tape_is_short(self, rng):
-        # one node per LSTM direction, not a dozen per timestep
+        # one node per LSTM layer, not a dozen per timestep
         model = RecognitionModel(ModelConfig(num_classes=15), 13, "seq2seq", rng)
         out = model.forward(rng.normal(0, 1, (1, 800, 13)), "train", rng)
-        seen = {id(out)}
-        stack = [out]
-        while stack:
-            for p in stack.pop()._parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append(p)
-        assert len(seen) < 100
+        assert len(tape_nodes(out)) < 100
 
 
 class TestBiLSTM:
@@ -368,7 +424,52 @@ class TestBiLSTM:
         out = layer(Tensor(x)).data
         fwd = layer.fwd(Tensor(x)).data
         bwd = layer.bwd(Tensor(x[:, ::-1, :].copy())).data[:, ::-1, :]
-        assert np.allclose(out, np.concatenate([fwd, bwd], axis=-1), atol=1e-12)
+        assert np.array_equal(out, np.concatenate([fwd, bwd], axis=-1))
+
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 7])
+    def test_two_direction_op_equals_two_single_direction_ops(self, bsz, t_len, rng):
+        layer = BiLSTM(5, 4, rng)
+        for _, p in layer.parameters():
+            if p.data.ndim == 1:
+                p.data[...] = rng.normal(0, 1, p.data.shape)
+        x = rng.normal(0, 1, (bsz, t_len, 5))
+        x[0, 0, :] = 1e4  # drives some gates into the sigmoid clip
+        g = rng.normal(0, 1, (bsz, t_len, 8))
+
+        def run(build):
+            for _, p in layer.parameters():
+                p.zero_grad()
+            xt = Tensor(x)
+            out = build(xt)
+            out.backward(g)
+            return [out.data, xt.grad] + [p.grad.copy() for _, p in layer.parameters()]
+
+        fused = run(layer)
+        parts = run(lambda xt: T.concat_last([
+            T.lstm_op(xt, [layer.fwd.cell]),
+            T.reverse_time(T.lstm_op(T.reverse_time(xt), [layer.bwd.cell])),
+        ]))
+        names = ["output", "x"] + [n for n, _ in layer.parameters()]
+        for name, a, b in zip(names, fused, parts):
+            assert np.array_equal(a, b), name
+
+    def test_paper_shaped_forward_has_one_node_per_layer(self, rng):
+        model = RecognitionModel(ModelConfig(num_classes=15), 13, "seq2seq", rng)
+        out = model.forward(rng.normal(0, 1, (1, 800, 13)), "train", rng)
+        nodes = tape_nodes(out)
+        for layer in model.recurrent:
+            params = {id(p) for _, p in layer.parameters()}
+            users = [n for n in nodes if params & {id(p) for p in n._parents}]
+            assert len(users) == 1
+            assert params <= {id(p) for p in users[0]._parents}
+
+    def test_direction_count_checked(self, rng):
+        layer = LSTM(2, 3, rng)
+        x = Tensor(rng.normal(0, 1, (1, 4, 2)))
+        for cells in ([], [layer.cell] * 3):
+            with pytest.raises(ValueError, match="one or two directions"):
+                T.lstm_op(x, cells)
 
     def test_gradient_matches_fd(self, rng):
         layer = BiLSTM(2, 2, rng)
@@ -888,3 +989,25 @@ class TestTrain:
             TrainConfig(epochs=1, learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig.from_dict({"epochs": 1, "bogus": 2})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", -1e-4),
+            ("adam_eps", 0.0),
+            ("adam_eps", -1.0),
+            ("adam_eps", float("nan")),
+            ("adam_beta1", 1.0),
+            ("adam_beta1", -0.1),
+            ("adam_beta2", -0.5),
+            ("adam_beta2", float("nan")),
+        ],
+    )
+    def test_bad_optimizer_setting_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(epochs=1, **{field: value})
+
+    def test_optimizer_setting_edges_accepted(self):
+        TrainConfig(epochs=1, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300, learning_rate=5.0)
