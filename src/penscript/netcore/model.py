@@ -9,6 +9,7 @@ over time and emits one class distribution through an extra dense layer.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,22 +88,25 @@ class RecognitionModel:
         """Log-probabilities for a (batch, time, channels) array.
 
         seq2seq: (batch, ceil(time/pool), classes+1); char: (batch, classes).
+        An eval forward records no tape (tensor.no_tape): its output is a
+        leaf, and backward through it reaches no parameter.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        x = Tensor(batch)
-        x = self.conv(x)
-        x = self.pool(x)
-        if self.norm is not None:
-            x = self.norm(x, mode)
-        x = self.drop(x, mode, rng)
-        for layer in self.recurrent:
-            x = layer(x)
-        if self.task == "seq2seq":
+        with T.no_tape() if mode == "eval" else nullcontext():
+            x = Tensor(batch)
+            x = self.conv(x)
+            x = self.pool(x)
+            if self.norm is not None:
+                x = self.norm(x, mode)
+            x = self.drop(x, mode, rng)
+            for layer in self.recurrent:
+                x = layer(x)
+            if self.task == "seq2seq":
+                return T.log_softmax_op(self.head(x))
+            x = T.mean_time(x)
+            x = T.relu(self.char_hidden(x))
             return T.log_softmax_op(self.head(x))
-        x = T.mean_time(x)
-        x = T.relu(self.char_hidden(x))
-        return T.log_softmax_op(self.head(x))
 
     def output_frames(self, frames: int) -> int:
         """The sequence head's frame count for inputs of this many frames."""
@@ -159,8 +163,9 @@ def save_checkpoint(
 def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     """Rebuild the model from a checkpoint; returns (model, header).
 
-    A header or blob that does not hold exactly the model's arrays fails
-    with a ValueError naming the file and the key or array.
+    A header or blob that does not hold exactly the model's arrays, or an
+    array holding NaN or inf, fails with a ValueError naming the file and
+    the key or array.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -210,6 +215,8 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     if len(blob) != 8 * sum(sizes):
         raise bad(f"the blob holds {len(blob)} bytes, but its manifest needs {8 * sum(sizes)}")
     for name, chunk in zip(names, np.split(np.frombuffer(blob, "<f8"), np.cumsum(sizes)[:-1])):
+        if not np.isfinite(chunk).all():
+            raise bad(f"array {name!r} holds a non-finite value")
         homes[name][...] = chunk.reshape(homes[name].shape)
     if model.norm is not None:
         model.norm.initialized = True

@@ -7,13 +7,39 @@ own output, which does not exist yet: a tape holds no reference cycle and
 is freed as soon as its last reference goes. backward() runs the closures
 in reverse topological order from a caller-supplied seed gradient.
 Everything is float64; batches lead the shape.
+
+Inside no_tape() the constructor keeps the value and its grad buffer but
+drops the parents and the pullback, so every op's result is a leaf, and
+an intermediate array, with the activations its pullback would have
+kept, is freed once the next op has read it. backward() through such a
+result runs but reaches nothing upstream. RecognitionModel.forward
+enters no_tape() in eval mode; the ops never look at it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 
 import numpy as np
+
+_taping = True
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Record no graph inside the block; the previous state returns on exit.
+
+    The switch is process-wide, so a taped forward must not run in another
+    thread meanwhile.
+    """
+    global _taping
+    saved = _taping
+    _taping = False
+    try:
+        yield
+    finally:
+        _taping = saved
 
 
 class Tensor:
@@ -22,8 +48,8 @@ class Tensor:
     def __init__(self, data, parents: tuple = (), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
-        self._parents = parents
-        self._backward = backward
+        self._parents = parents if _taping else ()
+        self._backward = backward if _taping else None
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ not depend on channel iteration order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -28,7 +29,10 @@ class AugmentConfig(JsonConfig):
 
     p_apply is the per-channel application probability (per-sample for the
     joint time warp). Shift amplitudes differ between the force channel and
-    everything else because force is on a much larger scale.
+    everything else because force is on a much larger scale. The sigmas
+    and shift amplitudes are finite and non-negative, and warp_sigma is
+    below 1 so every time-warp speed stays positive; the magnitude-warp
+    bounds are finite.
     """
 
     p_apply: float = 0.5
@@ -46,6 +50,16 @@ class AugmentConfig(JsonConfig):
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_apply <= 1.0:
             raise ValueError("p_apply must be in [0, 1]")
+        for name in ("scale_sigma", "jitter_sigma", "shift_force", "shift_other", "warp_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+        if not self.warp_sigma < 1:
+            raise ValueError(f"warp_sigma must be below 1, got {self.warp_sigma!r}")
+        for name in ("mag_warp_low", "mag_warp_high"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.mag_warp_low < self.mag_warp_high:
             raise ValueError("mag_warp_low must be < mag_warp_high")
         if self.bezier_control_points < 2:

@@ -210,6 +210,17 @@ class TestAugment:
         assert code == 1
         assert "error:" in err
 
+    def test_config_negative_sigma_names_the_field(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=2, channels=13))
+        cfg = write_config(tmp_path, {"augment": {"scale_sigma": -0.1}})
+        out = tmp_path / "o"
+        argv = ["augment", "--data", data, "--labels", labels, "--config", cfg, "--out", str(out)]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: scale_sigma must be a finite non-negative number, got -0.1\n"
+        assert not out.exists()
+
     def test_config_p_apply_zero_leaves_data_unchanged(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng, n=3, channels=13))
         cfg = write_config(tmp_path, {"augment": {"p_apply": 0}})
@@ -767,6 +778,25 @@ class TestDecode:
         assert f"--beam must be >= 1, got {width}" in err
 
     @pytest.mark.parametrize("width", ["1", "4"])
+    def test_non_finite_checkpoint_fails_at_load(self, tmp_path, capsys, rng, width):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=2))
+        ckpt = str(tmp_path / "o" / "model.ckpt")
+        run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "ctc", "--epochs", "1", "--out", str(tmp_path / "o")] + TRAIN_FLAGS,
+        )
+        model, header = load_checkpoint(ckpt)
+        dict(model.parameters())["conv.w"].data[0, 0, 0] = np.inf
+        save_checkpoint(ckpt, model, extra={k: header[k] for k in ("train", "alphabet")})
+        code, out, err = run(
+            capsys,
+            ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt, "--beam", width],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: checkpoint {ckpt}: array 'conv.w' holds a non-finite value\n"
+
+    @pytest.mark.parametrize("width", ["1", "4"])
     def test_nan_model_output_names_the_recording(self, tmp_path, capsys, rng, width):
         samples = [
             Sample(rng.normal(0, 1, (16, 3)), (int(rng.integers(0, 4)),), writer_id=i, rate_hz=100.0)
@@ -778,13 +808,12 @@ class TestDecode:
             capsys,
             ["train", "--data", data, "--labels", labels, "--loss", "ctc", "--epochs", "1", "--target-len", "16", "--filters", "4", "--kernel", "2", "--pool", "2", "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0", "--batch-size", "2", "--out", str(tmp_path / "o")],
         )
-        model, header = load_checkpoint(ckpt)
-        dict(model.parameters())["head.b"].data[:] = np.nan
-        save_checkpoint(ckpt, model, extra={k: header[k] for k in ("train", "alphabet")})
-        code, out, err = run(
-            capsys,
-            ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt, "--beam", width],
-        )
+        negative_running_var(ckpt)
+        with np.errstate(invalid="ignore"):
+            code, out, err = run(
+                capsys,
+                ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt, "--beam", width],
+            )
         assert code == 1
         assert out == ""
         assert "error: recording 0: log_probs are NaN at frame 0" in err
@@ -796,13 +825,11 @@ class TestDecode:
             capsys,
             ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--target-len", "12", "--filters", "4", "--kernel", "2", "--pool", "2", "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0", "--batch-size", "3", "--out", str(tmp_path / "o")],
         )
-        model, header = load_checkpoint(ckpt)
-        assert model.task == "char"
-        dict(model.parameters())["head.b"].data[:] = np.nan
-        save_checkpoint(ckpt, model, extra={k: header[k] for k in ("train", "alphabet")})
-        code, out, err = run(
-            capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt]
-        )
+        assert negative_running_var(ckpt).task == "char"
+        with np.errstate(invalid="ignore"):
+            code, out, err = run(
+                capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt]
+            )
         assert code == 1
         assert out == ""
         assert "error: recording 0: model output is NaN" in err
@@ -859,6 +886,14 @@ class TestDecode:
         assert code == 1
         assert out == ""
         assert err.strip() == f"error: checkpoint {ckpt}: {problem}"
+
+def negative_running_var(ckpt):
+    """Rewrite ckpt with running_var -1: finite weights, NaN output in eval."""
+    model, header = load_checkpoint(ckpt)
+    model.norm.running_var[:] = -1.0
+    save_checkpoint(ckpt, model, extra={k: header[k] for k in ("train", "alphabet")})
+    return model
+
 
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):

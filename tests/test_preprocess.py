@@ -265,3 +265,31 @@ class TestAugmentConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             AugmentConfig.from_dict({"p_appply": 0.5})
+
+    @pytest.mark.parametrize(
+        "field", ["scale_sigma", "jitter_sigma", "shift_force", "shift_other", "warp_sigma"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    def test_spread_must_be_finite_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite non-negative number, got "):
+            AugmentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [1.0, 1.5])
+    def test_warp_sigma_below_one(self, value):
+        with pytest.raises(ValueError, match=f"^warp_sigma must be below 1, got {value}$"):
+            AugmentConfig(warp_sigma=value)
+
+    @pytest.mark.parametrize("field", ["mag_warp_low", "mag_warp_high"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_mag_warp_bounds_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+            AugmentConfig(**{field: value})
+
+    def test_zero_spreads_accepted(self):
+        sample = make_sample(np.random.default_rng(3).normal(0, 1, (30, 13)))
+        cfg = AugmentConfig(
+            p_apply=1.0, scale_sigma=0.0, jitter_sigma=0.0, shift_force=0.0,
+            shift_other=0.0, warp_sigma=0.0,
+        )
+        out = augment(sample, cfg, {"scale", "shift", "jitter", "time_warp"}, seed=2)
+        assert np.allclose(out.values, sample.values)
