@@ -322,6 +322,11 @@ def ctc_loss(log_probs: np.ndarray, targets) -> LossOutput:
         )
     if len(targets) != len(y):
         raise ValueError("batch size mismatch between log_probs and targets")
+    # a NaN in a column the target never reads would not reach the value
+    nan_rows, nan_frames = np.nonzero(np.isnan(y).any(axis=2))
+    if nan_rows.size:
+        where = "" if single else f"row {nan_rows[0]}: "
+        raise ValueError(f"{where}log_probs are NaN at frame {nan_frames[0]}")
     b, t_len, width = y.shape
     blank = width - 1
     targets = [tuple(int(i) for i in target) for target in targets]

@@ -163,9 +163,9 @@ def save_checkpoint(
 def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     """Rebuild the model from a checkpoint; returns (model, header).
 
-    A header or blob that does not hold exactly the model's arrays, or an
-    array holding NaN or inf, fails with a ValueError naming the file and
-    the key or array.
+    A header or blob that does not hold exactly the model's arrays, an
+    array holding NaN or inf, or a negative running variance fails with a
+    ValueError naming the file and the key or array.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -217,6 +217,9 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     for name, chunk in zip(names, np.split(np.frombuffer(blob, "<f8"), np.cumsum(sizes)[:-1])):
         if not np.isfinite(chunk).all():
             raise bad(f"array {name!r} holds a non-finite value")
+        if name == "norm.running_var" and (chunk < 0).any():
+            # eval batchnorm takes sqrt(var + eps): every output would be NaN
+            raise bad(f"array {name!r} holds a negative variance")
         homes[name][...] = chunk.reshape(homes[name].shape)
     if model.norm is not None:
         model.norm.initialized = True

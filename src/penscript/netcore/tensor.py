@@ -8,12 +8,22 @@ is freed as soon as its last reference goes. backward() runs the closures
 in reverse topological order from a caller-supplied seed gradient.
 Everything is float64; batches lead the shape.
 
-Inside no_tape() the constructor keeps the value and its grad buffer but
-drops the parents and the pullback, so every op's result is a leaf, and
-an intermediate array, with the activations its pullback would have
-kept, is freed once the next op has read it. backward() through such a
-result runs but reaches nothing upstream. RecognitionModel.forward
-enters no_tape() in eval mode; the ops never look at it.
+A gradient is made on demand: the first read of .grad fills it with a
+fresh zero array, so a tensor whose gradient nobody reads never holds
+one, and no two tensors share one. backward() frees the graph as it
+walks it: once a node's pullback has run, the node gives up the pullback
+(with the activations it kept) and its parents, and every node but the
+output backward() started from drops its gradient. Leaves, the
+parameters and inputs, keep theirs and accumulate across graphs. A graph
+therefore backpropagates once; a second backward() through it raises
+ValueError before any pullback runs.
+
+Inside no_tape() the constructor keeps only the value: it drops the
+parents and the pullback, so every op's result is a leaf, and an
+intermediate array, with the activations its pullback would have kept,
+is freed once the next op has read it. backward() through such a result
+runs but reaches nothing upstream. RecognitionModel.forward enters
+no_tape() in eval mode; the ops never look at it.
 """
 
 from __future__ import annotations
@@ -42,14 +52,29 @@ def no_tape() -> Iterator[None]:
         _taping = saved
 
 
+def _spent(g) -> None:
+    """The pullback of a node that backward() has already run through."""
+    raise ValueError("backward through a graph that was already backpropagated")
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_parents", "_backward")
 
     def __init__(self, data, parents: tuple = (), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
         self._parents = parents if _taping else ()
         self._backward = backward if _taping else None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -59,10 +84,15 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def backward(self, seed: np.ndarray) -> None:
-        """Propagate d(loss)/d(self) = seed back through the graph."""
+        """Propagate d(loss)/d(self) = seed back through the graph, freeing it.
+
+        Each node's pullback, parents and (but for self's) gradient go once
+        the pullback has run; leaves keep their gradients.
+        """
         seed = np.asarray(seed, dtype=np.float64)
         if seed.shape != self.data.shape:
             raise ValueError(f"seed shape {seed.shape} != tensor shape {self.data.shape}")
@@ -76,15 +106,25 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _spent:
+                _spent(None)  # raise now, before any pullback adds to a leaf
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = self.grad + seed
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        # popping drops the walk's own reference, so a node whose children
+        # have all run is freed as soon as its pullback has
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            node._backward(node.grad)
+            node._backward = _spent
+            node._parents = ()
+            if node is not self:
+                node._grad = None
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -397,9 +437,10 @@ def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    # a boolean mask, one byte an element; keep / (1 - rate) is the float64 scale
+    keep = rng.random(x.data.shape) >= rate
 
     def back(g):
-        x.grad += g * mask
+        x.grad += g * (keep / (1.0 - rate))
 
-    return Tensor(x.data * mask, (x,), back)
+    return Tensor(x.data * (keep / (1.0 - rate)), (x,), back)

@@ -114,7 +114,9 @@ def train(
     output frames (which target_len and the pool size fix) is dropped
     before batching: it never reaches the model, so it moves no batchnorm
     statistic or dropout draw, and each epoch record counts it as skipped.
-    With no sample left, no step is taken and train_loss is NaN. Pass a
+    With no sample left, no step is taken and train_loss is NaN. A loss
+    that fails, say on a NaN model output, raises its ValueError prefixed
+    with the epoch, the batch and the batch's dataset indices. Pass a
     model to continue training it.
     """
     train_idx, val_idx = fold
@@ -171,17 +173,22 @@ def train(
             chosen = order[start : start + train_cfg.batch_size]
             out = model.forward(x_train[chosen], "train", rng_drop)
             labels = [y_train[i] for i in chosen]
-            if task == "char":
-                res = char_loss(out.data, [label[0] for label in labels], params)
-            else:
-                res = ctc_loss(out.data, labels)
+            try:
+                if task == "char":
+                    res = char_loss(out.data, [label[0] for label in labels], params)
+                else:
+                    res = ctc_loss(out.data, labels)
+            except ValueError as exc:
+                rows = [int(kept[i]) for i in chosen]
+                raise ValueError(
+                    f"epoch {epoch}, batch {start // train_cfg.batch_size}"
+                    f" (dataset indices {rows}): {exc}"
+                ) from None
 
             opt.zero_grad()
             out.backward(res.grad_logits)
             opt.step()
             epoch_loss += res.value * len(chosen)
-            # free this batch's tape before the next forward builds its own
-            del out
 
         record = {
             "epoch": epoch,

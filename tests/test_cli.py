@@ -8,6 +8,7 @@ from penscript.cli import main
 from penscript.dataio import Sample, equations_alphabet, parse_recording, write_recording
 from penscript.losses import LossParams
 from penscript.netcore import load_checkpoint, save_checkpoint
+from penscript.seeding import stream
 from synth import make_equation_sample
 
 ALPHABET = equations_alphabet()
@@ -302,6 +303,25 @@ class TestTrain:
             (tmp_path / "b" / "model.ckpt").read_bytes().split(b"\n", 1)[0]
         )
         assert header["epochs_completed"] == 2
+
+    def test_failed_loss_names_epoch_batch_and_rows(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        base = ["--seed", "3", "train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1"] + TRAIN_FLAGS
+        run(capsys, base + ["--out", str(tmp_path / "a")])
+        ckpt = str(tmp_path / "a" / "model.ckpt")
+        model, header = load_checkpoint(ckpt)
+        # finite weights whose product overflows: every head logit is inf
+        model.char_hidden.b.data[...] = 1e308
+        model.head.w.data[...] = 1e308
+        save_checkpoint(ckpt, model, extra={k: header[k] for k in ("train", "alphabet")})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, base + ["--resume", ckpt, "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert out == ""
+        rows = stream(3, 1).permutation(8)[:4].tolist()  # fold: every recording, batch 4
+        assert err == (
+            f"error: epoch 0, batch 0 (dataset indices {rows}): logits contain non-finite values\n"
+        )
 
     @pytest.mark.parametrize(
         "completed, problem",
@@ -808,8 +828,8 @@ class TestDecode:
             capsys,
             ["train", "--data", data, "--labels", labels, "--loss", "ctc", "--epochs", "1", "--target-len", "16", "--filters", "4", "--kernel", "2", "--pool", "2", "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0", "--batch-size", "2", "--out", str(tmp_path / "o")],
         )
-        negative_running_var(ckpt)
-        with np.errstate(invalid="ignore"):
+        overflowing_norm(ckpt)
+        with np.errstate(over="ignore", invalid="ignore"):
             code, out, err = run(
                 capsys,
                 ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt, "--beam", width],
@@ -825,8 +845,8 @@ class TestDecode:
             capsys,
             ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--target-len", "12", "--filters", "4", "--kernel", "2", "--pool", "2", "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0", "--batch-size", "3", "--out", str(tmp_path / "o")],
         )
-        assert negative_running_var(ckpt).task == "char"
-        with np.errstate(invalid="ignore"):
+        assert overflowing_norm(ckpt).task == "char"
+        with np.errstate(over="ignore", invalid="ignore"):
             code, out, err = run(
                 capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt]
             )
@@ -887,10 +907,17 @@ class TestDecode:
         assert out == ""
         assert err.strip() == f"error: checkpoint {ckpt}: {problem}"
 
-def negative_running_var(ckpt):
-    """Rewrite ckpt with running_var -1: finite weights, NaN output in eval."""
+def overflowing_norm(ckpt):
+    """Rewrite ckpt so its eval output is NaN from finite arrays that load.
+
+    With running_mean 1e308 and running_var 0, eval batchnorm scales
+    x - 1e308 by 1 / sqrt(eps), which overflows to -inf in every entry; the
+    recurrent layer's input projection then meets -inf times weights of
+    both signs, which is NaN at every frame.
+    """
     model, header = load_checkpoint(ckpt)
-    model.norm.running_var[:] = -1.0
+    model.norm.running_mean[:] = 1e308
+    model.norm.running_var[:] = 0.0
     save_checkpoint(ckpt, model, extra={k: header[k] for k in ("train", "alphabet")})
     return model
 

@@ -187,6 +187,20 @@ class TestCtcBatch:
         with pytest.raises(ValueError, match="^row 0: target index out of range"):
             ctc_loss(y, [(5,), (1,)])
 
+    def test_nan_in_an_unread_column_names_row_and_frame(self, rng):
+        # target (1,) never reads class 0, so the NaN would not reach the value
+        y = log_softmax(rng.normal(0, 1, (2, 6, 4)))
+        y[1, 2, 0] = np.nan
+        y[1, 4, :] = np.nan
+        with pytest.raises(ValueError, match="^row 1: log_probs are NaN at frame 2$"):
+            ctc_loss(y, [(0,), (1,)])
+
+    def test_nan_in_a_single_matrix_names_the_frame(self, rng):
+        y = log_softmax(rng.normal(0, 1, (6, 4)))
+        y[3, 2] = np.nan
+        with pytest.raises(ValueError, match="^log_probs are NaN at frame 3$"):
+            ctc_loss(y, (0,))
+
     def test_count_mismatch_raises(self, rng):
         y = log_softmax(rng.normal(0, 1, (2, 3, 3)))
         for targets in ([(0,)], [(0,), (1,), ()], []):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from penscript.dataio import Sample
+from penscript.losses import ctc_loss
 from penscript.netcore import (
     Adam,
     BatchNorm1d,
@@ -75,6 +76,65 @@ class TestTensorBasics:
         T.relu(x).backward(np.ones(1))
         assert np.allclose(first, [1.0])
         assert np.allclose(x.grad, 2 * first)
+
+    def test_grad_is_made_on_first_read(self):
+        a = Tensor(np.ones((2, 3)))
+        b = T.relu(a)
+        with T.no_tape():
+            c = T.relu(a)
+        assert a._grad is None and b._grad is None and c._grad is None
+        grads = [t.grad for t in (a, b, c)]
+        for grad in grads:
+            assert grad.shape == (2, 3) and not grad.any()
+        assert a.grad is grads[0]
+        for i, first in enumerate(grads):
+            for second in grads[i + 1 :]:
+                assert not np.shares_memory(first, second)
+
+    def test_backward_frees_the_graph_but_output_and_leaves_keep_grads(self, rng):
+        x, w, b = (Tensor(rng.normal(0, 1, shape)) for shape in [(2, 3), (3, 4), (4,)])
+        seed = rng.normal(0, 1, (2, 4))
+
+        def graph():
+            mid = T.affine(x, w, b)
+            return mid, T.log_softmax_op(mid)
+
+        mid, out = graph()
+        out.backward(seed)
+        assert np.array_equal(out.grad, seed)
+        assert mid._grad is None
+        for node in (mid, out):
+            assert node._parents == ()
+        first = [t.grad.copy() for t in (x, w, b)]
+        assert all(g.any() for g in first)
+        graph()[1].backward(seed)  # a second graph over the same leaves
+        for t, g in zip((x, w, b), first):
+            assert np.allclose(t.grad, 2 * g)
+
+    def test_second_backward_through_a_graph_raises(self, rng):
+        x, w, b = (Tensor(rng.normal(0, 1, shape)) for shape in [(2, 3), (3, 3), (3,)])
+        mid = T.relu(x)
+        out = T.log_softmax_op(mid)
+        seed = rng.normal(0, 1, (2, 3))
+        out.backward(seed)
+        held = [out.grad.copy(), x.grad.copy()]
+        with pytest.raises(ValueError, match="^backward through a graph that was already backpropagated$"):
+            out.backward(seed)
+        # a new graph over a used node fails before any pullback runs
+        later = T.affine(mid, w, b)
+        with pytest.raises(ValueError, match="already backpropagated"):
+            later.backward(seed)
+        assert w._grad is None and b._grad is None
+        assert np.array_equal(out.grad, held[0]) and np.array_equal(x.grad, held[1])
+
+    def test_backward_on_an_untaped_result_runs(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        with T.no_tape():
+            out = T.relu(x)
+        for _ in range(2):
+            out.backward(np.ones(2))
+        assert out.grad.tolist() == [2.0, 2.0]
+        assert x._grad is None
 
 
 class TestOpGradients:
@@ -310,6 +370,18 @@ class TestDropout:
     def test_train_without_rng_rejected(self):
         with pytest.raises(ValueError):
             Dropout(0.5)(Tensor(np.zeros((2, 2))), "train")
+
+    @pytest.mark.parametrize("rate", [0.2, 0.5, 0.7])
+    def test_matches_the_scaled_mask_bit_for_bit(self, rate, rng):
+        x = rng.normal(0, 1, (3, 7, 5))
+        g = rng.normal(0, 1, x.shape)
+        xt = Tensor(x)
+        out = T.dropout_op(xt, rate, np.random.default_rng(11))
+        out.backward(g)
+        scale = (np.random.default_rng(11).random(x.shape) >= rate) / (1 - rate)
+        want_dx = np.zeros_like(x) + g * scale  # what accumulating into a fresh grad gives
+        assert np.array_equal(out.data.view(np.uint64), (x * scale).view(np.uint64))
+        assert np.array_equal(xt.grad.view(np.uint64), want_dx.view(np.uint64))
 
     def test_rate_validated(self):
         with pytest.raises(ValueError):
@@ -673,6 +745,34 @@ class TestEvalWithoutTape:
         assert eval_peak < 0.6 * taped_peak
 
 
+class TestTapeMemory:
+    def test_backward_frees_the_training_tape(self, rng):
+        # a paper-shaped step at batch 2: once backward returns, the caller
+        # holds its output, not the activations (about 2%; 100% when the
+        # tape lived until the output went)
+        model = RecognitionModel(ModelConfig(num_classes=15), 13, "seq2seq", rng)
+        x = rng.normal(0, 1, (2, 800, 13))
+        targets = [(1, 2, 3), (4, 4, 5)]
+
+        def step():
+            out = model.forward(x, "train", rng)
+            live = tracemalloc.get_traced_memory()[0]
+            seed = ctc_loss(out.data, targets).grad_logits
+            for _, p in model.parameters():
+                p.zero_grad()
+            out.backward(seed)
+            return out, live
+
+        step()  # the parameters' grads exist from here on
+        tracemalloc.start()
+        try:
+            out, forward_live = step()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * forward_live
+
+
 class TestAdam:
     def test_zero_grad_leaves_params(self):
         p = Tensor([1.0, -2.0])
@@ -794,6 +894,16 @@ def rewrite(path, header, blob):
         f.write(json.dumps(header).encode("utf-8") + b"\n" + blob)
 
 
+def with_first_entry(header, blob, name, value):
+    """blob with the first entry of array name set to value."""
+    offset = 0
+    for spec in header["arrays"]:
+        if spec["name"] == name:
+            break
+        offset += 8 * int(np.prod(spec["shape"]))
+    return blob[:offset] + np.array([value], "<f8").tobytes() + blob[offset + 8 :]
+
+
 def rejected(path, problem):
     """Expect load_checkpoint to fail with a message starting with problem."""
     return pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {path}: {problem}"))
@@ -884,15 +994,22 @@ class TestCheckpointChecks:
     )
     def test_non_finite_array(self, tmp_path, rng, name, value):
         path, header, blob = saved_checkpoint(tmp_path, rng)
-        offset = 0
-        for spec in header["arrays"]:
-            if spec["name"] == name:
-                break
-            offset += 8 * int(np.prod(spec["shape"]))
-        blob = blob[:offset] + np.array([value], "<f8").tobytes() + blob[offset + 8 :]
-        rewrite(path, header, blob)
+        rewrite(path, header, with_first_entry(header, blob, name, value))
         with rejected(path, f"array {name!r} holds a non-finite value"):
             load_checkpoint(path)
+
+    def test_negative_running_var(self, tmp_path, rng):
+        # finite, but eval batchnorm would take the square root of it
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        rewrite(path, header, with_first_entry(header, blob, "norm.running_var", -1e-3))
+        with rejected(path, "array 'norm.running_var' holds a negative variance"):
+            load_checkpoint(path)
+
+    def test_zero_running_var_loads(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        rewrite(path, header, with_first_entry(header, blob, "norm.running_var", 0.0))
+        model, _ = load_checkpoint(path)
+        assert model.norm.running_var[0] == 0.0
 
     def test_short_blob_names_the_file(self, tmp_path, rng):
         path, header, blob = saved_checkpoint(tmp_path, rng)
@@ -1003,6 +1120,43 @@ class TestTrain:
         message = "none of the 6 training targets fits 4 output frames"
         with pytest.raises(ValueError, match=message):
             train(data, (range(6), (6, 7)), SMALL, cfg, "ctc")
+
+    @pytest.mark.parametrize(
+        "loss, problem",
+        [("ctc", "row 0: log_probs are NaN at frame 0"), ("cce", "logits contain non-finite values")],
+    )
+    def test_nan_output_names_epoch_batch_and_rows(self, rng, loss, problem):
+        data = tiny_dataset(rng)
+        train_idx = (6, 2, 7, 3, 5)
+        model = RecognitionModel(SMALL, 2, "seq2seq" if loss == "ctc" else "char", rng)
+        model.head.b.data[0] = np.nan
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=3, target_len=12)
+        rows = [train_idx[i] for i in stream(cfg.seed, 1).permutation(5)[:2]]
+        message = f"epoch 0, batch 0 (dataset indices {rows}): {problem}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            train(data, (train_idx, ()), SMALL, cfg, loss, model=model)
+
+    def test_failed_loss_names_a_later_batch(self, rng, monkeypatch):
+        train_module = importlib.import_module("penscript.netcore.train")
+        real = train_module.ctc_loss
+        calls = []
+
+        def fails_fourth(log_probs, targets):
+            calls.append(len(targets))
+            if len(calls) == 4:
+                raise ValueError("boom")
+            return real(log_probs, targets)
+
+        monkeypatch.setattr(train_module, "ctc_loss", fails_fourth)
+        data = tiny_dataset(rng)
+        train_idx = (7, 0, 5, 1, 6, 2, 4, 3)
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=3, target_len=12)
+        order = stream(cfg.seed, 1)
+        order.permutation(8)
+        rows = [train_idx[i] for i in order.permutation(8)[4:]]
+        message = f"epoch 1, batch 1 (dataset indices {rows}): boom"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            train(data, (train_idx, ()), SMALL, cfg, "ctc")
 
     @pytest.mark.parametrize("pool", [1, 2, 3, 4])
     def test_output_frames_matches_forward(self, rng, pool):
