@@ -36,7 +36,7 @@ from penscript.netcore.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from penscript.netcore.train import TrainConfig, train
+from penscript.netcore.train import TrainConfig, predict, train
 from penscript.preprocess import AugmentConfig, augment, interpolate
 from penscript.seeding import derive_seed
 from penscript.segment import split_equation
@@ -368,28 +368,18 @@ def cmd_decode(args) -> int:
     alphabet, target_len = _decode_settings(args.checkpoint, model, header)
     samples = parse_recording(_read(args.data), _read(args.labels), alphabet)
 
-    decoded = []
-    refs, hyps = [], []
-    for i, s in enumerate(samples):
-        prepared = interpolate(s, target_len)
-        out = model.forward(prepared.values[None, :, :], "eval").data[0]
-        if model.task == "seq2seq":
-            try:
-                hyp = beam_decode(out, args.beam) if args.beam > 1 else greedy_decode(out)
-            except ValueError as exc:
-                raise ValueError(f"recording {i}: {exc}") from exc
-        else:
-            if np.isnan(out).any():
-                raise ValueError(f"recording {i}: model output is NaN")
-            hyp = (int(np.argmax(out)),)
-        refs.append(s.label)
-        hyps.append(hyp)
-        decoded.append(
-            {
-                "reference": alphabet.decode_label(s.label),
-                "hypothesis": alphabet.decode_label(hyp),
-            }
-        )
+    decode = greedy_decode if args.beam == 1 else lambda y: beam_decode(y, args.beam)
+    hyps = predict(
+        model,
+        (interpolate(s, target_len).values[None] for s in samples),
+        [f"recording {i}" for i in range(len(samples))],
+        decode,
+    )
+    refs = [s.label for s in samples]
+    decoded = [
+        {"reference": alphabet.decode_label(r), "hypothesis": alphabet.decode_label(h)}
+        for r, h in zip(refs, hyps)
+    ]
     _emit({"decoded": decoded, "cer": metrics.cer(refs, hyps)})
     return 0
 
@@ -475,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("decode", help="decode samples with a trained model")
-    _add_dataset_args(p)
+    # no --alphabet: the checkpoint header holds the one the model was trained with
+    p.add_argument("--data", required=True, help="recording data file")
+    p.add_argument("--labels", required=True, help="labels file, one JSON object per line")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--beam", type=int, default=1, help="beam width (ctc models); 1 = greedy")
     p.set_defaults(fn=cmd_decode)

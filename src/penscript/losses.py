@@ -298,6 +298,41 @@ def ctc_feasible(num_frames: int, target: Sequence[int]) -> bool:
     return num_frames >= len(target) + repeats
 
 
+def _log_probs(log_probs: np.ndarray, batched: bool) -> tuple[np.ndarray, bool]:
+    """log_probs as a float64 (B, T, K+1) array, and whether it came as one
+    (T, K+1) matrix, which becomes a batch of one.
+
+    The decoders take only a matrix, of any frame count (batched=False);
+    ctc_loss also takes a batch, and asks for at least one row and one
+    frame (batched=True). A ValueError names a wrong shape, or the first
+    frame holding a NaN or a +inf, which no log-probability can be, and in
+    a batch its row. Every column is checked, so one that a CTC target
+    never reads, and that would not reach the loss value, still fails.
+    """
+    y = np.asarray(log_probs, dtype=np.float64)
+    shape = y.shape
+    single = y.ndim == 2
+    if single:
+        y = y[None]
+    if batched and (y.ndim != 3 or min(y.shape[:2]) < 1 or y.shape[2] < 2):
+        raise ValueError(
+            "log_probs must be (frames >= 1, classes+blank) or"
+            f" (B >= 1, frames >= 1, classes+blank), with >= 2 columns; got shape {shape}"
+        )
+    if not batched and (not single or y.shape[2] < 2):
+        raise ValueError(
+            f"log_probs must be (frames, classes+blank) with >= 2 columns; got shape {shape}"
+        )
+    # NaN and +inf are the values that are not below +inf
+    rows, frames = np.nonzero(~(y < np.inf).all(axis=2))
+    if rows.size:
+        r, t = rows[0], frames[0]
+        where = "" if single else f"row {r}: "
+        kind = "NaN" if np.isnan(y[r, t]).any() else "+inf"
+        raise ValueError(f"{where}log_probs are {kind} at frame {t}")
+    return y, single
+
+
 def ctc_loss(log_probs: np.ndarray, targets) -> LossOutput:
     """Negative log-probability of the target under all CTC alignments.
 
@@ -310,23 +345,11 @@ def ctc_loss(log_probs: np.ndarray, targets) -> LossOutput:
     respect to log_probs) comes from the forward-backward posteriors. A
     batch pads its lattices to the longest with states that emit 0.
     """
-    y = np.asarray(log_probs, dtype=np.float64)
-    shape = y.shape
-    single = y.ndim == 2
+    y, single = _log_probs(log_probs, batched=True)
     if single:
-        y, targets = y[None], [targets]
-    if y.ndim != 3 or min(y.shape[:2]) < 1 or y.shape[2] < 2:
-        raise ValueError(
-            "log_probs must be (frames >= 1, classes+blank) or"
-            f" (B >= 1, frames >= 1, classes+blank), with >= 2 columns; got shape {shape}"
-        )
+        targets = [targets]
     if len(targets) != len(y):
         raise ValueError("batch size mismatch between log_probs and targets")
-    # a NaN in a column the target never reads would not reach the value
-    nan_rows, nan_frames = np.nonzero(np.isnan(y).any(axis=2))
-    if nan_rows.size:
-        where = "" if single else f"row {nan_rows[0]}: "
-        raise ValueError(f"{where}log_probs are NaN at frame {nan_frames[0]}")
     b, t_len, width = y.shape
     blank = width - 1
     targets = [tuple(int(i) for i in target) for target in targets]
@@ -365,20 +388,9 @@ def ctc_loss(log_probs: np.ndarray, targets) -> LossOutput:
     return LossOutput(sum(-total / b), grad[0] if single else grad)
 
 
-def _decoder_input(log_probs: np.ndarray) -> np.ndarray:
-    """log_probs as a float64 (frames, classes+blank) matrix without NaNs."""
-    y = np.asarray(log_probs, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] < 2:
-        raise ValueError("log_probs must be (frames, classes+blank) with >= 2 columns")
-    nan_frames = np.flatnonzero(np.isnan(y).any(axis=1))
-    if nan_frames.size:
-        raise ValueError(f"log_probs are NaN at frame {nan_frames[0]}")
-    return y
-
-
 def greedy_decode(log_probs: np.ndarray) -> tuple[int, ...]:
     """Best-path decoding: frame argmaxes, collapse repeats, drop blanks."""
-    y = _decoder_input(log_probs)
+    y = _log_probs(log_probs, batched=False)[0][0]  # the batch of one's only row
     blank = y.shape[1] - 1
     out = []
     prev = -1
@@ -408,7 +420,7 @@ def beam_decode(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    y = _decoder_input(log_probs)
+    y = _log_probs(log_probs, batched=False)[0][0]  # the batch of one's only row
     blank = y.shape[1] - 1
 
     prefixes: list[tuple[int, ...]] = [()]

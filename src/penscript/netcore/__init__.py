@@ -4,7 +4,6 @@ from penscript.netcore.tensor import (
     Tensor,
     affine,
     batchnorm_op,
-    concat_last,
     conv1d_op,
     dropout_op,
     log_softmax_op,
@@ -31,15 +30,15 @@ from penscript.netcore.model import (
     save_checkpoint,
 )
 from penscript.netcore.optim import Adam
-from penscript.netcore.train import TrainConfig, train
+from penscript.netcore.train import TrainConfig, predict, train
 
 __all__ = [
     "Tensor",
-    "affine", "batchnorm_op", "concat_last", "conv1d_op", "dropout_op", "log_softmax_op",
+    "affine", "batchnorm_op", "conv1d_op", "dropout_op", "log_softmax_op",
     "lstm_op", "maxpool1d_op", "mean_time", "relu", "reverse_time",
     "BatchNorm1d", "BiLSTM", "Conv1d", "Dense", "Dropout", "LSTM", "MaxPool1d",
     "ModelConfig", "RecognitionModel", "forward_seq2seq",
     "load_checkpoint", "save_checkpoint",
     "Adam",
-    "TrainConfig", "train",
+    "TrainConfig", "predict", "train",
 ]

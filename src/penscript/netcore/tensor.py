@@ -149,17 +149,6 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, 0.0), (x,), back)
 
 
-def concat_last(parts: list[Tensor]) -> Tensor:
-    def back(g):
-        pos = 0
-        for p in parts:
-            width = p.data.shape[-1]
-            p.grad += g[..., pos : pos + width]
-            pos += width
-
-    return Tensor(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
-
-
 def reverse_time(x: Tensor) -> Tensor:
     def back(g):
         x.grad += g[:, ::-1, :]
@@ -203,8 +192,9 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     step does the same with wh.T. The backward direction projects a
     time-reversed copy of x and keeps its state in loop order, so each
     direction computes exactly what a D = 1 call on its own input does:
-    D = 2 is bit-identical to two D = 1 calls joined by reverse_time and
-    concat_last (tests/test_netcore.py::TestBiLSTM). The per-step stores
+    D = 2 is bit-identical to a D = 1 call on x joined, on the last axis,
+    with the time-reversed output of a D = 1 call on time-reversed x
+    (tests/test_netcore.py::TestBiLSTM). The per-step stores
     are (time, D, batch, .), so a step reads and writes contiguous blocks,
     and the gates, c and tanh(c) are written into them in place. The
     weight, bias and input gradients are single products over all

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,6 +64,36 @@ def _prepare_inputs(
     return np.array([s.values for s in samples]), [s.label for s in samples]
 
 
+def predict(
+    model: RecognitionModel,
+    batches: Iterable[np.ndarray],
+    names: Sequence[str],
+    decode: Callable[[np.ndarray], tuple[int, ...]],
+) -> list[tuple[int, ...]]:
+    """The label of every row of batches, each a (b, T, C) input array.
+
+    One eval forward runs per batch. A character row's label is its argmax,
+    and a NaN in it raises a ValueError "{name}: model output is NaN". A
+    seq2seq row's label is decode(row), and a ValueError from decode is
+    re-raised prefixed with "{name}: ". names holds one name per row, in
+    row order. The caller picks the decoder: greedy, or a beam search.
+    """
+    hyps: list[tuple[int, ...]] = []
+    for batch in batches:
+        for row in model.forward(batch, "eval").data:
+            name = names[len(hyps)]
+            if model.task == "seq2seq":
+                try:
+                    hyps.append(decode(row))
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
+            elif np.isnan(row).any():
+                raise ValueError(f"{name}: model output is NaN")
+            else:
+                hyps.append((int(np.argmax(row)),))
+    return hyps
+
+
 def _evaluate_split(
     model: RecognitionModel,
     inputs: np.ndarray,
@@ -71,30 +101,24 @@ def _evaluate_split(
     indices: Sequence[int],
     batch_size: int,
 ) -> dict:
-    """Validation scores; a ValueError names the dataset index of a NaN output.
+    """Validation scores; a ValueError names the dataset index of a bad output.
 
     The split is forwarded batch_size rows at a time, so its peak memory is
     that of one training batch, not of the whole split.
     """
-    out = np.concatenate(
-        [
-            model.forward(inputs[start : start + batch_size], "eval").data
-            for start in range(0, len(inputs), batch_size)
-        ]
+    hyps = predict(
+        model,
+        (inputs[start : start + batch_size] for start in range(0, len(inputs), batch_size)),
+        [f"validation sample {i}" for i in indices],
+        greedy_decode,
     )
-    nan_rows = np.flatnonzero(np.isnan(out).reshape(len(out), -1).any(axis=1))
-    if nan_rows.size:
-        raise ValueError(f"validation sample {indices[nan_rows[0]]}: model output is NaN")
     if model.task == "seq2seq":
-        hyps = [greedy_decode(out[i]) for i in range(len(labels))]
         exact = sum(1 for h, r in zip(hyps, labels) if h == r)
         return {
             "cer": metrics.cer(labels, hyps),
             "wer": 1.0 - exact / len(labels),
         }
-    preds = out.argmax(axis=1)
-    refs = [(lab[0],) for lab in labels]
-    return {"crr": metrics.crr(refs, [(int(p),) for p in preds])}
+    return {"crr": metrics.crr([(lab[0],) for lab in labels], hyps)}
 
 
 def train(

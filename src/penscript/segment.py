@@ -112,7 +112,8 @@ def split_equation(
     Strokes are detected on the force channel, then consecutive strokes are
     grouped by a stroke-count assignment consistent with `constraints`.
     Character j spans from the start of its first stroke to the end of its
-    last; pen-up gaps between characters belong to neither.
+    last; pen-up gaps between characters belong to neither. A force_channel
+    outside the sample's channels raises a ValueError.
     """
     if constraints is None:
         constraints = default_constraints()
@@ -124,6 +125,9 @@ def split_equation(
     if missing:
         raise KeyError(f"no stroke constraints for symbols {missing}")
 
+    channels = sample.values.shape[1]
+    if not 0 <= force_channel < channels:
+        raise ValueError(f"force_channel {force_channel} out of range for {channels} channels")
     strokes = detect_strokes(sample.values[:, force_channel], threshold, min_len)
     if not strokes:
         raise SegmentationError(f"no strokes detected for label {''.join(symbols)!r}")

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from penscript import cli
 from penscript.cli import main
 from penscript.dataio import Sample, equations_alphabet, parse_recording, write_recording
 from penscript.losses import LossParams
@@ -255,6 +256,15 @@ class TestSegment:
         assert manifest[1]["ambiguous"] is True
         assert (tmp_path / "o" / "sample0000.csv").exists()
         assert (tmp_path / "o" / "sample0001.jsonl").exists()
+
+    def test_recording_without_the_force_channel_fails_cleanly(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=2))
+        code, out, err = run(
+            capsys, ["segment", "--data", data, "--labels", labels, "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: force_channel 12 out of range for 3 channels\n"
 
 
 EQUATIONS = list(equations_alphabet().symbols)
@@ -749,6 +759,28 @@ class TestEvaluate:
         assert "error:" in err
 
 
+SEQ_FLAGS = [
+    "--target-len", "16", "--filters", "4", "--kernel", "2", "--pool", "2",
+    "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0",
+]
+
+
+def seq_samples(rng, n=4):
+    return [
+        Sample(rng.normal(0, 1, (16, 3)), tuple(int(v) for v in rng.integers(0, 4, 2)), writer_id=i, rate_hz=100.0)
+        for i in range(n)
+    ]
+
+
+def train_seq2seq(capsys, tmp_path, data, labels):
+    """A one-epoch ctc checkpoint on the dataset; returns its path."""
+    run(
+        capsys,
+        ["--seed", "2", "train", "--data", data, "--labels", labels, "--loss", "ctc", "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path / "o")] + SEQ_FLAGS,
+    )
+    return str(tmp_path / "o" / "model.ckpt")
+
+
 class TestDecode:
     def test_decode_with_trained_checkpoint(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng))
@@ -768,22 +800,57 @@ class TestDecode:
         assert 0.0 <= report["cer"]
 
     def test_beam_decode_seq2seq(self, tmp_path, capsys, rng):
-        samples = []
-        for i in range(4):
-            values = rng.normal(0, 1, (16, 3))
-            label = tuple(int(v) for v in rng.integers(0, 4, 2))
-            samples.append(Sample(values, label, writer_id=i, rate_hz=100.0))
-        data, labels = write_dataset(tmp_path, samples)
-        run(
-            capsys,
-            ["--seed", "2", "train", "--data", data, "--labels", labels, "--loss", "ctc", "--epochs", "1", "--target-len", "16", "--filters", "4", "--kernel", "2", "--pool", "2", "--recurrent", "LSTM", "--units", "3", "--dropout", "0.0", "--batch-size", "4", "--out", str(tmp_path / "o")],
-        )
+        data, labels = write_dataset(tmp_path, seq_samples(rng))
+        ckpt = train_seq2seq(capsys, tmp_path, data, labels)
         code, out, _ = run(
             capsys,
-            ["decode", "--data", data, "--labels", labels, "--checkpoint", str(tmp_path / "o" / "model.ckpt"), "--beam", "4"],
+            ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt, "--beam", "4"],
         )
         assert code == 0
         assert "cer" in json.loads(out)
+
+    @pytest.mark.parametrize("width, used", [("1", "greedy_decode"), ("4", "beam_decode")])
+    def test_decoders_are_the_ones_cli_names(self, tmp_path, capsys, rng, monkeypatch, width, used):
+        data, labels = write_dataset(tmp_path, seq_samples(rng))
+        ckpt = train_seq2seq(capsys, tmp_path, data, labels)
+        calls = []
+        for name in ("greedy_decode", "beam_decode"):
+            real = getattr(cli, name)
+
+            def spy(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        code, _, _ = run(
+            capsys,
+            ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt, "--beam", width],
+        )
+        assert code == 0
+        assert calls == [used] * 4
+
+    def test_cer_equals_train_validation_at_batch_one(self, tmp_path, capsys, rng):
+        # validation and decode both forward one recording per eval call here
+        data, labels = write_dataset(tmp_path, seq_samples(rng))
+        _, out, _ = run(
+            capsys,
+            ["--seed", "2", "train", "--data", data, "--labels", labels, "--loss", "ctc", "--epochs", "20", "--lr", "0.2", "--out", str(tmp_path / "o")] + SEQ_FLAGS + ["--batch-size", "1"],
+        )
+        final = json.loads(out)["final"]
+        assert 0 < final["cer"] < 1  # some labels right, so a different path would show
+        code, out, _ = run(
+            capsys,
+            ["decode", "--data", data, "--labels", labels, "--checkpoint", str(tmp_path / "o" / "model.ckpt")],
+        )
+        assert code == 0
+        assert json.loads(out)["cer"] == final["cer"]
+
+    def test_alphabet_flag_is_refused(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=2))
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--data", data, "--labels", labels, "--checkpoint", "m.ckpt", "--alphabet", "auto"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alphabet auto" in capsys.readouterr().err
 
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_beam_below_one_is_rejected(self, tmp_path, capsys, rng, width):

@@ -201,6 +201,15 @@ class TestCtcBatch:
         with pytest.raises(ValueError, match="^log_probs are NaN at frame 3$"):
             ctc_loss(y, (0,))
 
+    def test_inf_in_an_unread_column_names_row_and_frame(self, rng):
+        # no log-probability is +inf; unread, it would leave the value as it was
+        y = log_softmax(rng.normal(0, 1, (2, 6, 4)))
+        y[1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^row 1: log_probs are \+inf at frame 2$"):
+            ctc_loss(y, [(0,), (1,)])
+        with pytest.raises(ValueError, match=r"^log_probs are \+inf at frame 2$"):
+            ctc_loss(y[1], (1,))
+
     def test_count_mismatch_raises(self, rng):
         y = log_softmax(rng.normal(0, 1, (2, 3, 3)))
         for targets in ([(0,)], [(0,), (1,), ()], []):
@@ -256,6 +265,19 @@ class TestDecoderInput:
         lp[4, :] = np.nan
         with pytest.raises(ValueError, match="NaN at frame 2$"):
             decode(lp)
+
+    def test_inf_names_the_first_bad_frame(self, decode, rng):
+        # a +inf frame would otherwise decode, with a RuntimeWarning, to labels it never held
+        lp = random_log_probs(rng, 5, 2)
+        lp[1, 0] = np.inf
+        lp[3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^log_probs are \+inf at frame 1$"):
+            decode(lp)
+
+    def test_minus_inf_is_a_log_probability(self, decode):
+        lp = np.full((3, 3), -np.inf)
+        lp[[0, 1, 2], [0, 2, 1]] = 0.0
+        assert decode(lp) == (0, 1)
 
 
 class TestBeamDecode:

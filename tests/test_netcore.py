@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from penscript.dataio import Sample
-from penscript.losses import ctc_loss
+from penscript.losses import ctc_loss, greedy_decode
 from penscript.netcore import (
     Adam,
     BatchNorm1d,
@@ -24,12 +24,16 @@ from penscript.netcore import (
     Tensor,
     TrainConfig,
     load_checkpoint,
+    predict,
     save_checkpoint,
     train,
 )
 from penscript.netcore import tensor as T
 from penscript.seeding import stream
 from oracles import central_diff, maxpool_oracle, rel_err
+
+# the package's `train` names the function, so fetch the module by its path
+train_module = importlib.import_module("penscript.netcore.train")
 
 
 def projection_grad(build, x_data, rng):
@@ -65,7 +69,12 @@ class TestTensorBasics:
 
     def test_shared_parent_accumulates(self):
         x = Tensor(np.array([3.0]))
-        y = T.concat_last([x, x])
+
+        def back(g):  # x enters y twice, once per entry
+            for part in (g[:1], g[1:]):
+                x.grad += part
+
+        y = Tensor(np.concatenate([x.data, x.data]), (x, x), back)
         y.backward(np.array([2.0, 5.0]))
         assert np.allclose(x.grad, [7.0])
 
@@ -157,12 +166,6 @@ class TestOpGradients:
         x_data[np.abs(x_data) < 0.05] = 0.1
         grad, scalar = projection_grad(lambda x: T.relu(x), x_data, rng)
         assert rel_err(grad, central_diff(scalar, x_data)) < 1e-6
-
-    def test_concat(self, rng):
-        a_data = rng.normal(0, 1, (2, 3, 2))
-        b_t = Tensor(rng.normal(0, 1, (2, 3, 4)))
-        grad, scalar = projection_grad(lambda a: T.concat_last([a, b_t]), a_data, rng)
-        assert rel_err(grad, central_diff(scalar, a_data)) < 1e-6
 
 
 class TestConv:
@@ -510,7 +513,7 @@ class TestBiLSTM:
         x[0, 0, :] = 1e4  # drives some gates into the sigmoid clip
         g = rng.normal(0, 1, (bsz, t_len, 8))
 
-        def run(build):
+        def run(build, x, g):
             for _, p in layer.parameters():
                 p.zero_grad()
             xt = Tensor(x)
@@ -518,11 +521,18 @@ class TestBiLSTM:
             out.backward(g)
             return [out.data, xt.grad] + [p.grad.copy() for _, p in layer.parameters()]
 
-        fused = run(layer)
-        parts = run(lambda xt: T.concat_last([
-            T.lstm_op(xt, [layer.fwd.cell]),
-            T.reverse_time(T.lstm_op(T.reverse_time(xt), [layer.bwd.cell])),
-        ]))
+        fused = run(layer, x, g)
+        # each direction alone, the backward one on time-reversed rows
+        fwd = run(lambda xt: T.lstm_op(xt, [layer.fwd.cell]), x, g[..., :4])
+        bwd = run(
+            lambda xt: T.lstm_op(xt, [layer.bwd.cell]),
+            x[:, ::-1].copy(),
+            g[:, ::-1, 4:].copy(),
+        )
+        parts = [
+            np.concatenate([fwd[0], bwd[0][:, ::-1]], axis=-1),
+            fwd[1] + bwd[1][:, ::-1],
+        ] + [a + b for a, b in zip(fwd[2:], bwd[2:])]
         names = ["output", "x"] + [n for n, _ in layer.parameters()]
         for name, a, b in zip(names, fused, parts):
             assert np.array_equal(a, b), name
@@ -1196,14 +1206,31 @@ class TestTrain:
             for b, (_, p) in zip(before, model.parameters())
         )
 
-    @pytest.mark.parametrize("loss", ["cce", "ctc"])
-    def test_nan_validation_output_names_the_sample(self, rng, loss):
+    @pytest.mark.parametrize(
+        "loss, problem",
+        [("cce", "model output is NaN"), ("ctc", "log_probs are NaN at frame 0")],
+        ids=["cce", "ctc"],
+    )
+    def test_nan_validation_output_names_the_sample(self, rng, loss, problem):
         data = tiny_dataset(rng)
         model, _ = train(data, (range(8), ()), SMALL, SMALL_TRAIN, loss)
         # train mode normalises with batch statistics, so only eval sees the NaN
         model.norm.running_mean = np.full_like(model.norm.running_mean, np.nan)
-        with pytest.raises(ValueError, match="^validation sample 5: model output is NaN$"):
+        with pytest.raises(ValueError, match=f"^validation sample 5: {problem}$"):
             train(data, ((0, 1, 2, 3), (5, 6)), SMALL, SMALL_TRAIN, loss, model=model)
+
+    def test_validation_decodes_through_the_train_module(self, rng, monkeypatch):
+        real = train_module.greedy_decode
+        frames = []
+
+        def spy(log_probs):
+            frames.append(len(log_probs))
+            return real(log_probs)
+
+        monkeypatch.setattr(train_module, "greedy_decode", spy)
+        _, history = train(tiny_dataset(rng), ((0, 1, 2, 3), (4, 5, 6)), SMALL, SMALL_TRAIN, "ctc")
+        assert frames == [6] * 6  # 3 samples, 2 epochs, 12 frames pooled by 2
+        assert len(history) == 2
 
     @pytest.mark.parametrize("loss", ["cce", "ctc"])
     def test_validation_forwards_at_most_a_batch(self, rng, monkeypatch, loss):
@@ -1273,3 +1300,54 @@ class TestTrain:
 
     def test_optimizer_setting_edges_accepted(self):
         TrainConfig(epochs=1, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300, learning_rate=5.0)
+
+
+def in_batches(x, size):
+    return (x[start : start + size] for start in range(0, len(x), size))
+
+
+class TestPredict:
+    NO_NORM = dataclasses.replace(SMALL, use_batchnorm=False)
+    NAMES = [f"row {i}" for i in range(5)]
+
+    def test_char_rows_give_their_argmax(self, rng):
+        model = RecognitionModel(self.NO_NORM, 2, "char", rng)
+        x = rng.normal(0, 1, (5, 12, 2))
+        out = np.concatenate([model.forward(b, "eval").data for b in in_batches(x, 2)])
+        want = [(int(k),) for k in out.argmax(axis=1)]
+        assert predict(model, in_batches(x, 2), self.NAMES, greedy_decode) == want
+
+    def test_seq2seq_rows_go_through_the_decoder(self, rng):
+        model = RecognitionModel(self.NO_NORM, 2, "seq2seq", rng)
+        x = rng.normal(0, 1, (5, 12, 2))
+        out = np.concatenate([model.forward(b, "eval").data for b in in_batches(x, 2)])
+        seen = []
+
+        def decode(log_probs):
+            seen.append(log_probs)
+            return (len(seen),)
+
+        assert predict(model, in_batches(x, 2), self.NAMES, decode) == [(i,) for i in range(1, 6)]
+        assert len(seen) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(seen, out))
+
+    @pytest.mark.parametrize(
+        "task, problem",
+        [("char", "model output is NaN"), ("seq2seq", "log_probs are NaN at frame 0")],
+        ids=["char", "seq2seq"],
+    )
+    def test_a_nan_row_is_named_in_a_later_batch(self, rng, task, problem):
+        model = RecognitionModel(self.NO_NORM, 2, task, rng)
+        x = rng.normal(0, 1, (5, 12, 2))
+        x[3] = np.nan
+        with pytest.raises(ValueError, match=f"^row 3: {problem}$"):
+            predict(model, in_batches(x, 2), self.NAMES, greedy_decode)
+
+    def test_a_decoder_error_is_prefixed_with_the_name(self, rng):
+        model = RecognitionModel(self.NO_NORM, 2, "seq2seq", rng)
+
+        def decode(log_probs):
+            raise ValueError("no path")
+
+        with pytest.raises(ValueError, match="^recording 0: no path$"):
+            predict(model, [np.zeros((1, 12, 2))], ["recording 0"], decode)

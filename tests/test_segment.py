@@ -94,6 +94,14 @@ class TestSplitEquation:
         with pytest.raises(SegmentationError, match="no strokes"):
             split_equation(sample)
 
+    @pytest.mark.parametrize("channel", [12, 3, -1])
+    def test_force_channel_outside_the_sample(self, channel):
+        sample = Sample(np.ones((20, 3)), ALPHABET.encode_label("1"), 0, 100.0)
+        with pytest.raises(
+            ValueError, match=f"^force_channel {channel} out of range for 3 channels$"
+        ):
+            split_equation(sample, force_channel=channel)
+
     def test_symbol_without_constraints(self):
         sample, _ = make_equation_sample("1", [1])
         with pytest.raises(KeyError):
