@@ -28,7 +28,7 @@ from penscript.dataio import (
     parse_recording,
     write_recording,
 )
-from penscript.jsonconfig import is_int
+from penscript.jsonconfig import check_object, parse
 from penscript.losses import CHARACTER_LOSSES, LossParams, beam_decode, greedy_decode
 from penscript.netcore.model import (
     ModelConfig,
@@ -49,29 +49,18 @@ def _read(path: str) -> str:
 
 def _read_json(path: str, what: str):
     """The parsed JSON file; a ValueError for text that is not JSON names the file."""
-    try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} {path}: not JSON: {exc}") from None
+    return parse(_read(path), f"{what} {path}")
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    cfg = _read_json(path, "config")
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config {path}: must hold a JSON object")
-    return cfg
+    return check_object(_read_json(path, "config"), f"config {path}", {})
 
 
 def _section(cfg: dict, key: str) -> dict:
     """The config file's `key` object, or {} when the file has none."""
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(
-            f"config section {key!r} must be a JSON object, got {type(section).__name__}"
-        )
-    return section
+    return check_object(cfg.get(key, {}), f"config section {key!r}", {})
 
 
 def _alphabet(choice: str, labels: list[str]) -> Alphabet:
@@ -258,8 +247,13 @@ def cmd_train(args) -> int:
         everything = tuple(range(len(samples)))
         fold = (everything, everything)
 
-    completed = header.get("epochs_completed", 0)
-    if not is_int(completed) or completed < 0:
+    # a header without the key (save_checkpoint's own) counts as 0 epochs
+    completed = check_object(
+        {"epochs_completed": 0, **header},
+        f"checkpoint {args.resume} header",
+        {"epochs_completed": int},
+    )["epochs_completed"]
+    if completed < 0:
         raise ValueError(
             f"checkpoint {args.resume}: 'epochs_completed' must be a non-negative integer,"
             f" got {completed!r}"
@@ -336,13 +330,10 @@ def _decode_settings(
     def bad(problem: str) -> ValueError:
         return ValueError(f"checkpoint {path}: {problem}")
 
-    if "alphabet" not in header:
-        raise bad("the header has no 'alphabet'")
-    symbols = header["alphabet"]
-    if not isinstance(symbols, list):
-        raise bad(f"'alphabet' must be a list of symbols, got {symbols!r}")
+    what = f"checkpoint {path} header"
+    check_object(header, what, {"alphabet": list, "train": dict})
     try:
-        alphabet = Alphabet(symbols)
+        alphabet = Alphabet(header["alphabet"])
     except ValueError as exc:
         raise bad(f"'alphabet': {exc}") from None
     if alphabet.size != model.cfg.num_classes:
@@ -350,11 +341,9 @@ def _decode_settings(
             f"'alphabet' has {alphabet.size} symbols,"
             f" but the model has {model.cfg.num_classes} classes"
         )
-    train_section = header.get("train")
-    if not isinstance(train_section, dict) or "target_len" not in train_section:
-        raise bad("the header has no 'train.target_len'")
+    train_section = check_object(header["train"], f"{what} 'train'", {"target_len": int})
     target_len = train_section["target_len"]
-    if not is_int(target_len) or target_len < 1:
+    if target_len < 1:
         raise bad(f"'train.target_len' must be a positive integer, got {target_len!r}")
     return alphabet, target_len
 
@@ -483,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from penscript.jsonconfig import is_int
+from penscript.jsonconfig import check_object, parse
 from penscript.seeding import stream
 
 CHANNEL_NAMES = (
@@ -195,41 +195,27 @@ def _parse_header(line: str) -> tuple[int, float]:
     return channels, rate_hz
 
 
+_LABEL_KINDS = {"label": str, "start": int, "end": int, "writer_id": int}
+
+
 def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a labels file.
 
     Raises RecordingFormatError naming the line when it is not JSON, not an
     object, lacks one of the keys label, start, end and writer_id, when
-    label is not a non-empty JSON string, or when start, end or writer_id
+    label is not a JSON string or is empty, or when start, end or writer_id
     is not a JSON integer.
     """
     for lineno, line in enumerate(labels_text.splitlines(), start=1):
         if not line.strip():
             continue
+        what = f"labels line {lineno}"
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordingFormatError(f"labels line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(entry, dict):
-            raise RecordingFormatError(
-                f"labels line {lineno}: expected a JSON object, got {type(entry).__name__}"
-            )
-        missing = [key for key in ("label", "start", "end", "writer_id") if key not in entry]
-        if missing:
-            raise RecordingFormatError(
-                f"labels line {lineno}: expected keys label, start, end, writer_id;"
-                f" missing {', '.join(missing)}"
-            )
-        label = entry["label"]
-        if not isinstance(label, str) or not label:
-            raise RecordingFormatError(
-                f"labels line {lineno}: label must be a non-empty string, got {label!r}"
-            )
-        for key in ("start", "end", "writer_id"):
-            if not is_int(entry[key]):
-                raise RecordingFormatError(
-                    f"labels line {lineno}: {key} must be an integer, got {entry[key]!r}"
-                )
+            entry = check_object(parse(line, what), what, _LABEL_KINDS)
+        except ValueError as exc:
+            raise RecordingFormatError(str(exc)) from None
+        if not entry["label"]:
+            raise RecordingFormatError(f"{what}: label must be a non-empty string, got ''")
         yield lineno, entry
 
 
@@ -379,6 +365,9 @@ def write_recording(
     return "\n".join(data_lines) + "\n", "\n".join(label_lines) + "\n"
 
 
+_FOLD_KINDS = {"train": tuple[int, ...], "val": tuple[int, ...]}
+
+
 @dataclass(frozen=True)
 class FoldPlan:
     """A k-fold train/validation partition over sample indices."""
@@ -406,41 +395,16 @@ class FoldPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FoldPlan":
-        """Rebuild a plan; a ValueError names any missing key or non-integer value."""
-        _require_keys(d, ("mode", "k", "seed", "folds"), "fold plan")
-        for key in ("k", "seed"):
-            if not is_int(d[key]):
-                raise ValueError(f"fold plan: {key} must be an integer, got {d[key]!r}")
-        if not isinstance(d["folds"], list):
-            raise ValueError("fold plan: folds must be a list")
+        """Rebuild a plan; a ValueError names a missing key or a value of the wrong kind."""
+        check_object(d, "fold plan", {"mode": str, "k": int, "seed": int, "folds": list})
         folds = []
         for n, f in enumerate(d["folds"]):
-            _require_keys(f, ("train", "val"), f"fold plan fold {n}")
-            for part in ("train", "val"):
-                if not isinstance(f[part], list):
-                    raise ValueError(f"fold plan fold {n}: {part} must be a list of indices")
-                for i in f[part]:
-                    if not is_int(i):
-                        raise ValueError(
-                            f"fold plan fold {n}: {part} index {i!r} is not an integer"
-                        )
+            check_object(f, f"fold plan fold {n}", _FOLD_KINDS)
             folds.append((tuple(f["train"]), tuple(f["val"])))
         return cls(mode=d["mode"], k=d["k"], seed=d["seed"], folds=tuple(folds))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "FoldPlan":
-        return cls.from_dict(json.loads(text))
-
-
-def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    missing = [key for key in keys if key not in obj]
-    if missing:
-        raise ValueError(f"{what} is missing the key(s) {', '.join(missing)}")
 
 
 def make_splits(samples: Sequence[Sample], mode: str, k: int, seed: int) -> FoldPlan:

@@ -1,16 +1,25 @@
-"""Dictionary (de)serialisation shared by the frozen config dataclasses.
+"""Where JSON enters the program: one parse and one shape check.
 
-to_dict lists the fields in declaration order, so a checkpoint header
-written from it does not change when the code around it does. from_dict
-is where config files and checkpoint headers enter the program: it
-rejects unknown fields and values of the wrong JSON type with a
-ValueError that names the config and the field, before the dataclass's
-own range checks run.
+Labels lines, fold plans, config files and checkpoint headers all pass
+through parse and check_object, so a fault reads the same in each:
+
+    {what}: not JSON: {reason}
+    {what} must be a JSON object, got {type}
+    {what} is missing the key(s) {k1, k2}
+    {what}: {key} must be {want}, got {value!r}
+
+Range and meaning checks (a positive count, a known mode) stay with the
+reader that knows them. JsonConfig gives the frozen config dataclasses
+to_dict/from_dict. to_dict lists the fields in declaration order, so a
+checkpoint header written from it does not change when the code around
+it does; from_dict rejects unknown fields, then checks the shape before
+the dataclass's own range checks run.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+import json
+from dataclasses import MISSING, fields
 from typing import get_type_hints
 
 
@@ -19,7 +28,7 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# field type -> (what the error message asks for, accepted-value test)
+# value kind -> (what the error message asks for, accepted-value test)
 _ACCEPTS = {
     int: ("an integer", is_int),
     float: ("a number", lambda v: is_int(v) or isinstance(v, float)),
@@ -29,7 +38,32 @@ _ACCEPTS = {
         "a list of integers",
         lambda v: isinstance(v, (list, tuple)) and all(is_int(c) for c in v),
     ),
+    list: ("a list", lambda v: isinstance(v, list)),
+    dict: ("a JSON object", lambda v: isinstance(v, dict)),
 }
+
+
+def parse(text: str | bytes, what: str):
+    """The JSON value of text; a ValueError naming what if it is not JSON."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
+        raise ValueError(f"{what}: not JSON: {exc}") from None
+
+
+def check_object(obj, what: str, kinds: dict) -> dict:
+    """obj, once it is a JSON object holding every key of kinds, each
+    with a value of that kind (a key of _ACCEPTS); else a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in kinds if key not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing the key(s) {', '.join(missing)}")
+    for key, kind in kinds.items():
+        want, ok = _ACCEPTS[kind]
+        if not ok(obj[key]):
+            raise ValueError(f"{what}: {key} must be {want}, got {obj[key]!r}")
+    return obj
 
 
 class JsonConfig:
@@ -41,14 +75,11 @@ class JsonConfig:
     @classmethod
     def from_dict(cls, d: dict):
         name = cls.__name__
-        if not isinstance(d, dict):
-            raise ValueError(f"{name} must be a JSON object, got {type(d).__name__}")
-        hints = get_type_hints(cls)
+        check_object(d, name, {})
         extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown {name} fields: {sorted(extra)}")
-        for key, value in d.items():
-            want, ok = _ACCEPTS[hints[key]]
-            if not ok(value):
-                raise ValueError(f"{name}.{key} must be {want}, got {value!r}")
+        hints = get_type_hints(cls)
+        kinds = {f.name: hints[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
+        check_object(d, name, kinds)
         return cls(**d)

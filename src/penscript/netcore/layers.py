@@ -59,6 +59,12 @@ class MaxPool1d:
         return []
 
 
+# running-statistics decay and variance floor of every BatchNorm1d; checkpoints
+# do not store them, so a change here changes what a saved model computes
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
 class BatchNorm1d:
     """Per-channel normalization over every leading axis (batch and time).
 
@@ -66,11 +72,9 @@ class BatchNorm1d:
     stats; eval mode requires at least one prior train-mode call.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels))
         self.beta = Tensor(np.zeros(channels))
-        self.momentum = momentum
-        self.eps = eps
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self.initialized = False
@@ -80,8 +84,8 @@ class BatchNorm1d:
             axes = tuple(range(x.data.ndim - 1))
             mu = x.data.mean(axis=axes)
             var = x.data.var(axis=axes)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
             self.initialized = True
         elif mode == "eval":
             if not self.initialized:
@@ -89,7 +93,7 @@ class BatchNorm1d:
             mu, var = self.running_mean, self.running_var
         else:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        return T.batchnorm_op(x, self.gamma, self.beta, mu, var, self.eps, train=(mode == "train"))
+        return T.batchnorm_op(x, self.gamma, self.beta, mu, var, BN_EPS, train=(mode == "train"))
 
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from penscript.dataio import Sample
-from penscript.jsonconfig import JsonConfig, is_int
+from penscript.jsonconfig import JsonConfig, check_object, parse
 from penscript.netcore import tensor as T
 from penscript.netcore.layers import BatchNorm1d, BiLSTM, Conv1d, Dense, Dropout, LSTM, MaxPool1d
 from penscript.netcore.tensor import Tensor
@@ -160,12 +160,17 @@ def save_checkpoint(
         f.write(blob)
 
 
+_HEADER_KINDS = {"model": dict, "task": str, "in_channels": int, "arrays": list}
+
+
 def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     """Rebuild the model from a checkpoint; returns (model, header).
 
-    A header or blob that does not hold exactly the model's arrays, an
-    array holding NaN or inf, or a negative running variance fails with a
-    ValueError naming the file and the key or array.
+    A header line that is not a JSON object holding model, task,
+    in_channels and arrays of the right kinds, a header or blob that does
+    not hold exactly the model's arrays, an array holding NaN or inf, or a
+    negative running variance fails with a ValueError naming the file and
+    the key or array.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -174,17 +179,10 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     def bad(problem: str) -> ValueError:
         return ValueError(f"checkpoint {path}: {problem}")
 
-    try:
-        header = json.loads(header_line)
-    except ValueError:
-        raise bad("the header line is not JSON") from None
-    if not isinstance(header, dict):
-        raise bad("the header line is not a JSON object")
-    for key in ("model", "task", "in_channels", "arrays"):
-        if key not in header:
-            raise bad(f"the header has no {key!r}")
+    what = f"checkpoint {path} header"
+    header = check_object(parse(header_line, what), what, _HEADER_KINDS)
     in_channels = header["in_channels"]
-    if not is_int(in_channels) or in_channels < 1:
+    if in_channels < 1:
         raise bad(f"in_channels must be a positive integer, got {in_channels!r}")
     try:
         cfg = ModelConfig.from_dict(header["model"])
@@ -193,11 +191,10 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
         raise bad(str(exc)) from None
 
     homes = {**{name: p.data for name, p in model.parameters()}, **dict(model.buffers())}
-    specs = header["arrays"]
-    if not isinstance(specs, list) or not all(
-        isinstance(spec, dict) and isinstance(spec.get("name"), str) for spec in specs
-    ):
-        raise bad("'arrays' must be a list of objects with a name and a shape")
+    specs = [
+        check_object(spec, f"checkpoint {path} array entry {n}", {"name": str, "shape": list})
+        for n, spec in enumerate(header["arrays"])
+    ]
     names = [spec["name"] for spec in specs]
     for spec, name in zip(specs, names):
         if name not in homes:
@@ -205,8 +202,8 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
         if names.count(name) > 1:
             raise bad(f"array {name!r} appears twice")
         shape = list(homes[name].shape)
-        if spec.get("shape") != shape:
-            raise bad(f"array {name!r} has shape {spec.get('shape')}, the model's is {shape}")
+        if spec["shape"] != shape:
+            raise bad(f"array {name!r} has shape {spec['shape']}, the model's is {shape}")
     missing = [name for name in homes if name not in names]
     if missing:
         raise bad(f"array {missing[0]!r} is missing")

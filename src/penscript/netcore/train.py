@@ -118,7 +118,7 @@ def _evaluate_split(
             "cer": metrics.cer(labels, hyps),
             "wer": 1.0 - exact / len(labels),
         }
-    return {"crr": metrics.crr([(lab[0],) for lab in labels], hyps)}
+    return {"crr": metrics.crr(labels, hyps)}
 
 
 def train(
@@ -133,7 +133,9 @@ def train(
     """Train on fold[0], validate on fold[1]; returns (model, history).
 
     loss_selector is "ctc" for the sequence task or one of the character
-    losses, scored a batch per call, for single-label samples. Under the
+    losses, scored a batch per call; under a character loss every train and
+    validation sample must hold a one-symbol label, or a ValueError names
+    its dataset index and symbol count before any batch runs. Under the
     sequence loss, a training target that cannot align to the model's
     output frames (which target_len and the pool size fix) is dropped
     before batching: it never reaches the model, so it moves no batchnorm
@@ -154,6 +156,13 @@ def train(
         raise ValueError(f"loss_selector must be one of {sorted(known)}")
     params = loss_params or LossParams()
     task = "seq2seq" if loss_selector == "ctc" else "char"
+    if task == "char":
+        for i in (*train_idx, *val_idx):
+            if len(dataset[i].label) != 1:
+                raise ValueError(
+                    f"dataset index {i}: a character loss needs a one-symbol label,"
+                    f" got {len(dataset[i].label)} symbols"
+                )
 
     rng_init = stream(train_cfg.seed, 0)
     rng_order = stream(train_cfg.seed, 1)

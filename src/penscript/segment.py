@@ -112,8 +112,9 @@ def split_equation(
     Strokes are detected on the force channel, then consecutive strokes are
     grouped by a stroke-count assignment consistent with `constraints`.
     Character j spans from the start of its first stroke to the end of its
-    last; pen-up gaps between characters belong to neither. A force_channel
-    outside the sample's channels raises a ValueError.
+    last; pen-up gaps between characters belong to neither. A symbol with
+    no constraints, or a force_channel outside the sample's channels, raises
+    a ValueError.
     """
     if constraints is None:
         constraints = default_constraints()
@@ -123,7 +124,7 @@ def split_equation(
     symbols = [alphabet.decode(i) for i in sample.label]
     missing = [s for s in symbols if s not in constraints]
     if missing:
-        raise KeyError(f"no stroke constraints for symbols {missing}")
+        raise ValueError(f"no stroke constraints for symbols {missing}")
 
     channels = sample.values.shape[1]
     if not 0 <= force_channel < channels:

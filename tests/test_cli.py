@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,9 +96,9 @@ class TestIngest:
     @pytest.mark.parametrize(
         "bad_line, expected",
         [
-            pytest.param("[1, 2]", "expected a JSON object, got list", id="list"),
-            pytest.param('{"start": 0, "end": 0, "writer_id": 0}', "missing label", id="no-label"),
-            pytest.param('{"label": "1", "start": 0,', "invalid JSON", id="broken-json"),
+            pytest.param("[1, 2]", "labels line 2 must be a JSON object, got list", id="list"),
+            pytest.param('{"start": 0, "end": 0, "writer_id": 0}', "labels line 2 is missing the key(s) label", id="no-label"),
+            pytest.param('{"label": "1", "start": 0,', "labels line 2: not JSON: ", id="broken-json"),
             pytest.param(
                 '{"label": "1", "start": "x", "end": 0, "writer_id": 0}',
                 "start must be an integer, got 'x'",
@@ -110,12 +111,12 @@ class TestIngest:
             ),
             pytest.param(
                 '{"label": 12, "start": 0, "end": 0, "writer_id": 0}',
-                "label must be a non-empty string, got 12",
+                "label must be a string, got 12",
                 id="label-number",
             ),
             pytest.param(
                 '{"label": null, "start": 0, "end": 0, "writer_id": 0}',
-                "label must be a non-empty string, got None",
+                "label must be a string, got None",
                 id="label-null",
             ),
         ],
@@ -131,7 +132,7 @@ class TestIngest:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: labels line 2: ")
+        assert err.startswith("error: labels line 2")
         assert expected in err
 
 
@@ -266,6 +267,18 @@ class TestSegment:
         assert out == ""
         assert err == "error: force_channel 12 out of range for 3 channels\n"
 
+    def test_symbol_without_stroke_constraints_fails_cleanly(self, tmp_path, capsys):
+        eq, _ = make_equation_sample("12", (1, 1))
+        data, labels = write_dataset(tmp_path, [eq])
+        Path(labels).write_text(Path(labels).read_text().replace('"12"', '"ab"'), encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["segment", "--data", data, "--labels", labels, "--alphabet", "auto", "--out", str(tmp_path / "o")],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: no stroke constraints for symbols ['a', 'b']\n"
+
 
 EQUATIONS = list(equations_alphabet().symbols)
 
@@ -336,11 +349,11 @@ class TestTrain:
     @pytest.mark.parametrize(
         "completed, problem",
         [
-            ([1], "got [1]"),
-            ("x", "got 'x'"),
-            (True, "got True"),
-            (2.7, "got 2.7"),
-            (-5, "got -5"),
+            ([1], " header: epochs_completed must be an integer, got [1]"),
+            ("x", " header: epochs_completed must be an integer, got 'x'"),
+            (True, " header: epochs_completed must be an integer, got True"),
+            (2.7, " header: epochs_completed must be an integer, got 2.7"),
+            (-5, ": 'epochs_completed' must be a non-negative integer, got -5"),
             ("absent", None),
         ],
         ids=["list", "str", "bool", "float", "negative", "absent"],
@@ -364,9 +377,7 @@ class TestTrain:
             return
         assert code == 1
         assert out == ""
-        assert err.strip() == (
-            f"error: checkpoint {ckpt}: 'epochs_completed' must be a non-negative integer, {problem}"
-        )
+        assert err.strip() == f"error: checkpoint {ckpt}{problem}"
         assert not (tmp_path / "b" / "model.ckpt").exists()
 
     @pytest.mark.parametrize(
@@ -440,7 +451,7 @@ class TestTrain:
             (lambda p: p["folds"][0]["val"].append(99), "fold index 99 is out of range for 6 samples"),
             (lambda p: p["folds"][0]["train"].append(-1), "fold index -1 is out of range for 6 samples"),
             (lambda p: p.pop("folds"), "fold plan is missing the key(s) folds"),
-            (lambda p: p["folds"][0]["train"].append(1.5), "train index 1.5 is not an integer"),
+            (lambda p: p["folds"][0]["train"].append(1.5), "fold plan fold 0: train must be a list of integers, got ["),
         ],
         ids=["index-99", "index-negative", "no-folds", "index-float"],
     )
@@ -590,6 +601,20 @@ class TestTrain:
         assert headers[0]["loss_params"] == LossParams().to_dict()
         assert headers[1]["loss_params"] == LossParams(fl_gamma=0.0).to_dict()
 
+    def test_character_loss_on_a_multi_symbol_label_fails(self, tmp_path, capsys, rng):
+        samples = char_samples(rng, n=4)
+        samples[2] = Sample(samples[2].values, (1, 2, 3), writer_id=0, rate_hz=100.0)
+        data, labels = write_dataset(tmp_path, samples)
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys,
+            ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--out", str(out_dir)] + TRAIN_FLAGS,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: dataset index 2: a character loss needs a one-symbol label, got 3 symbols\n"
+        assert not out_dir.exists()
+
     def test_missing_epochs_fails(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng))
         code, _, err = run(
@@ -610,36 +635,36 @@ class TestConfigFile:
             pytest.param("train", {"train": 3}, ["'train'", "int"], id="train-int"),
             pytest.param(
                 "train", {"model": {"conv_filters": None}},
-                ["ModelConfig.conv_filters", "integer"], id="int-null",
+                ["ModelConfig: conv_filters", "integer"], id="int-null",
             ),
             pytest.param(
                 "train", {"model": {"use_batchnorm": "no"}},
-                ["ModelConfig.use_batchnorm", "true or false"], id="bool-str",
+                ["ModelConfig: use_batchnorm", "true or false"], id="bool-str",
             ),
             pytest.param(
                 "train", {"train": {"batch_size": True}},
-                ["TrainConfig.batch_size", "integer"], id="int-bool",
+                ["TrainConfig: batch_size", "integer"], id="int-bool",
             ),
             pytest.param(
                 "train", {"train": {"adam_eps": "1e-8"}},
-                ["TrainConfig.adam_eps", "number"], id="float-str",
+                ["TrainConfig: adam_eps", "number"], id="float-str",
             ),
             pytest.param(
                 "train", {"loss": {"scale_free": 1}},
-                ["LossParams.scale_free", "true or false"], id="bool-int",
+                ["LossParams: scale_free", "true or false"], id="bool-int",
             ),
             pytest.param("augment", {"augment": []}, ["'augment'", "list"], id="augment-list"),
             pytest.param(
                 "augment", {"augment": {"p_apply": "x"}},
-                ["AugmentConfig.p_apply", "number"], id="float-str-augment",
+                ["AugmentConfig: p_apply", "number"], id="float-str-augment",
             ),
             pytest.param(
                 "augment", {"augment": {"force_channel": 12.0}},
-                ["AugmentConfig.force_channel", "integer"], id="int-float",
+                ["AugmentConfig: force_channel", "integer"], id="int-float",
             ),
             pytest.param(
                 "augment", {"augment": {"accelerometer_channels": [0, 1.5]}},
-                ["AugmentConfig.accelerometer_channels", "list of integers"], id="int-list-float",
+                ["AugmentConfig: accelerometer_channels", "list of integers"], id="int-list-float",
             ),
         ],
     )
@@ -700,7 +725,7 @@ class TestConfigFile:
                 "--out", str(tmp_path / "o")]
         code, stdout, err = run(capsys, argv)
         assert code == 1
-        assert err == f"error: config {cfg}: must hold a JSON object\n"
+        assert err == f"error: config {cfg} must be a JSON object, got list\n"
 
     @pytest.mark.parametrize("seed", [123, 0])
     def test_train_seed_in_config_is_rejected(self, tmp_path, capsys, rng, seed):
@@ -944,21 +969,24 @@ class TestDecode:
         )
         assert code == 1
         assert out == ""
-        assert err.strip() == f"error: checkpoint {cfg}: the header has no 'model'"
+        assert err.strip() == (
+            f"error: checkpoint {cfg} header is missing the key(s) model, task, in_channels, arrays"
+        )
 
     @pytest.mark.parametrize(
         "extra, problem",
         [
-            (None, "the header has no 'alphabet'"),
-            ({"train": {"target_len": 12}}, "the header has no 'alphabet'"),
-            ({"alphabet": "0123", "train": {"target_len": 12}}, "'alphabet' must be a list of symbols, got '0123'"),
-            ({"alphabet": ["0", "0", "1", "2"], "train": {"target_len": 12}}, "'alphabet': alphabet symbols must be distinct"),
-            ({"alphabet": ["0", "1", "2"], "train": {"target_len": 12}}, "'alphabet' has 3 symbols, but the model has 15 classes"),
-            ({"alphabet": EQUATIONS}, "the header has no 'train.target_len'"),
-            ({"alphabet": EQUATIONS, "train": {}}, "the header has no 'train.target_len'"),
-            ({"alphabet": EQUATIONS, "train": {"target_len": "12"}}, "'train.target_len' must be a positive integer, got '12'"),
+            (None, " header is missing the key(s) alphabet, train"),
+            ({"train": {"target_len": 12}}, " header is missing the key(s) alphabet"),
+            ({"alphabet": "0123", "train": {"target_len": 12}}, " header: alphabet must be a list, got '0123'"),
+            ({"alphabet": ["0", "0", "1", "2"], "train": {"target_len": 12}}, ": 'alphabet': alphabet symbols must be distinct"),
+            ({"alphabet": ["0", "1", "2"], "train": {"target_len": 12}}, ": 'alphabet' has 3 symbols, but the model has 15 classes"),
+            ({"alphabet": EQUATIONS}, " header is missing the key(s) train"),
+            ({"alphabet": EQUATIONS, "train": {}}, " header 'train' is missing the key(s) target_len"),
+            ({"alphabet": EQUATIONS, "train": {"target_len": "12"}}, " header 'train': target_len must be an integer, got '12'"),
+            ({"alphabet": EQUATIONS, "train": {"target_len": 0}}, ": 'train.target_len' must be a positive integer, got 0"),
         ],
-        ids=["library-saved", "no-alphabet", "alphabet-str", "alphabet-repeats", "alphabet-size", "no-train", "no-target-len", "target-len-str"],
+        ids=["library-saved", "no-alphabet", "alphabet-str", "alphabet-repeats", "alphabet-size", "no-train", "no-target-len", "target-len-str", "target-len-zero"],
     )
     def test_checkpoint_run_fields_are_checked(self, tmp_path, capsys, rng, extra, problem):
         data, labels = write_dataset(tmp_path, char_samples(rng))
@@ -972,7 +1000,7 @@ class TestDecode:
         code, out, err = run(capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt])
         assert code == 1
         assert out == ""
-        assert err.strip() == f"error: checkpoint {ckpt}: {problem}"
+        assert err.strip() == f"error: checkpoint {ckpt}{problem}"
 
 def overflowing_norm(ckpt):
     """Rewrite ckpt so its eval output is NaN from finite arrays that load.

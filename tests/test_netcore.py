@@ -919,22 +919,27 @@ def rejected(path, problem):
     return pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {path}: {problem}"))
 
 
+def misshapen(path, problem):
+    """Expect load_checkpoint's JSON shape check to fail, naming the file in its subject."""
+    return pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {path} {problem}"))
+
+
 class TestCheckpointChecks:
     """Every rejected checkpoint names the file and the key or array."""
 
     @pytest.mark.parametrize(
         "line, problem",
         [
-            (b"{not json", "is not JSON"),
-            (b"\xff\xfe\x00", "is not JSON"),
-            (b"[1, 2]", "is not a JSON object"),
+            (b"{not json", "header: not JSON: "),
+            (b"\xff\xfe\x00", "header: not JSON: "),
+            (b"[1, 2]", "header must be a JSON object, got list"),
         ],
         ids=["bad-json", "binary", "list"],
     )
     def test_bad_header_line(self, tmp_path, line, problem):
         path = tmp_path / "m.ckpt"
         path.write_bytes(line + b"\n")
-        with rejected(path, f"the header line {problem}"):
+        with misshapen(path, problem):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("key", ["model", "task", "in_channels", "arrays"])
@@ -942,22 +947,30 @@ class TestCheckpointChecks:
         path, header, blob = saved_checkpoint(tmp_path, rng)
         del header[key]
         rewrite(path, header, blob)
-        with rejected(path, f"the header has no '{key}'"):
+        with misshapen(path, f"header is missing the key(s) {key}"):
             load_checkpoint(path)
 
     def test_bad_model_config_names_the_file(self, tmp_path, rng):
         path, header, blob = saved_checkpoint(tmp_path, rng)
         header["model"]["conv_filters"] = "6"
         rewrite(path, header, blob)
-        with rejected(path, "ModelConfig.conv_filters must be an integer"):
+        with rejected(path, "ModelConfig: conv_filters must be an integer, got '6'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("value", ["3", 0, True])
-    def test_bad_in_channels(self, tmp_path, rng, value):
+    @pytest.mark.parametrize(
+        "value, expect, problem",
+        [
+            ("3", misshapen, "header: in_channels must be an integer, got '3'"),
+            (0, rejected, "in_channels must be a positive integer, got 0"),
+            (True, misshapen, "header: in_channels must be an integer, got True"),
+        ],
+        ids=["3", "0", "True"],
+    )
+    def test_bad_in_channels(self, tmp_path, rng, value, expect, problem):
         path, header, blob = saved_checkpoint(tmp_path, rng)
         header["in_channels"] = value
         rewrite(path, header, blob)
-        with rejected(path, f"in_channels must be a positive integer, got {value!r}"):
+        with expect(path, problem):
             load_checkpoint(path)
 
     def test_unknown_array(self, tmp_path, rng):
@@ -996,7 +1009,7 @@ class TestCheckpointChecks:
         path, header, blob = saved_checkpoint(tmp_path, rng)
         header["arrays"][0] = ["conv.w"]
         rewrite(path, header, blob)
-        with rejected(path, "'arrays' must be a list of objects"):
+        with misshapen(path, "array entry 0 must be a JSON object, got list"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -1248,6 +1261,14 @@ class TestTrain:
         _, history = train(data, ((0, 1, 2), range(3, 10)), SMALL, cfg, loss)
         assert eval_rows == [3, 3, 1] * 2
         assert len(history) == 2
+
+    @pytest.mark.parametrize("fold", [((0, 1, 5), ()), ((0, 1), (2, 5))], ids=["train", "validation"])
+    def test_character_loss_needs_one_symbol_labels(self, rng, fold):
+        data = tiny_dataset(rng)
+        data[5] = Sample(data[5].values, (0, 1, 2), writer_id=0, rate_hz=100.0)
+        expected = "^dataset index 5: a character loss needs a one-symbol label, got 3 symbols$"
+        with pytest.raises(ValueError, match=expected):
+            train(data, fold, SMALL, SMALL_TRAIN, "cce")
 
     def test_task_mismatch_rejected(self, rng):
         data = tiny_dataset(rng)

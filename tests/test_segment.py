@@ -104,7 +104,7 @@ class TestSplitEquation:
 
     def test_symbol_without_constraints(self):
         sample, _ = make_equation_sample("1", [1])
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^no stroke constraints for symbols \['1'\]$"):
             split_equation(sample, constraints={"0": frozenset({1})})
 
     def test_pieces_ordered_non_overlapping(self, rng):
