@@ -58,9 +58,14 @@ def _load_config(path: str | None) -> dict:
     return check_object(_read_json(path, "config"), f"config {path}", {})
 
 
-def _section(cfg: dict, key: str) -> dict:
+def _section(cfg: dict, key: str, path: str | None) -> dict:
     """The config file's `key` object, or {} when the file has none."""
-    return check_object(cfg.get(key, {}), f"config section {key!r}", {})
+    return check_object(cfg.get(key, {}), f"config {path} section {key!r}", {})
+
+
+def _from_config(cls, d: dict, path: str | None):
+    """cls.from_dict(d); a shape fault names the config file, when one was read."""
+    return cls.from_dict(d, None if path is None else f"config {path}: {cls.__name__}")
 
 
 def _alphabet(choice: str, labels: list[str]) -> Alphabet:
@@ -151,7 +156,7 @@ def cmd_split(args) -> int:
 def cmd_augment(args) -> int:
     samples, alphabet = _load_dataset(args)
     cfg_file = _load_config(args.config)
-    cfg = AugmentConfig.from_dict(_section(cfg_file, "augment"))
+    cfg = _from_config(AugmentConfig, _section(cfg_file, "augment", args.config), args.config)
     methods = set(args.methods.split(",")) if args.methods else set()
     augmented = [
         augment(s, cfg, methods, derive_seed(args.seed, i)) for i, s in enumerate(samples)
@@ -197,7 +202,7 @@ def cmd_train(args) -> int:
 
     # the model fields this command sets itself, by config or by flag;
     # --units sizes whichever recurrent kind this run ends up with
-    model_dict = dict(_section(cfg_file, "model"))
+    model_dict = dict(_section(cfg_file, "model", args.config))
     if args.recurrent is not None:
         model_dict["recurrent_kind"] = args.recurrent
     default_kind = start_model.cfg.recurrent_kind if start_model else ModelConfig.recurrent_kind
@@ -214,9 +219,11 @@ def cmd_train(args) -> int:
             model_dict[key] = value
     if args.no_batchnorm:
         model_dict["use_batchnorm"] = False
-    model_cfg = ModelConfig.from_dict({"num_classes": alphabet.size, **model_dict})
+    model_cfg = _from_config(
+        ModelConfig, {"num_classes": alphabet.size, **model_dict}, args.config
+    )
 
-    train_dict = dict(_section(cfg_file, "train"))
+    train_dict = dict(_section(cfg_file, "train", args.config))
     if "seed" in train_dict:
         raise ValueError("config key 'train.seed' is not read; set the seed with --seed")
     train_dict["seed"] = args.seed
@@ -231,12 +238,12 @@ def cmd_train(args) -> int:
             train_dict[key] = value
     if "epochs" not in train_dict:
         raise ValueError("epochs must be set via --epochs or the config file")
-    train_cfg = TrainConfig.from_dict(train_dict)
+    train_cfg = _from_config(TrainConfig, train_dict, args.config)
 
-    loss_params = LossParams.from_dict(_section(cfg_file, "loss"))
+    loss_params = _from_config(LossParams, _section(cfg_file, "loss", args.config), args.config)
 
     if args.folds:
-        plan = FoldPlan.from_dict(_read_json(args.folds, "fold plan"))
+        plan = FoldPlan.from_dict(_read_json(args.folds, "fold plan"), f"fold plan {args.folds}")
         index = 0 if args.fold is None else args.fold
         if not 0 <= index < plan.k:
             raise ValueError(f"--fold {index} is outside the plan's folds 0..{plan.k - 1}")

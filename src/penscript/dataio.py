@@ -394,12 +394,13 @@ class FoldPlan:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FoldPlan":
-        """Rebuild a plan; a ValueError names a missing key or a value of the wrong kind."""
-        check_object(d, "fold plan", {"mode": str, "k": int, "seed": int, "folds": list})
+    def from_dict(cls, d: dict, what: str = "fold plan") -> "FoldPlan":
+        """Rebuild a plan; a ValueError, under what, names a missing key or a
+        value of the wrong kind."""
+        check_object(d, what, {"mode": str, "k": int, "seed": int, "folds": list})
         folds = []
         for n, f in enumerate(d["folds"]):
-            check_object(f, f"fold plan fold {n}", _FOLD_KINDS)
+            check_object(f, f"{what} fold {n}", _FOLD_KINDS)
             folds.append((tuple(f["train"]), tuple(f["val"])))
         return cls(mode=d["mode"], k=d["k"], seed=d["seed"], folds=tuple(folds))
 

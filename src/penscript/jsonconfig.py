@@ -7,6 +7,8 @@ through parse and check_object, so a fault reads the same in each:
     {what} must be a JSON object, got {type}
     {what} is missing the key(s) {k1, k2}
     {what}: {key} must be {want}, got {value!r}
+    {what}: {key}[{i}] must be an integer, got {entry!r}   (a list of integers)
+    {what} has unknown fields {names}                      (JsonConfig)
 
 Range and meaning checks (a positive count, a known mode) stay with the
 reader that knows them. JsonConfig gives the frozen config dataclasses
@@ -61,8 +63,14 @@ def check_object(obj, what: str, kinds: dict) -> dict:
         raise ValueError(f"{what} is missing the key(s) {', '.join(missing)}")
     for key, kind in kinds.items():
         want, ok = _ACCEPTS[kind]
-        if not ok(obj[key]):
-            raise ValueError(f"{what}: {key} must be {want}, got {obj[key]!r}")
+        value = obj[key]
+        if ok(value):
+            continue
+        if kind == tuple[int, ...] and isinstance(value, list):
+            # a list is named by its first bad entry, not printed whole
+            i = next(i for i, v in enumerate(value) if not is_int(v))
+            raise ValueError(f"{what}: {key}[{i}] must be an integer, got {value[i]!r}")
+        raise ValueError(f"{what}: {key} must be {want}, got {value!r}")
     return obj
 
 
@@ -73,13 +81,15 @@ class JsonConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict):
-        name = cls.__name__
-        check_object(d, name, {})
+    def from_dict(cls, d: dict, what: str | None = None):
+        """cls(**d) once d has the fields' shapes; a shape fault names what,
+        the class name by default."""
+        what = cls.__name__ if what is None else what
+        check_object(d, what, {})
         extra = set(d) - {f.name for f in fields(cls)}
         if extra:
-            raise ValueError(f"unknown {name} fields: {sorted(extra)}")
+            raise ValueError(f"{what} has unknown fields {sorted(extra)}")
         hints = get_type_hints(cls)
         kinds = {f.name: hints[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
-        check_object(d, name, kinds)
+        check_object(d, what, kinds)
         return cls(**d)

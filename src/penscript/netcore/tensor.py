@@ -24,11 +24,22 @@ intermediate array, with the activations its pullback would have kept,
 is freed once the next op has read it. backward() through such a result
 runs but reaches nothing upstream. RecognitionModel.forward enters
 no_tape() in eval mode; the ops never look at it.
+
+A BiLSTM call (lstm_op with two directions) runs each direction's array
+work outside the time loops on its own core: the input projection, the
+backward prelude and the gradient products each start one fresh helper
+thread for the second direction and join it before going on. numpy
+releases the GIL in that work, so the halves overlap. There is no
+setting, and the results are byte-identical to running the halves one
+after the other: each half computes the same arrays, the fused time
+loops stay on the calling thread, and every gradient is added there,
+after the join, in direction order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import threading
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -177,6 +188,37 @@ def log_softmax_op(x: Tensor) -> Tensor:
     return Tensor(logp, (x,), back)
 
 
+def _per_direction(fn: Callable[[int], object], d_n: int) -> list:
+    """[fn(0), .., fn(d_n - 1)] for one or two directions. With two, fn(1)
+    runs on a fresh thread while this one runs fn(0); the thread is joined
+    before this returns or raises, so an exception in either half is raised
+    only once both have finished (fn(0)'s first).
+
+    fn must only compute: the thread builds no Tensor (no_tape() is
+    process-wide) and adds into no .grad.
+    """
+    if d_n == 1:
+        return [fn(0)]
+    results = [None, None]
+    failed: list[BaseException] = []
+
+    def second() -> None:
+        try:
+            results[1] = fn(1)
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=second, name="lstm_op direction 1")
+    helper.start()
+    try:
+        results[0] = fn(0)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
 def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
     """LSTM over (batch, time, c_in) in D = len(cells) directions, one tape node.
 
@@ -199,23 +241,32 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     and the gates, c and tanh(c) are written into them in place. The
     weight, bias and input gradients are single products over all
     batch * time rows of each direction.
+
+    With D = 2 the work outside the time loops (the input projection, the
+    backward prelude and the gradient products) runs one direction per
+    thread through _per_direction; the gradients are added after the join,
+    direction 0's wh, wx, b and x, then direction 1's.
     """
     d_n = len(cells)
     if d_n not in (1, 2):
         raise ValueError(f"lstm_op runs one or two directions, got {d_n}")
     bsz, t_len, c_in = x.data.shape
     h = cells[0][1].data.shape[0]
-    # each direction's input rows, (batch * time, c_in), in its reading order;
-    # the reversed rows are a C-contiguous copy, as reverse_time makes them
-    x_rows = [x.data.reshape(-1, c_in)]
-    if d_n == 2:
-        x_rows.append(np.ascontiguousarray(x.data[:, ::-1, :]).reshape(-1, c_in))
     wh_s = np.stack([wh.data for _, wh, _ in cells])
     # hoist the input projection out of the time loop
     xw = np.empty((d_n, bsz * t_len, 4 * h))
-    for d, (wx, _, b) in enumerate(cells):
-        np.matmul(x_rows[d], wx.data, out=xw[d])
+
+    def project(d):
+        # direction d's input rows, (batch * time, c_in), in its reading order;
+        # the reversed rows are a C-contiguous copy, as reverse_time makes them
+        wx, _, b = cells[d]
+        rows = x.data if d == 0 else np.ascontiguousarray(x.data[:, ::-1, :])
+        rows = rows.reshape(-1, c_in)
+        np.matmul(rows, wx.data, out=xw[d])
         xw[d] += b.data
+        return rows
+
+    x_rows = _per_direction(project, d_n)
     xw = xw.reshape(d_n, bsz, t_len, 4 * h)
     # per-step state for the backward pass, in loop order; acts holds the
     # four gate activations side by side, like the pre-activations. cs and
@@ -253,11 +304,6 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     def back(g):
         # the output gradient of each direction, in its loop order
         gs = np.empty((t_len, d_n, bsz, h))
-        gs[:, 0] = g[:, :, :h].transpose(1, 0, 2)
-        if d_n == 2:
-            gs[:, 1] = g[:, ::-1, h:].transpose(1, 0, 2)
-        wh_t = wh_s.transpose(0, 2, 1)
-        i_g, f_g, g_g, o_g = (acts[..., k * h : (k + 1) * h] for k in range(4))
         # dz is (D, batch, time, 4, H), so the weight gradients read each
         # direction's (batch * time) rows without a copy; dzt views it in
         # loop order. It starts as each pre-activation's derivative by c_t
@@ -265,21 +311,31 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
         # step by dc or dh in place.
         dz = np.empty((d_n, bsz, t_len, 4, h))
         dzt = dz.transpose(2, 0, 1, 3, 4)
-        dz_i, dz_f, dz_g, dz_o = (dzt[..., k, :] for k in range(4))
-        one_minus = np.empty((t_len, d_n, bsz, h))
-        np.multiply(g_g, i_g, out=dz_i)
-        dz_i *= np.subtract(1.0, i_g, out=one_minus)
-        np.multiply(cs[:-1], f_g, out=dz_f)
-        dz_f *= np.subtract(1.0, f_g, out=one_minus)
-        np.multiply(g_g, g_g, out=dz_g)
-        np.subtract(1.0, dz_g, out=dz_g)
-        dz_g *= i_g
-        np.multiply(tcs, o_g, out=dz_o)
-        dz_o *= np.subtract(1.0, o_g, out=one_minus)
-        # d(c_t)/d(h_t), in the scratch array's place
-        dc_dh = np.multiply(tcs, tcs, out=one_minus)
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= o_g
+        # scratch, then d(c_t)/d(h_t) in the same place
+        dc_dh = np.empty((t_len, d_n, bsz, h))
+
+        def prelude(d):
+            gs[:, d] = (g[:, :, :h] if d == 0 else g[:, ::-1, h:]).transpose(1, 0, 2)
+            i_g, f_g, g_g, o_g = (acts[:, d, :, k * h : (k + 1) * h] for k in range(4))
+            dz_i, dz_f, dz_g, dz_o = (dzt[:, d, :, k, :] for k in range(4))
+            one_minus = dc_dh[:, d]
+            np.multiply(g_g, i_g, out=dz_i)
+            dz_i *= np.subtract(1.0, i_g, out=one_minus)
+            np.multiply(cs[:-1, d], f_g, out=dz_f)
+            dz_f *= np.subtract(1.0, f_g, out=one_minus)
+            np.multiply(g_g, g_g, out=dz_g)
+            np.subtract(1.0, dz_g, out=dz_g)
+            dz_g *= i_g
+            np.multiply(tcs[:, d], o_g, out=dz_o)
+            dz_o *= np.subtract(1.0, o_g, out=one_minus)
+            # d(c_t)/d(h_t), in the scratch's place
+            np.multiply(tcs[:, d], tcs[:, d], out=one_minus)
+            np.subtract(1.0, one_minus, out=one_minus)
+            one_minus *= o_g
+
+        _per_direction(prelude, d_n)
+        wh_t = wh_s.transpose(0, 2, 1)
+        f_g = acts[..., h : 2 * h]
         dh = np.zeros((d_n, bsz, h))
         dc = np.zeros((d_n, bsz, h))
         tmp = np.empty((d_n, bsz, h))
@@ -295,13 +351,24 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
                 np.matmul(dz_t.reshape(d_n, bsz, 4 * h), wh_t, out=dh)
         # (direction, batch * time, .) rows in each direction's reading order
         dz2 = dz.reshape(d_n, -1, 4 * h)
-        h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 2, 0, 3)).reshape(d_n, -1, h)
-        for d, (wx, wh, b) in enumerate(cells):
-            wh.grad += h_prev[d].T @ dz2[d]
-            wx.grad += x_rows[d].T @ dz2[d]
-            b.grad += dz2[d].sum(axis=0)
-            gx = (dz2[d] @ wx.data.T).reshape(x.data.shape)
-            x.grad += gx if d == 0 else gx[:, ::-1, :]
+
+        def products(d):
+            wx = cells[d][0].data
+            h_prev = np.ascontiguousarray(hs[:-1, d].transpose(1, 0, 2)).reshape(-1, h)
+            gx = (dz2[d] @ wx.T).reshape(x.data.shape)
+            return (
+                h_prev.T @ dz2[d],
+                x_rows[d].T @ dz2[d],
+                dz2[d].sum(axis=0),
+                gx if d == 0 else gx[:, ::-1, :],
+            )
+
+        # every gradient is added here, after the join, direction by direction
+        for (wx, wh, b), (g_wh, g_wx, g_b, g_x) in zip(cells, _per_direction(products, d_n)):
+            wh.grad += g_wh
+            wx.grad += g_wx
+            b.grad += g_b
+            x.grad += g_x
 
     params = tuple(p for cell in cells for p in cell)
     return Tensor(out_data, (x,) + params, back)

@@ -450,10 +450,11 @@ class TestTrain:
         [
             (lambda p: p["folds"][0]["val"].append(99), "fold index 99 is out of range for 6 samples"),
             (lambda p: p["folds"][0]["train"].append(-1), "fold index -1 is out of range for 6 samples"),
-            (lambda p: p.pop("folds"), "fold plan is missing the key(s) folds"),
-            (lambda p: p["folds"][0]["train"].append(1.5), "fold plan fold 0: train must be a list of integers, got ["),
+            (lambda p: p.pop("folds"), "fold plan {plan} is missing the key(s) folds"),
+            (lambda p: p["folds"][0]["train"].insert(0, 1.5), "fold plan {plan} fold 0: train[0] must be an integer, got 1.5"),
+            (lambda p: p["folds"][0].update(val=[2, True]), "error: fold plan {plan} fold 0: val[1] must be an integer, got True\n"),
         ],
-        ids=["index-99", "index-negative", "no-folds", "index-float"],
+        ids=["index-99", "index-negative", "no-folds", "index-float", "index-bool"],
     )
     def test_bad_fold_plan_is_named(self, tmp_path, capsys, rng, edit, message):
         data, labels, plan_path = self.wi_plan(tmp_path, capsys, rng)
@@ -466,7 +467,7 @@ class TestTrain:
         )
         assert code == 1
         assert out == ""
-        assert message in err
+        assert message.format(plan=plan_path) in err
 
     @pytest.mark.parametrize("text", ["[1", "", "{'k': 3}"], ids=["truncated", "empty", "quotes"])
     def test_fold_plan_that_is_not_json_names_the_file(self, tmp_path, capsys, rng, text):
@@ -664,7 +665,8 @@ class TestConfigFile:
             ),
             pytest.param(
                 "augment", {"augment": {"accelerometer_channels": [0, 1.5]}},
-                ["AugmentConfig: accelerometer_channels", "list of integers"], id="int-list-float",
+                ["AugmentConfig: accelerometer_channels[1]", "must be an integer, got 1.5"],
+                id="int-list-float",
             ),
         ],
     )
@@ -702,6 +704,25 @@ class TestConfigFile:
         assert stdout == ""
         assert err.startswith(f"error: {problem}, got ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"train": {"batch_size": True}}, "{cfg}: TrainConfig: batch_size must be an integer, got True"),
+            ({"train": {"batch": 4}}, "{cfg}: TrainConfig has unknown fields ['batch']"),
+            ({"model": []}, "{cfg} section 'model' must be a JSON object, got list"),
+        ],
+        ids=["field", "unknown", "section"],
+    )
+    def test_train_config_shape_fault_names_the_file(self, tmp_path, capsys, rng, section, message):
+        data, labels = write_dataset(tmp_path, char_samples(rng, channels=13))
+        cfg = write_config(tmp_path, section)
+        argv = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1",
+                "--target-len", "12", "--config", cfg, "--out", str(tmp_path / "o")]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: config " + message.format(cfg=cfg) + "\n"
 
     @pytest.mark.parametrize("command", ["train", "augment"])
     @pytest.mark.parametrize("text", ["{bad", "", "[1, 2"], ids=["bad-key", "empty", "truncated"])

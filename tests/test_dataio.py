@@ -383,7 +383,7 @@ class TestMakeSplits:
             (lambda p: p.update(folds={}), "fold plan: folds must be a list, got {}"),
             (lambda p: p["folds"][1].pop("train"), "fold plan fold 1 is missing the key(s) train"),
             (lambda p: p["folds"].append([0, 1]), "fold plan fold 2 must be a JSON object, got list"),
-            (lambda p: p["folds"][0]["val"].append(True), "fold plan fold 0: val must be a list of integers, got ["),
+            (lambda p: p["folds"][0]["val"].insert(0, True), "fold plan fold 0: val[0] must be an integer, got True"),
             (lambda p: p["folds"][0].update(train=3), "fold plan fold 0: train must be a list of integers, got 3"),
         ],
         ids=["no-k", "k-str", "seed-float", "folds-dict", "no-train", "fold-list", "index-bool", "train-int"],

@@ -41,7 +41,7 @@ class TestCheckObject:
             (float, "1", "a number"),
             (bool, 1, "true or false"),
             (str, None, "a string"),
-            (tuple[int, ...], [0, 1.5], "a list of integers"),
+            (tuple[int, ...], {}, "a list of integers"),
             (list, {}, "a list"),
             (dict, [], "a JSON object"),
         ],
@@ -50,6 +50,19 @@ class TestCheckObject:
         expected = f"doc: k must be {want}, got {value!r}"
         with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
             check_object({"k": value}, "doc", {"k": kind})
+
+    @pytest.mark.parametrize(
+        "value, entry", [([0, 1.5], "k[1] must be an integer, got 1.5"), ([True], "k[0] must be an integer, got True")]
+    )
+    def test_bad_list_entry_is_named_alone(self, value, entry):
+        with pytest.raises(ValueError, match="^" + re.escape(f"doc: {entry}") + "$"):
+            check_object({"k": value}, "doc", {"k": tuple[int, ...]})
+
+    def test_long_bad_list_gives_a_short_message(self):
+        train = list(range(2000)) + ["x"]
+        with pytest.raises(ValueError) as err:
+            check_object({"train": train}, "fold plan fold 0", {"train": tuple[int, ...]})
+        assert str(err.value) == "fold plan fold 0: train[2000] must be an integer, got 'x'"
 
     def test_int_is_a_number(self):
         assert check_object({"x": 2}, "doc", {"x": float}) == {"x": 2}
@@ -90,7 +103,7 @@ READERS = {
     "fold plan": Reader(lambda tmp, doc: FoldPlan.from_dict(doc), PLAN, "fold plan", "k", ("seed", "0")),
     "fold": Reader(
         lambda tmp, doc: FoldPlan.from_dict(doc),
-        PLAN["folds"][1], "fold plan fold 1", "val", ("train", ["0"]),
+        PLAN["folds"][1], "fold plan fold 1", "val", ("train", "0"),
         wrap=lambda fold: {**PLAN, "folds": [PLAN["folds"][0], fold]},
     ),
     "config file": Reader(
@@ -98,8 +111,8 @@ READERS = {
         {"train": {"epochs": 1}}, "config {path}", None, None,
     ),
     "config section": Reader(
-        lambda tmp, doc: cli._section(doc, "train"),
-        {"epochs": 1}, "config section 'train'", None, None,
+        lambda tmp, doc: cli._section(doc, "train", "c.json"),
+        {"epochs": 1}, "config c.json section 'train'", None, None,
         wrap=lambda section: {"train": section},
     ),
     "ModelConfig": Reader(

@@ -3,6 +3,8 @@ import gc
 import importlib
 import json
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -559,6 +561,75 @@ class TestBiLSTM:
         x = rng.normal(0, 1, (1, 3, 2))
         grad, scalar = projection_grad(lambda v: layer(v), x, rng)
         assert rel_err(grad, central_diff(scalar, x)) < 1e-5
+
+
+class TestDirectionSplit:
+    """lstm_op's two directions share out their array work over two threads."""
+
+    def test_results_in_direction_order(self):
+        def where(d):
+            return d, threading.current_thread().name
+
+        here = threading.current_thread().name
+        assert T._per_direction(where, 2) == [(0, here), (1, "lstm_op direction 1")]
+        assert T._per_direction(where, 1) == [(0, here)]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_fault_is_raised_after_both_halves_finish(self, failing):
+        finished = []
+        started = threading.Event()
+
+        def half(d):
+            if d == failing:
+                started.wait(5)
+                raise RuntimeError(f"half {d}")
+            started.set()
+            time.sleep(0.05)
+            finished.append(d)
+            return d
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"half {failing}"):
+            T._per_direction(half, 2)
+        assert finished == [1 - failing]
+        assert threading.active_count() == before
+
+    def test_bilstm_leaves_no_thread_behind(self, rng):
+        layer = BiLSTM(5, 4, rng)
+        before = threading.active_count()
+        x = Tensor(rng.normal(0, 1, (2, 6, 5)))
+        out = layer(x)
+        out.backward(np.ones_like(out.data))
+        assert threading.active_count() == before
+        # direction 1's input width does not fit x: its projection raises
+        # in the helper thread, which is joined before the fault surfaces
+        wrong = LSTM(6, 4, rng).cell
+        with pytest.raises(ValueError):
+            T.lstm_op(x, [layer.fwd.cell, wrong])
+        assert threading.active_count() == before
+
+    def test_shared_cell_sums_both_directions(self, rng):
+        cell = LSTM(3, 4, rng).cell
+        x = rng.normal(0, 1, (2, 5, 3))
+        g = rng.normal(0, 1, (2, 5, 8))
+
+        def run(x, g, cells):
+            for p in cell:
+                p.zero_grad()
+            xt = Tensor(x)
+            out = T.lstm_op(xt, cells)
+            out.backward(g)
+            return [out.data, xt.grad] + [p.grad.copy() for p in cell]
+
+        both = run(x, g, [cell, cell])
+        fwd = run(x, g[..., :4], [cell])
+        bwd = run(x[:, ::-1].copy(), g[:, ::-1, 4:].copy(), [cell])
+        parts = [
+            np.concatenate([fwd[0], bwd[0][:, ::-1]], axis=-1),
+            fwd[1] + bwd[1][:, ::-1],
+        ] + [a + b for a, b in zip(fwd[2:], bwd[2:])]
+        for name, a, b in zip(["output", "x", "wx", "wh", "b"], both, parts):
+            assert np.array_equal(a, b), name
 
 
 SMALL = ModelConfig(
