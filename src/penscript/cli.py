@@ -32,7 +32,6 @@ from penscript.jsonconfig import check_object, parse
 from penscript.losses import CHARACTER_LOSSES, LossParams, beam_decode, greedy_decode
 from penscript.netcore.model import (
     ModelConfig,
-    RecognitionModel,
     load_checkpoint,
     save_checkpoint,
 )
@@ -203,6 +202,10 @@ def cmd_train(args) -> int:
     # the model fields this command sets itself, by config or by flag;
     # --units sizes whichever recurrent kind this run ends up with
     model_dict = dict(_section(cfg_file, "model", args.config))
+    if "num_classes" in model_dict:
+        raise ValueError(
+            "config key 'model.num_classes' is not read; the alphabet sets the class count"
+        )
     if args.recurrent is not None:
         model_dict["recurrent_kind"] = args.recurrent
     default_kind = start_model.cfg.recurrent_kind if start_model else ModelConfig.recurrent_kind
@@ -254,17 +257,6 @@ def cmd_train(args) -> int:
         everything = tuple(range(len(samples)))
         fold = (everything, everything)
 
-    # a header without the key (save_checkpoint's own) counts as 0 epochs
-    completed = check_object(
-        {"epochs_completed": 0, **header},
-        f"checkpoint {args.resume} header",
-        {"epochs_completed": int},
-    )["epochs_completed"]
-    if completed < 0:
-        raise ValueError(
-            f"checkpoint {args.resume}: 'epochs_completed' must be a non-negative integer,"
-            f" got {completed!r}"
-        )
     if start_model is not None:
         saved_symbols = header.get("alphabet")
         if saved_symbols is not None and saved_symbols != list(alphabet.symbols):
@@ -296,7 +288,7 @@ def cmd_train(args) -> int:
             "loss": args.loss,
             "loss_params": loss_params.to_dict(),
             "alphabet": list(alphabet.symbols),
-            "epochs_completed": completed + train_cfg.epochs,
+            "epochs_completed": header.get("epochs_completed", 0) + train_cfg.epochs,
         },
     )
     final = history[-1] if history else {}
@@ -325,49 +317,26 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _decode_settings(
-    path: str, model: RecognitionModel, header: dict
-) -> tuple[Alphabet, int]:
-    """The alphabet and target_len of the run that wrote a checkpoint.
-
-    A missing or malformed key, or an alphabet that does not size the
-    model's classes, fails with a ValueError naming the file and the key.
-    """
-
-    def bad(problem: str) -> ValueError:
-        return ValueError(f"checkpoint {path}: {problem}")
-
-    what = f"checkpoint {path} header"
-    check_object(header, what, {"alphabet": list, "train": dict})
-    try:
-        alphabet = Alphabet(header["alphabet"])
-    except ValueError as exc:
-        raise bad(f"'alphabet': {exc}") from None
-    if alphabet.size != model.cfg.num_classes:
-        raise bad(
-            f"'alphabet' has {alphabet.size} symbols,"
-            f" but the model has {model.cfg.num_classes} classes"
-        )
-    train_section = check_object(header["train"], f"{what} 'train'", {"target_len": int})
-    target_len = train_section["target_len"]
-    if target_len < 1:
-        raise bad(f"'train.target_len' must be a positive integer, got {target_len!r}")
-    return alphabet, target_len
-
-
 def cmd_decode(args) -> int:
     if args.beam < 1:
         raise ValueError(f"--beam must be >= 1, got {args.beam}")
     model, header = load_checkpoint(args.checkpoint)
     if args.beam > 1 and model.task != "seq2seq":
         raise ValueError(f"--beam {args.beam} needs a seq2seq model, not a {model.task} one")
-    alphabet, target_len = _decode_settings(args.checkpoint, model, header)
+    # load_checkpoint has checked these fields when present; decode needs them
+    check_object(header, f"checkpoint {args.checkpoint} header", {"alphabet": list, "train": dict})
+    alphabet = Alphabet(header["alphabet"])
     samples = parse_recording(_read(args.data), _read(args.labels), alphabet)
+    if samples and samples[0].num_channels != model.in_channels:
+        raise ValueError(
+            f"checkpoint {args.checkpoint} takes {model.in_channels} input channels,"
+            f" but data {args.data} has {samples[0].num_channels}"
+        )
 
     decode = greedy_decode if args.beam == 1 else lambda y: beam_decode(y, args.beam)
     hyps = predict(
         model,
-        (interpolate(s, target_len).values[None] for s in samples),
+        (interpolate(s, header["train"]["target_len"]).values[None] for s in samples),
         [f"recording {i}" for i in range(len(samples))],
         decode,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from penscript.dataio import Sample
+from penscript.dataio import Alphabet, Sample
 from penscript.jsonconfig import JsonConfig, check_object, parse
 from penscript.netcore import tensor as T
 from penscript.netcore.layers import BatchNorm1d, BiLSTM, Conv1d, Dense, Dropout, LSTM, MaxPool1d
@@ -161,6 +161,8 @@ def save_checkpoint(
 
 
 _HEADER_KINDS = {"model": dict, "task": str, "in_channels": int, "arrays": list}
+# the run fields the train command writes; each is checked when present
+_RUN_FIELD_KINDS = {"epochs_completed": int, "alphabet": list, "train": dict}
 
 
 def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
@@ -170,7 +172,10 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     in_channels and arrays of the right kinds, a header or blob that does
     not hold exactly the model's arrays, an array holding NaN or inf, or a
     negative running variance fails with a ValueError naming the file and
-    the key or array.
+    the key or array. So does a run field, when present, that is not what
+    train writes: epochs_completed an integer >= 0, alphabet a list of
+    distinct symbols, one per class, and train an object whose target_len
+    is an integer >= 1.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -220,4 +225,21 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
         homes[name][...] = chunk.reshape(homes[name].shape)
     if model.norm is not None:
         model.norm.initialized = True
+
+    check_object(header, what, {k: v for k, v in _RUN_FIELD_KINDS.items() if k in header})
+    completed = header.get("epochs_completed", 0)
+    if completed < 0:
+        raise bad(f"'epochs_completed' must be a non-negative integer, got {completed!r}")
+    if "alphabet" in header:
+        try:
+            size = Alphabet(header["alphabet"]).size
+        except ValueError as exc:
+            raise bad(f"'alphabet': {exc}") from None
+        if size != cfg.num_classes:
+            raise bad(f"'alphabet' has {size} symbols, but the model has {cfg.num_classes} classes")
+    if "train" in header:
+        section = check_object(header["train"], f"{what} 'train'", {"target_len": int})
+        target_len = section["target_len"]
+        if target_len < 1:
+            raise bad(f"'train.target_len' must be a positive integer, got {target_len!r}")
     return model, header

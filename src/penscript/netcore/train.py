@@ -143,7 +143,8 @@ def train(
     With no sample left, no step is taken and train_loss is NaN. A loss
     that fails, say on a NaN model output, raises its ValueError prefixed
     with the epoch, the batch and the batch's dataset indices. Pass a
-    model to continue training it.
+    model to continue training it; its task and input channel count must
+    be this run's.
     """
     train_idx, val_idx = fold
     if len(train_idx) == 0:
@@ -173,6 +174,11 @@ def train(
         model = RecognitionModel(model_cfg, in_channels, task, rng_init)
     elif model.task != task:
         raise ValueError(f"checkpointed model is for task {model.task!r}")
+    elif model.in_channels != in_channels:
+        raise ValueError(
+            f"checkpointed model takes {model.in_channels} input channels,"
+            f" but the training data has {in_channels}"
+        )
 
     kept = list(train_idx)
     if task == "seq2seq":

@@ -10,6 +10,7 @@ total matches the detected strokes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,9 +39,10 @@ def detect_strokes(
     """Maximal runs with force > threshold, as inclusive (start, end) pairs.
 
     Runs shorter than min_len timesteps are dropped as spurious spikes.
+    A threshold that is not finite and positive raises a ValueError.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be a finite positive number, got {threshold!r}")
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
     force = np.asarray(force, dtype=np.float64)

@@ -279,6 +279,18 @@ class TestSegment:
         assert out == ""
         assert err == "error: no stroke constraints for symbols ['a', 'b']\n"
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_is_named(self, tmp_path, capsys, threshold):
+        eq, _ = make_equation_sample("1+2", (1, 2, 1))
+        data, labels = write_dataset(tmp_path, [eq])
+        code, out, err = run(
+            capsys,
+            ["segment", "--data", data, "--labels", labels, "--threshold", threshold, "--out", str(tmp_path / "o")],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: threshold must be a finite positive number, got {float(threshold)!r}\n"
+
 
 EQUATIONS = list(equations_alphabet().symbols)
 
@@ -345,40 +357,6 @@ class TestTrain:
         assert err == (
             f"error: epoch 0, batch 0 (dataset indices {rows}): logits contain non-finite values\n"
         )
-
-    @pytest.mark.parametrize(
-        "completed, problem",
-        [
-            ([1], " header: epochs_completed must be an integer, got [1]"),
-            ("x", " header: epochs_completed must be an integer, got 'x'"),
-            (True, " header: epochs_completed must be an integer, got True"),
-            (2.7, " header: epochs_completed must be an integer, got 2.7"),
-            (-5, ": 'epochs_completed' must be a non-negative integer, got -5"),
-            ("absent", None),
-        ],
-        ids=["list", "str", "bool", "float", "negative", "absent"],
-    )
-    def test_resume_checks_epochs_completed(self, tmp_path, capsys, rng, completed, problem):
-        data, labels = write_dataset(tmp_path, char_samples(rng))
-        base = ["--seed", "3", "train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1"] + TRAIN_FLAGS
-        run(capsys, base + ["--out", str(tmp_path / "a")])
-        ckpt = tmp_path / "a" / "model.ckpt"
-        header_line, blob = ckpt.read_bytes().split(b"\n", 1)
-        header = json.loads(header_line)
-        if completed == "absent":
-            del header["epochs_completed"]
-        else:
-            header["epochs_completed"] = completed
-        ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
-        code, out, err = run(capsys, base + ["--resume", str(ckpt), "--out", str(tmp_path / "b")])
-        if problem is None:
-            assert code == 0
-            assert checkpoint_header(tmp_path / "b" / "model.ckpt")["epochs_completed"] == 1
-            return
-        assert code == 1
-        assert out == ""
-        assert err.strip() == f"error: checkpoint {ckpt}{problem}"
-        assert not (tmp_path / "b" / "model.ckpt").exists()
 
     @pytest.mark.parametrize(
         "change, message",
@@ -761,6 +739,20 @@ class TestConfigFile:
         assert err == "error: config key 'train.seed' is not read; set the seed with --seed\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("classes", [20, 15, 5])
+    def test_model_num_classes_in_config_is_rejected(self, tmp_path, capsys, rng, classes):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        out = tmp_path / "o"
+        argv = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1",
+                "--out", str(out), "--config", write_config(tmp_path, {"model": {"num_classes": classes}})]
+        code, stdout, err = run(capsys, argv + TRAIN_FLAGS)
+        assert code == 1
+        assert stdout == ""
+        assert err == (
+            "error: config key 'model.num_classes' is not read; the alphabet sets the class count\n"
+        )
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_identical_files_score_zero(self, tmp_path, capsys):
@@ -825,6 +817,40 @@ def train_seq2seq(capsys, tmp_path, data, labels):
         ["--seed", "2", "train", "--data", data, "--labels", labels, "--loss", "ctc", "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path / "o")] + SEQ_FLAGS,
     )
     return str(tmp_path / "o" / "model.ckpt")
+
+
+RUN = {"alphabet": EQUATIONS, "train": {"target_len": 12}}  # the run fields decode needs
+
+# (id, header run fields, the error after "checkpoint PATH", or None where
+# the checkpoint loads, and whether only decode needs the field: train
+# --resume takes the alphabet and target_len from its own dataset and flags)
+_RUN_FIELDS = [
+    ("library-saved", None, " header is missing the key(s) alphabet, train", True),
+    ("no-alphabet", {"train": {"target_len": 12}}, " header is missing the key(s) alphabet", True),
+    ("alphabet-str", {**RUN, "alphabet": "0123"}, " header: alphabet must be a list, got '0123'", False),
+    ("alphabet-repeats", {**RUN, "alphabet": ["0", "0", "1", "2"]}, ": 'alphabet': alphabet symbols must be distinct", False),
+    ("alphabet-size", {**RUN, "alphabet": ["0", "1", "2"]}, ": 'alphabet' has 3 symbols, but the model has 15 classes", False),
+    ("no-train", {"alphabet": EQUATIONS}, " header is missing the key(s) train", True),
+    ("no-target-len", {**RUN, "train": {}}, " header 'train' is missing the key(s) target_len", False),
+    ("target-len-str", {**RUN, "train": {"target_len": "12"}}, " header 'train': target_len must be an integer, got '12'", False),
+    ("target-len-zero", {**RUN, "train": {"target_len": 0}}, ": 'train.target_len' must be a positive integer, got 0", False),
+    ("train-list", {**RUN, "train": [12]}, " header: train must be a JSON object, got [12]", False),
+    ("epochs-list", {**RUN, "epochs_completed": [1]}, " header: epochs_completed must be an integer, got [1]", False),
+    ("epochs-str", {**RUN, "epochs_completed": "x"}, " header: epochs_completed must be an integer, got 'x'", False),
+    ("epochs-bool", {**RUN, "epochs_completed": True}, " header: epochs_completed must be an integer, got True", False),
+    ("epochs-float", {**RUN, "epochs_completed": 2.7}, " header: epochs_completed must be an integer, got 2.7", False),
+    ("epochs-negative", {**RUN, "epochs_completed": -5}, ": 'epochs_completed' must be a non-negative integer, got -5", False),
+    ("epochs-two", {**RUN, "epochs_completed": 2}, None, False),
+    ("epochs-absent", RUN, None, False),
+]
+
+# decode rows keep the case's id; train --resume rows add "-resume"
+RUN_FIELD_CASES = [
+    pytest.param("decode", extra, problem, id=case) for case, extra, problem, _ in _RUN_FIELDS
+] + [
+    pytest.param("resume", extra, None if decode_only else problem, id=f"{case}-resume")
+    for case, extra, problem, decode_only in _RUN_FIELDS
+]
 
 
 class TestDecode:
@@ -994,34 +1020,48 @@ class TestDecode:
             f"error: checkpoint {cfg} header is missing the key(s) model, task, in_channels, arrays"
         )
 
-    @pytest.mark.parametrize(
-        "extra, problem",
-        [
-            (None, " header is missing the key(s) alphabet, train"),
-            ({"train": {"target_len": 12}}, " header is missing the key(s) alphabet"),
-            ({"alphabet": "0123", "train": {"target_len": 12}}, " header: alphabet must be a list, got '0123'"),
-            ({"alphabet": ["0", "0", "1", "2"], "train": {"target_len": 12}}, ": 'alphabet': alphabet symbols must be distinct"),
-            ({"alphabet": ["0", "1", "2"], "train": {"target_len": 12}}, ": 'alphabet' has 3 symbols, but the model has 15 classes"),
-            ({"alphabet": EQUATIONS}, " header is missing the key(s) train"),
-            ({"alphabet": EQUATIONS, "train": {}}, " header 'train' is missing the key(s) target_len"),
-            ({"alphabet": EQUATIONS, "train": {"target_len": "12"}}, " header 'train': target_len must be an integer, got '12'"),
-            ({"alphabet": EQUATIONS, "train": {"target_len": 0}}, ": 'train.target_len' must be a positive integer, got 0"),
-        ],
-        ids=["library-saved", "no-alphabet", "alphabet-str", "alphabet-repeats", "alphabet-size", "no-train", "no-target-len", "target-len-str", "target-len-zero"],
-    )
-    def test_checkpoint_run_fields_are_checked(self, tmp_path, capsys, rng, extra, problem):
+    @pytest.mark.parametrize("command", ["decode", "resume"])
+    def test_other_channel_count_is_rejected(self, tmp_path, capsys, rng, command):
         data, labels = write_dataset(tmp_path, char_samples(rng))
-        run(
-            capsys,
-            ["--seed", "3", "train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--out", str(tmp_path / "o")] + TRAIN_FLAGS,
-        )
+        other, other_labels = write_dataset(tmp_path, char_samples(rng, channels=5), stem="five")
+        base = ["train", "--loss", "cce", "--epochs", "1"] + TRAIN_FLAGS
+        run(capsys, base + ["--data", data, "--labels", labels, "--out", str(tmp_path / "o")])
+        ckpt = str(tmp_path / "o" / "model.ckpt")
+        if command == "decode":
+            argv = ["decode", "--data", other, "--labels", other_labels, "--checkpoint", ckpt]
+            problem = f"checkpoint {ckpt} takes 3 input channels, but data {other} has 5"
+        else:
+            argv = base + ["--data", other, "--labels", other_labels, "--resume", ckpt, "--out", str(tmp_path / "b")]
+            problem = "checkpointed model takes 3 input channels, but the training data has 5"
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {problem}\n"
+
+    @pytest.mark.parametrize("command, extra, problem", RUN_FIELD_CASES)
+    def test_checkpoint_run_fields_are_checked(self, tmp_path, capsys, rng, command, extra, problem):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        base = ["--seed", "3", "train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1"] + TRAIN_FLAGS
+        run(capsys, base + ["--out", str(tmp_path / "o")])
         model, _ = load_checkpoint(str(tmp_path / "o" / "model.ckpt"))
         ckpt = str(tmp_path / "resaved.ckpt")
         save_checkpoint(ckpt, model, extra)
-        code, out, err = run(capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt])
+        resumed = tmp_path / "b" / "model.ckpt"
+        if command == "decode":
+            argv = ["decode", "--data", data, "--labels", labels, "--checkpoint", ckpt]
+        else:
+            argv = base + ["--resume", ckpt, "--out", str(resumed.parent)]
+        code, out, err = run(capsys, argv)
+        if problem is None:
+            assert code == 0
+            if command == "resume":
+                assert checkpoint_header(resumed)["epochs_completed"] == 1 + (extra or {}).get("epochs_completed", 0)
+            return
         assert code == 1
         assert out == ""
         assert err.strip() == f"error: checkpoint {ckpt}{problem}"
+        assert not resumed.exists()
+
 
 def overflowing_norm(ckpt):
     """Rewrite ckpt so its eval output is NaN from finite arrays that load.

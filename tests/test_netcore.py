@@ -935,11 +935,11 @@ class TestCheckpoint:
         x = rng.normal(0, 1, (2, 8, 3))
         model.forward(x, "train")  # give batchnorm real running stats
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, model, extra={"alphabet": "abc", "epochs_completed": 3})
+        save_checkpoint(path, model, extra={"alphabet": list("abcd"), "epochs_completed": 3})
         loaded, header = load_checkpoint(path)
 
         assert header["epochs_completed"] == 3
-        assert header["alphabet"] == "abc"
+        assert header["alphabet"] == list("abcd")
         for (n1, p1), (n2, p2) in zip(model.parameters(), loaded.parameters()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
@@ -1109,6 +1109,21 @@ class TestCheckpointChecks:
         path, header, blob = saved_checkpoint(tmp_path, rng)
         rewrite(path, header, blob[:-3])
         with rejected(path, "the blob holds"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("epochs_completed", -1, ": 'epochs_completed' must be a non-negative integer, got -1"),
+            ("alphabet", list("abc"), ": 'alphabet' has 3 symbols, but the model has 4 classes"),
+            ("train", {"target_len": 0}, ": 'train.target_len' must be a positive integer, got 0"),
+        ],
+        ids=["epochs", "alphabet", "train"],
+    )
+    def test_run_field_is_checked_when_present(self, tmp_path, rng, field, value, problem):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        rewrite(path, {**header, field: value}, blob)
+        with pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {path}{problem}") + "$"):
             load_checkpoint(path)
 
 
@@ -1288,6 +1303,14 @@ class TestTrain:
         assert any(
             not np.array_equal(b, p.data)
             for b, (_, p) in zip(before, model.parameters())
+        )
+
+    def test_resume_rejects_other_channel_count(self, rng):
+        model, _ = train(tiny_dataset(rng), (range(8), ()), SMALL, SMALL_TRAIN, "cce")
+        with pytest.raises(ValueError) as exc:
+            train(tiny_dataset(rng, channels=5), (range(8), ()), SMALL, SMALL_TRAIN, "cce", model=model)
+        assert str(exc.value) == (
+            "checkpointed model takes 2 input channels, but the training data has 5"
         )
 
     @pytest.mark.parametrize(

@@ -57,6 +57,12 @@ class TestDetectStrokes:
         with pytest.raises(ValueError):
             detect_strokes([1.0], 0.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.5])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError) as exc:
+            detect_strokes([1.0], threshold)
+        assert str(exc.value) == f"threshold must be a finite positive number, got {threshold!r}"
+
 
 class TestSplitEquation:
     def test_unique_assignment(self):
