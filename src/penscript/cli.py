@@ -169,16 +169,14 @@ def cmd_augment(args) -> int:
 
 def cmd_segment(args) -> int:
     samples, alphabet = _load_dataset(args)
+    # every recording is split before --out is made, so a failure writes nothing
+    opts = {"threshold": args.threshold, "min_len": args.min_len, "alphabet": alphabet}
+    results = [split_equation(s, **opts) for s in samples]
     out = _out_dir(args)
     manifest = []
-    piece_count = 0
-    for i, s in enumerate(samples):
-        result = split_equation(
-            s, threshold=args.threshold, min_len=args.min_len, alphabet=alphabet
-        )
+    for i, (s, result) in enumerate(zip(samples, results)):
         stem = f"sample{i:04d}"
         _write_dataset(out / f"{stem}.csv", out / f"{stem}.jsonl", result.samples, alphabet)
-        piece_count += len(result)
         manifest.append(
             {
                 "index": i,
@@ -190,7 +188,7 @@ def cmd_segment(args) -> int:
     (out / "manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, indent=2), encoding="utf-8"
     )
-    _emit({"equations": len(samples), "characters": piece_count})
+    _emit({"equations": len(samples), "characters": sum(len(r) for r in results)})
     return 0
 
 
@@ -199,17 +197,18 @@ def cmd_train(args) -> int:
     cfg_file = _load_config(args.config)
     start_model, header = load_checkpoint(args.resume) if args.resume else (None, {})
 
-    # the model fields this command sets itself, by config or by flag;
-    # --units sizes whichever recurrent kind this run ends up with
-    model_dict = dict(_section(cfg_file, "model", args.config))
-    if "num_classes" in model_dict:
+    section = _section(cfg_file, "model", args.config)
+    if "num_classes" in section:
         raise ValueError(
             "config key 'model.num_classes' is not read; the alphabet sets the class count"
         )
+    # a resumed model supplies the defaults, and train() rejects a setting
+    # that differs from it; --units sizes whichever recurrent kind results
+    saved = start_model.cfg.to_dict() if start_model else {}
+    model_dict = {**saved, "num_classes": alphabet.size, **section}
     if args.recurrent is not None:
         model_dict["recurrent_kind"] = args.recurrent
-    default_kind = start_model.cfg.recurrent_kind if start_model else ModelConfig.recurrent_kind
-    kind = model_dict.get("recurrent_kind", default_kind)
+    kind = model_dict.get("recurrent_kind", ModelConfig.recurrent_kind)
     for flag, key in (
         ("filters", "conv_filters"),
         ("kernel", "conv_kernel"),
@@ -222,9 +221,7 @@ def cmd_train(args) -> int:
             model_dict[key] = value
     if args.no_batchnorm:
         model_dict["use_batchnorm"] = False
-    model_cfg = _from_config(
-        ModelConfig, {"num_classes": alphabet.size, **model_dict}, args.config
-    )
+    model_cfg = _from_config(ModelConfig, model_dict, args.config)
 
     train_dict = dict(_section(cfg_file, "train", args.config))
     if "seed" in train_dict:
@@ -257,20 +254,12 @@ def cmd_train(args) -> int:
         everything = tuple(range(len(samples)))
         fold = (everything, everything)
 
-    if start_model is not None:
-        saved_symbols = header.get("alphabet")
-        if saved_symbols is not None and saved_symbols != list(alphabet.symbols):
-            raise ValueError(
-                f"--resume: the checkpoint's alphabet is {saved_symbols},"
-                f" but this dataset's is {list(alphabet.symbols)}"
-            )
-        saved, requested = start_model.cfg.to_dict(), model_cfg.to_dict()
-        for key in ("num_classes", *model_dict):
-            if requested[key] != saved[key]:
-                raise ValueError(
-                    f"--resume: the checkpoint has {key} = {saved[key]!r},"
-                    f" but this run asks for {requested[key]!r}"
-                )
+    saved_symbols = header.get("alphabet")
+    if saved_symbols is not None and saved_symbols != list(alphabet.symbols):
+        raise ValueError(
+            f"--resume: the checkpoint's alphabet is {saved_symbols},"
+            f" but this dataset's is {list(alphabet.symbols)}"
+        )
 
     model, history = train(
         samples, fold, model_cfg, train_cfg, args.loss, loss_params, model=start_model
@@ -327,7 +316,7 @@ def cmd_decode(args) -> int:
     check_object(header, f"checkpoint {args.checkpoint} header", {"alphabet": list, "train": dict})
     alphabet = Alphabet(header["alphabet"])
     samples = parse_recording(_read(args.data), _read(args.labels), alphabet)
-    if samples and samples[0].num_channels != model.in_channels:
+    if samples[0].num_channels != model.in_channels:
         raise ValueError(
             f"checkpoint {args.checkpoint} takes {model.in_channels} input channels,"
             f" but data {args.data} has {samples[0].num_channels}"
@@ -350,6 +339,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 < args.tolerance < float("inf"):
+        raise ValueError(f"--tolerance must be a finite positive number, got {args.tolerance!r}")
     report = fdcheck.run_all(args.seed)
     worst = max(report.values())
     _emit({"max_rel_error": {k: float(v) for k, v in report.items()}, "worst": worst})

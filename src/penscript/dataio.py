@@ -279,7 +279,8 @@ def parse_recording(
 
     Labels are encoded with `alphabet` (the equations alphabet by default).
     Raises RecordingFormatError for structural problems (with the offending
-    line number) and ValueError for out-of-range windows or non-finite data.
+    line number) or a labels file with no label lines, and ValueError for
+    out-of-range windows or non-finite data.
     """
     if alphabet is None:
         alphabet = equations_alphabet()
@@ -313,6 +314,8 @@ def parse_recording(
                 rate_hz=rate_hz,
             )
         )
+    if not samples:
+        raise RecordingFormatError("the labels file holds no label lines")
     return samples
 
 

@@ -143,8 +143,9 @@ def train(
     With no sample left, no step is taken and train_loss is NaN. A loss
     that fails, say on a NaN model output, raises its ValueError prefixed
     with the epoch, the batch and the batch's dataset indices. Pass a
-    model to continue training it; its task and input channel count must
-    be this run's.
+    model to continue training it: its task, its input channel count and
+    each model_cfg field, in that order, must be this run's, or a
+    ValueError names the first key that differs and both values.
     """
     train_idx, val_idx = fold
     if len(train_idx) == 0:
@@ -172,13 +173,16 @@ def train(
     in_channels = dataset[train_idx[0]].num_channels
     if model is None:
         model = RecognitionModel(model_cfg, in_channels, task, rng_init)
-    elif model.task != task:
-        raise ValueError(f"checkpointed model is for task {model.task!r}")
-    elif model.in_channels != in_channels:
-        raise ValueError(
-            f"checkpointed model takes {model.in_channels} input channels,"
-            f" but the training data has {in_channels}"
-        )
+    else:
+        have = {"task": model.task, "in_channels": model.in_channels, **model.cfg.to_dict()}
+        want = {"task": task, "in_channels": in_channels, **model_cfg.to_dict()}
+        for key, value in want.items():
+            if have[key] != value:
+                loss = f" (loss {loss_selector!r})" if key == "task" else ""
+                raise ValueError(
+                    f"the model to continue has {key} = {have[key]!r},"
+                    f" but this run asks for {value!r}{loss}"
+                )
 
     kept = list(train_idx)
     if task == "seq2seq":

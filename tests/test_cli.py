@@ -266,6 +266,7 @@ class TestSegment:
         assert code == 1
         assert out == ""
         assert err == "error: force_channel 12 out of range for 3 channels\n"
+        assert not (tmp_path / "o").exists()
 
     def test_symbol_without_stroke_constraints_fails_cleanly(self, tmp_path, capsys):
         eq, _ = make_equation_sample("12", (1, 1))
@@ -278,6 +279,26 @@ class TestSegment:
         assert code == 1
         assert out == ""
         assert err == "error: no stroke constraints for symbols ['a', 'b']\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "equations, threshold, message",
+        [
+            ([("1+2", (1, 2, 1))], "100", "no strokes detected for label '1+2'"),
+            ([("1+2", (1, 2, 1)), ("1", (3,))], "0.02", "3 strokes cannot be assigned to label '1'"),
+        ],
+        ids=["no-stroke", "second-recording"],
+    )
+    def test_failed_split_writes_nothing(self, tmp_path, capsys, equations, threshold, message):
+        data, labels = write_dataset(tmp_path, [make_equation_sample(*eq)[0] for eq in equations])
+        code, out, err = run(
+            capsys,
+            ["segment", "--data", data, "--labels", labels, "--threshold", threshold, "--out", str(tmp_path / "o")],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_is_named(self, tmp_path, capsys, threshold):
@@ -290,6 +311,7 @@ class TestSegment:
         assert code == 1
         assert out == ""
         assert err == f"error: threshold must be a finite positive number, got {float(threshold)!r}\n"
+        assert not (tmp_path / "o").exists()
 
 
 EQUATIONS = list(equations_alphabet().symbols)
@@ -363,8 +385,9 @@ class TestTrain:
         [
             (["--filters", "9"], "conv_filters = 4, but this run asks for 9"),
             ({"model": {"dense_units": 7}}, "dense_units = 100, but this run asks for 7"),
+            (["--loss", "ctc"], "task = 'char', but this run asks for 'seq2seq' (loss 'ctc')"),
         ],
-        ids=["flag", "config"],
+        ids=["flag", "config", "loss"],
     )
     def test_resume_rejects_conflicting_model_setting(self, tmp_path, capsys, rng, change, message):
         data, labels = write_dataset(tmp_path, char_samples(rng))
@@ -378,8 +401,20 @@ class TestTrain:
         )
         assert code == 1
         assert out == ""
-        assert f"the checkpoint has {message}" in err
-        assert not (tmp_path / "b" / "model.ckpt").exists()
+        assert err == f"error: the model to continue has {message}\n"
+        assert not (tmp_path / "b").exists()
+
+    def test_resume_without_model_settings_keeps_the_checkpoint_model(self, tmp_path, capsys, rng):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        base = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1"]
+        assert run(capsys, base + TRAIN_FLAGS + ["--out", str(tmp_path / "a")])[0] == 0
+        code, _, err = run(
+            capsys,
+            base + ["--target-len", "12", "--resume", str(tmp_path / "a" / "model.ckpt"), "--out", str(tmp_path / "b")],
+        )
+        assert (code, err) == (0, "")
+        saved = checkpoint_header(tmp_path / "a" / "model.ckpt")["model"]
+        assert checkpoint_header(tmp_path / "b" / "model.ckpt")["model"] == saved
 
     def test_fold_plan_drives_validation(self, tmp_path, capsys, rng):
         samples = char_samples(rng, n=9)
@@ -1032,7 +1067,7 @@ class TestDecode:
             problem = f"checkpoint {ckpt} takes 3 input channels, but data {other} has 5"
         else:
             argv = base + ["--data", other, "--labels", other_labels, "--resume", ckpt, "--out", str(tmp_path / "b")]
-            problem = "checkpointed model takes 3 input channels, but the training data has 5"
+            problem = "the model to continue has in_channels = 3, but this run asks for 5"
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
@@ -1089,3 +1124,36 @@ class TestGradcheck:
     def test_fails_at_impossible_tolerance(self, capsys):
         code, _, _ = run(capsys, ["--seed", "0", "gradcheck", "--tolerance", "1e-30"])
         assert code == 1
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, monkeypatch, tolerance):
+        def no_checks(seed):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli.fdcheck, "run_all", no_checks)
+        code, out, err = run(capsys, ["gradcheck", "--tolerance", tolerance])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --tolerance must be a finite positive number, got {float(tolerance)!r}\n"
+
+
+class TestEmptyLabels:
+    @pytest.mark.parametrize("command", ["ingest", "split", "augment", "segment", "train", "decode"])
+    def test_every_command_names_the_empty_labels_file(self, tmp_path, capsys, rng, command):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n  \n", encoding="utf-8")
+        out_dir = tmp_path / "o"
+        argv = [command, "--data", data, "--labels", str(empty)]
+        if command == "decode":
+            base = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1"]
+            assert run(capsys, base + TRAIN_FLAGS + ["--out", str(tmp_path / "m")])[0] == 0
+            argv += ["--checkpoint", str(tmp_path / "m" / "model.ckpt")]
+        else:
+            argv += {"split": ["--mode", "WD"], "train": ["--loss", "cce", "--epochs", "1"]}.get(command, [])
+            argv += ["--out", str(out_dir)]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: the labels file holds no label lines\n"
+        assert not out_dir.exists()

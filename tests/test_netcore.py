@@ -1138,6 +1138,24 @@ def tiny_dataset(rng, n=8, t_len=12, channels=2, classes=3):
 
 SMALL_TRAIN = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=4, seed=9, target_len=12)
 
+# (key, this run's value, the message after "the model to continue has "),
+# one row per key train() checks on a model built from SMALL for 2 channels
+CONTINUE_CASES = [
+    ("task", "seq2seq", "task = 'char', but this run asks for 'seq2seq' (loss 'ctc')"),
+    ("in_channels", 5, "in_channels = 2, but this run asks for 5"),
+    ("num_classes", 5, "num_classes = 4, but this run asks for 5"),
+    ("conv_filters", 7, "conv_filters = 6, but this run asks for 7"),
+    ("conv_kernel", 2, "conv_kernel = 3, but this run asks for 2"),
+    ("pool_size", 3, "pool_size = 2, but this run asks for 3"),
+    ("dropout_rate", 0.5, "dropout_rate = 0.0, but this run asks for 0.5"),
+    ("recurrent_kind", "LSTM", "recurrent_kind = 'BiLSTM', but this run asks for 'LSTM'"),
+    ("lstm_units", 7, "lstm_units = 100, but this run asks for 7"),
+    ("bilstm_units", 4, "bilstm_units = 3, but this run asks for 4"),
+    ("bilstm_layers", 2, "bilstm_layers = 1, but this run asks for 2"),
+    ("dense_units", 6, "dense_units = 5, but this run asks for 6"),
+    ("use_batchnorm", False, "use_batchnorm = True, but this run asks for False"),
+]
+
 
 class TestTrain:
     def test_zero_epochs_empty_history(self, rng):
@@ -1305,13 +1323,27 @@ class TestTrain:
             for b, (_, p) in zip(before, model.parameters())
         )
 
-    def test_resume_rejects_other_channel_count(self, rng):
-        model, _ = train(tiny_dataset(rng), (range(8), ()), SMALL, SMALL_TRAIN, "cce")
+    @pytest.mark.parametrize("key, want, message", CONTINUE_CASES, ids=[c[0] for c in CONTINUE_CASES])
+    def test_continued_model_must_match_the_run(self, rng, key, want, message):
+        model = RecognitionModel(SMALL, 2, "char", rng)
+        loss = "ctc" if key == "task" else "cce"
+        data = tiny_dataset(rng, channels=want if key == "in_channels" else 2)
+        cfg = SMALL if key in ("task", "in_channels") else dataclasses.replace(SMALL, **{key: want})
         with pytest.raises(ValueError) as exc:
-            train(tiny_dataset(rng, channels=5), (range(8), ()), SMALL, SMALL_TRAIN, "cce", model=model)
-        assert str(exc.value) == (
-            "checkpointed model takes 2 input channels, but the training data has 5"
-        )
+            train(data, (range(8), ()), cfg, SMALL_TRAIN, loss, model=model)
+        assert str(exc.value) == f"the model to continue has {message}"
+
+    def test_every_model_field_has_a_continue_case(self):
+        fields = [f.name for f in dataclasses.fields(ModelConfig)]
+        assert [c[0] for c in CONTINUE_CASES] == ["task", "in_channels", *fields]
+
+    def test_model_from_another_config_is_rejected(self, rng):
+        # two fields differ; the first in declaration order is named
+        other = dataclasses.replace(SMALL, conv_filters=7, dense_units=9)
+        model = RecognitionModel(other, 2, "char", rng)
+        with pytest.raises(ValueError) as exc:
+            train(tiny_dataset(rng), (range(8), ()), SMALL, SMALL_TRAIN, "cce", model=model)
+        assert str(exc.value) == "the model to continue has conv_filters = 7, but this run asks for 6"
 
     @pytest.mark.parametrize(
         "loss, problem",
@@ -1363,12 +1395,6 @@ class TestTrain:
         expected = "^dataset index 5: a character loss needs a one-symbol label, got 3 symbols$"
         with pytest.raises(ValueError, match=expected):
             train(data, fold, SMALL, SMALL_TRAIN, "cce")
-
-    def test_task_mismatch_rejected(self, rng):
-        data = tiny_dataset(rng)
-        model, _ = train(data, (range(8), ()), SMALL, SMALL_TRAIN, "cce")
-        with pytest.raises(ValueError):
-            train(data, (range(8), ()), SMALL, SMALL_TRAIN, "ctc", model=model)
 
     def test_bad_selector_and_empty_split(self, rng):
         data = tiny_dataset(rng)
