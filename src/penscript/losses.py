@@ -18,11 +18,18 @@ decoders. `ctc_loss` takes one (T, K+1) matrix and one target, or a
 character losses. One log-space recursion over the padded (B, T, S)
 lattices, `_forward`, gives both CTC passes: the backward variables are
 the forward variables of the lattice reversed in time and in state.
+
+The prefix beam search keeps each prefix as a trie node (parent id, last
+label, length), so no frame touches a label tuple. Each frame scores every
+beam's stay and every extension as one (beams, K+1) candidate matrix and
+keeps the beam_width best by total mass, ties going to the shorter and
+then the lexicographically smaller prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Sequence
 
 import numpy as np
@@ -391,92 +398,139 @@ def ctc_loss(log_probs: np.ndarray, targets) -> LossOutput:
 def greedy_decode(log_probs: np.ndarray) -> tuple[int, ...]:
     """Best-path decoding: frame argmaxes, collapse repeats, drop blanks."""
     y = _log_probs(log_probs, batched=False)[0][0]  # the batch of one's only row
-    blank = y.shape[1] - 1
-    out = []
-    prev = -1
-    for k in np.argmax(y, axis=1):
-        if k != prev and k != blank:
-            out.append(int(k))
-        prev = k
-    return tuple(out)
+    best = np.argmax(y, axis=1)
+    keep = best != y.shape[1] - 1
+    keep[1:] &= best[1:] != best[:-1]
+    return tuple(best[keep].tolist())
 
 
 def beam_decode(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
     """Prefix beam search over collapsed labelings (Hannun et al. 2014).
 
-    The surviving beams are parallel arrays: blank-ending mass, label-ending
-    mass and last label (-1 for the empty prefix), beside a list of prefix
-    tuples. At each frame every beam stays (by a blank, or by repeating its
-    last label) and extends by every label at once, as one (beam, label)
-    array; extending by its own last label takes only the blank-ending mass,
-    since label-ending paths collapse into the repeat. An extension whose
-    source mass is -inf is dropped, never a candidate. An extension that is
-    already a surviving beam adds its mass to that beam's label-ending
-    mass; each beam finds its parent by one prefix lookup. Candidates rank
-    by total mass, ties going to the shorter and then the lexicographically
-    smaller prefix; the ranking sorts only those at or above the
-    beam_width-th best mass. With a beam at least as wide as the number of
+    Prefixes are nodes of a trie: node 0 is the empty prefix, and node i
+    is prefix parent[i] followed by label[i], depth[i] labels long. A
+    (parent, label) -> node map gives every prefix one id, even one that
+    leaves the beam and comes back. The surviving beams are a list of
+    nodes in rank order beside arrays of their blank-ending mass,
+    label-ending mass and last label (the blank for the empty prefix).
+
+    Each frame's candidates are one (beams, K+1) matrix. Column k < K
+    extends each beam by label k, from its total mass; extending by its
+    own last label takes only the blank-ending mass, since label-ending
+    paths collapse into the repeat. Column K is each beam's stay, by a
+    blank (from its total mass) or by repeating its last label (from its
+    label-ending mass). An extension whose source mass is -inf is dead
+    and never ranked. When a beam and its parent prefix both survive, the
+    parent's extension to it is no candidate of its own: its mass joins
+    the beam's label-ending mass. Those pairs are found when the beams are
+    kept, by a lookup over the kept nodes.
+
+    Candidates rank by total mass, ties going to the shorter and then the
+    lexicographically smaller prefix. Only those at or above the
+    beam_width-th best mass are sorted, in one sort by (cost, length,
+    prefix) whose prefix key builds label tuples only when the sort
+    compares two candidates tied exactly on mass and length; the result
+    is the only other tuple built.
+    Memory follows the trie, at most one node per kept beam per frame, and
+    never the width itself; with a beam at least as wide as the number of
     reachable prefixes the search is exact.
     """
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
+    if isinstance(beam_width, bool) or not isinstance(beam_width, (int, np.integer)) or beam_width < 1:
+        raise ValueError(f"beam_width must be an integer >= 1, got {beam_width!r}")
     y = _log_probs(log_probs, batched=False)[0][0]  # the batch of one's only row
     blank = y.shape[1] - 1
+    width = blank + 1
 
-    prefixes: list[tuple[int, ...]] = [()]
+    # the empty prefix's label is the blank: its stay then reads its
+    # blank-ending mass, which is its total, and its label-ending mass
+    # stays -inf
+    parent, label, depth = [-1], [blank], [0]
+    node_of: dict[tuple[int, int], int] = {}
+
+    def prefix(node: int) -> tuple[int, ...]:
+        out = []
+        while node:
+            out.append(label[node])
+            node = parent[node]
+        return tuple(reversed(out))
+
+    # candidate c is cell divmod(c, width) of the frame's matrix
+    def cand_prefix(c: int) -> tuple[int, ...]:
+        b, k = divmod(c, width)
+        return prefix(nodes[b]) + ((k,) if k != blank else ())
+
+    def prefix_order(c: int, d: int) -> int:
+        mine, theirs = cand_prefix(c), cand_prefix(d)
+        return (mine > theirs) - (mine < theirs)
+
+    # a sort builds the prefix tuples only to compare two candidates tied on
+    # (cost, length); .obj is the candidate
+    by_prefix = cmp_to_key(prefix_order)
+
+    nodes = [0]
     p_blank = np.array([0.0])
     p_label = np.array([NEG_INF])
-    last = np.array([-1])
+    last = np.array([blank])
+    child = merged = None  # beams whose parent survives, and the parent's cell
     for row in y:
-        n = len(prefixes)
-        nonempty = np.flatnonzero(last >= 0)
-        tail_label = last[nonempty]
         total = np.logaddexp(p_blank, p_label)
-        stay_blank = total + row[blank]
-        stay_label = np.full(n, NEG_INF)
-        stay_label[nonempty] = p_label[nonempty] + row[tail_label]
-        source = np.repeat(total[:, None], blank, axis=1)
-        source[nonempty, tail_label] = p_blank[nonempty]
-        ext = source + row[:blank]
-        live = source != NEG_INF
+        src = total.repeat(width).reshape(-1, width)  # each candidate's source mass
+        # extending by the last label (or, for the empty prefix, staying)
+        # reads the blank-ending mass
+        src.put(np.arange(0, src.size, width) + last, p_blank)
+        mass = src + row
+        cost = -mass
+        cost[src == NEG_INF] = np.nan  # dead; np.partition puts NaN last, and <= skips it
+        stay_label = p_label + row.take(last)
+        if child is not None:
+            # a dead cell's mass is -inf, and logaddexp(x, -inf) is x
+            stay_label[child] = np.logaddexp(stay_label[child], mass.take(merged))
+            cost.put(merged, np.nan)
+        cost[:, blank] = -np.logaddexp(mass[:, blank], stay_label)
 
-        index = {prefix: b for b, prefix in enumerate(prefixes)}
-        pairs = []
-        for b in nonempty.tolist():
-            parent = index.get(prefixes[b][:-1])
-            if parent is not None:
-                pairs.append((b, parent))
-        if pairs:
-            child, parent = np.array(pairs).T
-            label = last[child]
-            merge = live[parent, label]
-            child, parent, label = child[merge], parent[merge], label[merge]
-            stay_label[child] = np.logaddexp(stay_label[child], ext[parent, label])
-            live[parent, label] = False
+        flat = cost.ravel()
+        cut = np.inf
+        if flat.size > beam_width:
+            kth = np.partition(flat, beam_width - 1)[beam_width - 1]
+            if kth == kth:  # a NaN kth: fewer live candidates than the width
+                cut = kth
+        chosen = (flat <= cut).nonzero()[0]
+        costs = flat.take(chosen).tolist()
+        chosen = chosen.tolist()
+        # only the blank column keeps the beam's length
+        lengths = [depth[nodes[c // width]] + (c % width != blank) for c in chosen]
+        ranked = sorted(zip(costs, lengths, map(by_prefix, chosen)))
+        keep = [entry[2].obj for entry in ranked[:beam_width]]
 
-        ext_beam, ext_label = np.nonzero(live)
-        cand_blank = np.concatenate([stay_blank, np.full(ext_beam.size, NEG_INF)])
-        cand_label = np.concatenate([stay_label, ext[live]])
-        cost = -np.logaddexp(cand_blank, cand_label)
-        if cost.size > beam_width:
-            cut = np.partition(cost, beam_width - 1)[beam_width - 1]
-            chosen = np.flatnonzero(cost <= cut).tolist()
-        else:
-            chosen = range(cost.size)
-        costs, ext_beams, ext_labels = cost.tolist(), ext_beam.tolist(), ext_label.tolist()
-        ranked = []
-        for c in chosen:
-            if c < n:
-                prefix = prefixes[c]
+        stay_blank = mass[:, blank].tolist()
+        mass[:, blank] = stay_label
+        p_label = mass.take(keep)
+        kept, kept_blank = [], []
+        for c in keep:
+            b, k = divmod(c, width)
+            node = nodes[b]
+            if k == blank:
+                kept_blank.append(stay_blank[b])
             else:
-                prefix = prefixes[ext_beams[c - n]] + (ext_labels[c - n],)
-            ranked.append((costs[c], len(prefix), prefix, c))
-        kept = sorted(ranked)[:beam_width]
-        keep = np.array([entry[-1] for entry in kept])
-        prefixes = [entry[2] for entry in kept]
-        p_blank = cand_blank[keep]
-        p_label = cand_label[keep]
-        last = np.concatenate([last, ext_label])[keep]
+                kept_blank.append(NEG_INF)
+                grown = node_of.get((node, k))
+                if grown is None:
+                    grown = node_of[node, k] = len(parent)
+                    parent.append(node)
+                    label.append(k)
+                    depth.append(depth[node] + 1)
+                node = grown
+            kept.append(node)
+        nodes = kept
+        p_blank = np.array(kept_blank)
+        last = np.array([label[node] for node in nodes])
+        beam_of = {node: b for b, node in enumerate(nodes)}
+        pairs = [
+            (b, beam_of[parent[node]] * width + label[node])
+            for b, node in enumerate(nodes)
+            if parent[node] in beam_of
+        ]
+        child, merged = np.array(pairs).T if pairs else (None, None)
 
     # the beams are kept in rank order, so the first is the best
-    return prefixes[0]
+    return prefix(nodes[0])

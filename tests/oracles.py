@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and written against the
 definitions, not against the package: a memoized prefix recursion for
 edit distance, exhaustive path enumeration for the sequence loss and
-decoder, max-pooling by np.argmax, a central finite-difference
+decoder, a prefix beam search over a {prefix: masses} dict, max-pooling by
+np.argmax, a central finite-difference
 differentiator, and the original one-line-at-a-time recording reader and
 per-value writer.
 """
@@ -79,6 +80,43 @@ def best_labeling_oracle(p: np.ndarray) -> tuple[int, ...]:
     paths, groups = enumerate_labelings(t_len, width)
     masses = labeling_masses(p, paths, groups)
     return min(masses.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))[0]
+
+
+def prefix_beam_oracle(log_probs: np.ndarray, beam_width: int) -> tuple[int, ...]:
+    """Prefix beam search (Hannun et al. 2014) with each beam a dict entry.
+
+    log_probs is a (T, K+1) matrix whose last column is the blank; each
+    beam maps its prefix to its blank-ending and label-ending log-masses.
+    At each frame a prefix stays (by a blank, or by repeating its last
+    label) and grows by each label k; growing by its own last label takes
+    only the blank-ending mass. A growth whose source mass is -inf is no
+    candidate. The beam_width candidates of largest total mass survive,
+    ties going to the shorter, then the lexicographically smaller prefix.
+    """
+    neg_inf = float("-inf")
+    beams = {(): (0.0, neg_inf)}
+    for row in np.asarray(log_probs, dtype=np.float64).tolist():
+        blank = len(row) - 1
+        grown = {}
+        for prefix, (p_blank, p_label) in beams.items():
+            total = np.logaddexp(p_blank, p_label)
+            stay_label = p_label + row[prefix[-1]] if prefix else neg_inf
+            grown[prefix] = [total + row[blank], stay_label]
+        for prefix, (p_blank, p_label) in beams.items():
+            total = np.logaddexp(p_blank, p_label)
+            for k in range(blank):
+                source = p_blank if prefix and prefix[-1] == k else total
+                if source == neg_inf:
+                    continue
+                masses = grown.setdefault(prefix + (k,), [neg_inf, neg_inf])
+                masses[1] = np.logaddexp(masses[1], source + row[k])
+
+        def rank(item):
+            prefix, (p_blank, p_label) = item
+            return (-np.logaddexp(p_blank, p_label), len(prefix), prefix)
+
+        beams = dict(sorted(grown.items(), key=rank)[:beam_width])
+    return next(iter(beams))
 
 
 def central_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from oracles import (
     central_diff,
     collapse,
     ctc_total_oracle,
+    prefix_beam_oracle,
     rel_err,
 )
 
@@ -248,6 +251,14 @@ class TestGreedyDecode:
         )
         assert greedy_decode(lp) == (0, 0)
 
+    def test_matches_collapse_of_frame_argmaxes(self):
+        # rounded logits repeat argmaxes across frames and tie within them
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(1, 4))
+            lp = log_softmax(np.round(rng.normal(0, 1, (int(rng.integers(0, 9)), k + 1))))
+            assert greedy_decode(lp) == collapse(np.argmax(lp, axis=1), blank=k)
+
 
 @pytest.mark.parametrize(
     "decode", [greedy_decode, lambda lp: beam_decode(lp, 4)], ids=["greedy", "beam"]
@@ -314,6 +325,52 @@ class TestBeamDecode:
         with pytest.raises(ValueError):
             beam_decode(lp, beam_width=0)
 
+    @pytest.mark.parametrize("width", [2.0, True, False, "2", np.float64(3.0), 0])
+    def test_width_must_be_an_integer(self, width, rng):
+        lp = random_log_probs(rng, 2, 2)
+        want = f"beam_width must be an integer >= 1, got {width!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            beam_decode(lp, width)
+
+    def test_numpy_integer_width_is_accepted(self, rng):
+        lp = random_log_probs(rng, 5, 3)
+        assert beam_decode(lp, np.int64(3)) == beam_decode(lp, 3)
+
+    def test_matches_dict_oracle_on_random_inputs(self):
+        # rounded logits tie masses exactly, so the tie rule decides many of
+        # these; -inf entries, whole frames of them included, make dead
+        # extensions and zero-mass beams
+        rng = np.random.default_rng(23)
+        for case in range(2000):
+            t_len = int(rng.integers(0, 12))
+            k = int(rng.integers(1, 5))
+            width = int(rng.integers(1, 10))
+            lp = log_softmax(np.round(rng.normal(0, 1.5, (t_len, k + 1))))
+            if k > 1 and rng.random() < 0.4:
+                src, dst = rng.choice(k, 2, replace=False)
+                lp[:, dst] = lp[:, src]
+            lp[rng.random(lp.shape) < 0.15] = -np.inf
+            if t_len and rng.random() < 0.4:
+                lp[rng.integers(t_len), :k] = -np.inf
+            if t_len and rng.random() < 0.1:
+                lp[rng.integers(t_len)] = -np.inf
+            want = prefix_beam_oracle(lp, width)
+            assert beam_decode(lp, width) == want, (case, width, lp.tolist())
+
+    def test_width_costs_nothing_of_its_own(self, rng):
+        # a width above the number of reachable prefixes keeps them all;
+        # memory follows the prefixes kept, not the width
+        lp = random_log_probs(rng, 6, 2)
+        want = beam_decode(lp, 64)
+        tracemalloc.start()
+        try:
+            got = beam_decode(lp, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2**20
+
     def test_deterministic(self, rng):
         lp = random_log_probs(rng, 5, 3)
         a = beam_decode(lp, beam_width=4)
@@ -355,7 +412,8 @@ class TestBeamDecode:
     # Pinned by running the dict-based beam_decode, which held each beam in
     # a {prefix: masses} map, on these inputs before the search moved to
     # parallel arrays; the prefixes are ~150 labels long, so each is pinned
-    # by its length and the sha256 of its repr.
+    # by its length and the sha256 of its repr. The same digests also pin
+    # the trie search, which keeps prefixes as node ids.
     @pytest.mark.parametrize(
         "seed, length, digest",
         [
