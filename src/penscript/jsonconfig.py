@@ -1,4 +1,4 @@
-"""Where JSON enters the program: one parse and one shape check.
+"""Where JSON enters the program: one parse, one shape check, one range check.
 
 Labels lines, fold plans, config files and checkpoint headers all pass
 through parse and check_object, so a fault reads the same in each:
@@ -9,13 +9,20 @@ through parse and check_object, so a fault reads the same in each:
     {what}: {key} must be {want}, got {value!r}
     {what}: {key}[{i}] must be an integer, got {entry!r}   (a list of integers)
     {what} has unknown fields {names}                      (JsonConfig)
+    {name} must be in {interval}, got {value!r}            (check_ranges)
 
-Range and meaning checks (a positive count, a known mode) stay with the
-reader that knows them. JsonConfig gives the frozen config dataclasses
-to_dict/from_dict. to_dict lists the fields in declaration order, so a
-checkpoint header written from it does not change when the code around
-it does; from_dict rejects unknown fields, then checks the shape before
-the dataclass's own range checks run.
+A number is a float, or an int that float() can hold. check_ranges is
+the one range rule of the config classes and Adam: each numeric field
+declares an interval as text, such as "[0, 1)" or "(0, inf)", both the
+rule and the message; NaN lies in no interval and an open bound at inf
+keeps inf out. Meaning checks (a known mode, an ordering of two fields)
+stay with the reader that knows them.
+
+JsonConfig gives the frozen config dataclasses to_dict/from_dict.
+to_dict lists the fields in declaration order, so a checkpoint header
+written from it does not change when the code around it does; from_dict
+rejects unknown fields, then checks the shape before the dataclass's own
+range check runs.
 """
 
 from __future__ import annotations
@@ -30,10 +37,21 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    """True for a float, or for a JSON integer that float() can hold."""
+    if not is_int(v):
+        return isinstance(v, float)
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 # value kind -> (what the error message asks for, accepted-value test)
 _ACCEPTS = {
     int: ("an integer", is_int),
-    float: ("a number", lambda v: is_int(v) or isinstance(v, float)),
+    float: ("a number", _is_number),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple[int, ...]: (
@@ -72,6 +90,19 @@ def check_object(obj, what: str, kinds: dict) -> dict:
             raise ValueError(f"{what}: {key}[{i}] must be an integer, got {value[i]!r}")
         raise ValueError(f"{what}: {key} must be {want}, got {value!r}")
     return obj
+
+
+def check_ranges(obj, ranges: dict[str, str]) -> None:
+    """A ValueError for the first attribute of obj, in the order of ranges,
+    that lies outside its interval, given as text such as "[0, 1)" or
+    "(0, inf)"; NaN lies in no interval."""
+    for name, interval in ranges.items():
+        value = getattr(obj, name)
+        low, high = (float(bound) for bound in interval[1:-1].split(","))
+        above = low <= value if interval[0] == "[" else low < value
+        below = value <= high if interval[-1] == "]" else value < high
+        if not (above and below):
+            raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
 class JsonConfig:

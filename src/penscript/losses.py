@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from penscript.jsonconfig import JsonConfig
+from penscript.jsonconfig import JsonConfig, check_ranges
 
 NEG_INF = float("-inf")
 
@@ -58,20 +58,12 @@ class LossParams(JsonConfig):
     scale_free: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fl_alpha <= 1.0:
-            raise ValueError("fl_alpha must be in [0, 1]")
-        if self.fl_gamma < 0:
-            raise ValueError("fl_gamma must be >= 0")
-        if not 0.0 < self.gce_alpha <= 1.0:
-            raise ValueError("gce_alpha must be in (0, 1]")
-        for name in ("lsr_beta", "sbs_beta", "hbs_beta"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("sce_alpha", "sce_beta", "jo_alpha", "jo_beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.log_clamp_eps <= 0:
-            raise ValueError("log_clamp_eps must be positive")
+        check_ranges(self, {
+            "fl_alpha": "[0, 1]", "fl_gamma": "[0, inf)", "lsr_beta": "[0, 1]",
+            "sbs_beta": "[0, 1]", "hbs_beta": "[0, 1]", "gce_alpha": "(0, 1]",
+            "sce_alpha": "[0, inf)", "sce_beta": "[0, inf)", "jo_alpha": "[0, inf)",
+            "jo_beta": "[0, inf)", "log_clamp_eps": "(0, inf)", "rce_log_zero": "(-inf, inf)",
+        })
 
 
 @dataclass

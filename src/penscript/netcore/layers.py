@@ -109,6 +109,8 @@ class Dropout:
         self.rate = rate
 
     def __call__(self, x: Tensor, mode: str, rng: np.random.Generator | None = None) -> Tensor:
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         if mode == "eval" or self.rate == 0.0:
             return x
         if rng is None:

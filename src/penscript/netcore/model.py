@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from penscript.dataio import Alphabet, Sample
-from penscript.jsonconfig import JsonConfig, check_object, parse
+from penscript.jsonconfig import JsonConfig, check_object, check_ranges, parse
 from penscript.netcore import tensor as T
 from penscript.netcore.layers import BatchNorm1d, BiLSTM, Conv1d, Dense, Dropout, LSTM, MaxPool1d
 from penscript.netcore.tensor import Tensor
@@ -38,14 +38,11 @@ class ModelConfig(JsonConfig):
     use_batchnorm: bool = True
 
     def __post_init__(self) -> None:
-        for name in (
-            "num_classes", "conv_filters", "conv_kernel", "pool_size",
-            "lstm_units", "bilstm_units", "bilstm_layers", "dense_units",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        check_ranges(self, {
+            "num_classes": "[1, inf)", "conv_filters": "[1, inf)", "conv_kernel": "[1, inf)",
+            "pool_size": "[1, inf)", "lstm_units": "[1, inf)", "bilstm_units": "[1, inf)",
+            "bilstm_layers": "[1, inf)", "dense_units": "[1, inf)", "dropout_rate": "[0, 1)",
+        })
         if self.recurrent_kind not in ("LSTM", "BiLSTM"):
             raise ValueError("recurrent_kind must be 'LSTM' or 'BiLSTM'")
 

@@ -3,16 +3,15 @@
 One object holds the whole optimizer state: the first and second moments
 ``m`` and ``v``, one array per parameter in parameter order, and the
 number of ``steps`` taken. The constructor rejects the settings that
-would turn a step into NaN or inf: ``lr`` and ``eps`` must be finite and
-positive, ``beta1`` and ``beta2`` in [0, 1).
+would turn a step into NaN or inf: ``lr`` and ``eps`` must lie in
+(0, inf), ``beta1`` and ``beta2`` in [0, 1).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from penscript.jsonconfig import check_ranges
 from penscript.netcore.tensor import Tensor
 
 
@@ -25,17 +24,12 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        for name, value in (("lr", lr), ("eps", eps)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        for name, value in (("beta1", beta1), ("beta2", beta2)):
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
+        check_ranges(self, {"lr": "(0, inf)", "beta1": "[0, 1)", "beta2": "[0, 1)", "eps": "(0, inf)"})
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.steps = 0

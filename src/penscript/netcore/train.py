@@ -7,7 +7,6 @@ two runs produce bit-identical weights and history.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from penscript import metrics
 from penscript.dataio import Sample
-from penscript.jsonconfig import JsonConfig
+from penscript.jsonconfig import JsonConfig, check_ranges
 from penscript.losses import (
     CHARACTER_LOSSES,
     LossParams,
@@ -41,20 +40,11 @@ class TrainConfig(JsonConfig):
     target_len: int = 800
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "adam_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.target_len < 1:
-            raise ValueError("target_len must be >= 1")
+        check_ranges(self, {
+            "epochs": "[0, inf)", "learning_rate": "(0, inf)", "batch_size": "[1, inf)",
+            "adam_beta1": "[0, 1)", "adam_beta2": "[0, 1)", "adam_eps": "(0, inf)",
+            "target_len": "[1, inf)",
+        })
 
 
 def _prepare_inputs(

@@ -9,14 +9,13 @@ not depend on channel iteration order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from penscript.dataio import FORCE_CHANNEL, Sample
-from penscript.jsonconfig import JsonConfig
+from penscript.jsonconfig import JsonConfig, check_ranges
 from penscript.seeding import stream
 
 # canonical application order; also the substream ids
@@ -29,10 +28,8 @@ class AugmentConfig(JsonConfig):
 
     p_apply is the per-channel application probability (per-sample for the
     joint time warp). Shift amplitudes differ between the force channel and
-    everything else because force is on a much larger scale. The sigmas
-    and shift amplitudes are finite and non-negative, and warp_sigma is
-    below 1 so every time-warp speed stays positive; the magnitude-warp
-    bounds are finite.
+    everything else because force is on a much larger scale. warp_sigma
+    is below 1 so every time-warp speed stays positive.
     """
 
     p_apply: float = 0.5
@@ -48,22 +45,14 @@ class AugmentConfig(JsonConfig):
     force_channel: int = FORCE_CHANNEL
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_apply <= 1.0:
-            raise ValueError("p_apply must be in [0, 1]")
-        for name in ("scale_sigma", "jitter_sigma", "shift_force", "shift_other", "warp_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
-        if not self.warp_sigma < 1:
-            raise ValueError(f"warp_sigma must be below 1, got {self.warp_sigma!r}")
-        for name in ("mag_warp_low", "mag_warp_high"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        check_ranges(self, {
+            "p_apply": "[0, 1]", "scale_sigma": "[0, inf)", "jitter_sigma": "[0, inf)",
+            "shift_force": "[0, inf)", "shift_other": "[0, inf)",
+            "mag_warp_low": "(-inf, inf)", "mag_warp_high": "(-inf, inf)",
+            "warp_sigma": "[0, 1)", "bezier_control_points": "[2, inf)",
+        })
         if not self.mag_warp_low < self.mag_warp_high:
             raise ValueError("mag_warp_low must be < mag_warp_high")
-        if self.bezier_control_points < 2:
-            raise ValueError("bezier_control_points must be >= 2")
         object.__setattr__(
             self, "accelerometer_channels", tuple(int(c) for c in self.accelerometer_channels)
         )

@@ -221,7 +221,7 @@ class TestAugment:
         code, stdout, err = run(capsys, argv)
         assert code == 1
         assert stdout == ""
-        assert err == "error: scale_sigma must be a finite non-negative number, got -0.1\n"
+        assert err == "error: scale_sigma must be in [0, inf), got -0.1\n"
         assert not out.exists()
 
     def test_config_p_apply_zero_leaves_data_unchanged(self, tmp_path, capsys, rng):
@@ -507,7 +507,7 @@ class TestTrain:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: learning_rate must be a finite positive number")
+        assert err.startswith("error: learning_rate must be in (0, inf), got ")
         assert not out_dir.exists()
 
     def test_units_size_the_default_bilstm(self, tmp_path, capsys, rng):
@@ -681,6 +681,16 @@ class TestConfigFile:
                 ["AugmentConfig: accelerometer_channels[1]", "must be an integer, got 1.5"],
                 id="int-list-float",
             ),
+            # an int float() cannot hold would overflow once used as a number
+            pytest.param(
+                "train", {"train": {"learning_rate": int("1" * 400)}},
+                ["TrainConfig: learning_rate must be a number, got " + "1" * 400], id="float-huge-int",
+            ),
+            pytest.param(
+                "augment", {"augment": {"scale_sigma": int("1" * 400)}},
+                ["AugmentConfig: scale_sigma must be a number, got " + "1" * 400],
+                id="float-huge-int-augment",
+            ),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, capsys, rng, command, cfg, expected):
@@ -692,15 +702,16 @@ class TestConfigFile:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert err.startswith("error:")
+        assert err.count("\n") == 1
         for word in expected:
             assert word in err
 
     @pytest.mark.parametrize(
         "section, problem",
         [
-            ({"learning_rate": float("nan")}, "learning_rate must be a finite positive number"),
-            ({"adam_eps": 0}, "adam_eps must be a finite positive number"),
-            ({"adam_eps": -1}, "adam_eps must be a finite positive number"),
+            ({"learning_rate": float("nan")}, "learning_rate must be in (0, inf)"),
+            ({"adam_eps": 0}, "adam_eps must be in (0, inf)"),
+            ({"adam_eps": -1}, "adam_eps must be in (0, inf)"),
             ({"adam_beta1": 1.0}, "adam_beta1 must be in [0, 1)"),
             ({"adam_beta2": -0.5}, "adam_beta2 must be in [0, 1)"),
         ],
@@ -716,6 +727,20 @@ class TestConfigFile:
         assert code == 1
         assert stdout == ""
         assert err.startswith(f"error: {problem}, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loss, field", [("focal", "fl_gamma"), ("ctc", "jo_beta")])
+    def test_nan_loss_parameter_fails_before_any_batch(self, tmp_path, capsys, rng, loss, field):
+        data, labels = write_dataset(tmp_path, char_samples(rng, channels=13))
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"loss": {"%s": NaN}}' % field, encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["train", "--data", data, "--labels", labels, "--loss", loss, "--epochs", "1",
+                "--target-len", "12", "--config", str(cfg), "--out", str(out)]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {field} must be in [0, inf), got nan\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

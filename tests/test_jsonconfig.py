@@ -1,14 +1,17 @@
 import json
+import math
 import re
-from typing import Callable, NamedTuple
+from dataclasses import fields
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, get_type_hints
 
 import pytest
 
 from penscript import cli
 from penscript.dataio import FoldPlan, RecordingFormatError, label_entries
-from penscript.jsonconfig import check_object, parse
+from penscript.jsonconfig import check_object, check_ranges, parse
 from penscript.losses import LossParams
-from penscript.netcore import ModelConfig, TrainConfig, load_checkpoint
+from penscript.netcore import Adam, ModelConfig, TrainConfig, load_checkpoint
 from penscript.preprocess import AugmentConfig
 
 
@@ -66,6 +69,142 @@ class TestCheckObject:
 
     def test_int_is_a_number(self):
         assert check_object({"x": 2}, "doc", {"x": float}) == {"x": 2}
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024], ids=["1e400", "-1e400", "2**1024"])
+    def test_int_too_large_for_a_float_is_not_a_number(self, value):
+        with pytest.raises(ValueError) as err:
+            check_object({"x": value}, "doc", {"x": float})
+        assert str(err.value) == f"doc: x must be a number, got {value!r}"
+
+    def test_largest_float_sized_int_is_a_number(self):
+        big = int(1.7976931348623157e308)
+        assert check_object({"x": big}, "doc", {"x": float}) == {"x": big}
+
+
+class TestCheckRanges:
+    @pytest.mark.parametrize(
+        "interval, inside, outside",
+        [
+            ("[0, 1]", [0, 0.5, 1], [-1e-300, 1.0000000000000002]),
+            ("[0, 1)", [0, 0.9999999999999999], [1, -0.0001]),
+            ("(0, 1]", [5e-324, 1], [0, -1]),
+            ("(0, inf)", [5e-324, 1e308, 10**400], [0, float("inf")]),
+            ("[2, inf)", [2, 10**400], [1, 1.9999999999999998]),
+            ("(-inf, inf)", [-1e308, 0, 1e308], [float("-inf"), float("inf")]),
+        ],
+        ids=["closed", "right-open", "left-open", "positive", "from-two", "finite"],
+    )
+    def test_bounds(self, interval, inside, outside):
+        for value in inside:
+            check_ranges(SimpleNamespace(x=value), {"x": interval})
+        for value in outside + [float("nan")]:
+            with pytest.raises(ValueError) as err:
+                check_ranges(SimpleNamespace(x=value), {"x": interval})
+            assert str(err.value) == f"x must be in {interval}, got {value!r}"
+
+    def test_first_field_outside_is_named(self):
+        ranges = {"b": "[0, 1]", "a": "[0, 1]", "c": "[0, 1]"}
+        with pytest.raises(ValueError, match=re.escape("a must be in [0, 1], got 2")):
+            check_ranges(SimpleNamespace(a=2, b=0.5, c=3), ranges)
+
+
+def _adam(**settings):
+    return Adam([], **{"lr": 0.1, **settings})
+
+
+# The interval of every numeric setting: the specification the classes are
+# held to, written out here rather than read back from them.
+RANGES = {
+    ModelConfig: (
+        lambda **kw: ModelConfig(**{"num_classes": 3, **kw}),
+        {
+            "num_classes": "[1, inf)", "conv_filters": "[1, inf)", "conv_kernel": "[1, inf)",
+            "pool_size": "[1, inf)", "dropout_rate": "[0, 1)", "lstm_units": "[1, inf)",
+            "bilstm_units": "[1, inf)", "bilstm_layers": "[1, inf)", "dense_units": "[1, inf)",
+        },
+    ),
+    TrainConfig: (
+        lambda **kw: TrainConfig(**{"epochs": 1, **kw}),
+        {
+            "epochs": "[0, inf)", "learning_rate": "(0, inf)", "batch_size": "[1, inf)",
+            "adam_beta1": "[0, 1)", "adam_beta2": "[0, 1)", "adam_eps": "(0, inf)",
+            "target_len": "[1, inf)",
+        },
+    ),
+    AugmentConfig: (
+        AugmentConfig,
+        {
+            "p_apply": "[0, 1]", "scale_sigma": "[0, inf)", "jitter_sigma": "[0, inf)",
+            "shift_force": "[0, inf)", "shift_other": "[0, inf)", "mag_warp_low": "(-inf, inf)",
+            "mag_warp_high": "(-inf, inf)", "warp_sigma": "[0, 1)", "bezier_control_points": "[2, inf)",
+        },
+    ),
+    LossParams: (
+        LossParams,
+        {
+            "fl_alpha": "[0, 1]", "fl_gamma": "[0, inf)", "lsr_beta": "[0, 1]", "sbs_beta": "[0, 1]",
+            "hbs_beta": "[0, 1]", "gce_alpha": "(0, 1]", "sce_alpha": "[0, inf)", "sce_beta": "[0, inf)",
+            "jo_alpha": "[0, inf)", "jo_beta": "[0, inf)", "log_clamp_eps": "(0, inf)",
+            "rce_log_zero": "(-inf, inf)",
+        },
+    ),
+    Adam: (_adam, {"lr": "(0, inf)", "beta1": "[0, 1)", "beta2": "[0, 1)", "eps": "(0, inf)"}),
+}
+
+# (class, field, interval, is a float field)
+SETTINGS = [
+    pytest.param(
+        cls, name, interval, cls is Adam or get_type_hints(cls)[name] is float,
+        id=f"{cls.__name__}.{name}",
+    )
+    for cls, (_, ranges) in RANGES.items()
+    for name, interval in ranges.items()
+]
+
+
+def _neighbour(bound: float, toward: float, is_float: bool):
+    """The value next to bound in the direction of toward, -inf or inf."""
+    if is_float:
+        return math.nextafter(bound, toward)
+    return int(bound) + (1 if toward > 0 else -1)
+
+
+def _probes(interval: str, is_float: bool) -> tuple[list, list]:
+    """(values that must be accepted, values that must be rejected): each
+    finite bound, and its nearest neighbour on either side."""
+    low, high = (float(b) for b in interval[1:-1].split(","))
+    accept, reject = [], []
+    for bound, closed, outward in ((low, interval[0] == "[", -math.inf), (high, interval[-1] == "]", math.inf)):
+        if math.isinf(bound):
+            continue
+        (accept if closed else reject).append(bound if is_float else int(bound))
+        reject.append(_neighbour(bound, outward, is_float))
+        accept.append(_neighbour(bound, -outward, is_float))
+    if is_float:
+        reject += [math.nan, math.inf, -math.inf]
+    return accept, reject
+
+
+def test_ranges_cover_every_float_field():
+    for cls, (_, ranges) in RANGES.items():
+        if cls is Adam:
+            continue
+        hints = get_type_hints(cls)
+        numeric = {f.name for f in fields(cls) if hints[f.name] in (int, float)}
+        floats = {f.name for f in fields(cls) if hints[f.name] is float}
+        assert floats <= set(ranges) <= numeric, cls.__name__
+
+
+@pytest.mark.parametrize("cls, name, interval, is_float", SETTINGS)
+def test_every_setting_keeps_to_its_interval(cls, name, interval, is_float):
+    make = RANGES[cls][0]
+    accept, reject = _probes(interval, is_float)
+    for value in accept:
+        make(**{name: value})
+    for value in reject:
+        with pytest.raises(ValueError) as err:
+            make(**{name: value})
+        assert str(err.value) == f"{name} must be in {interval}, got {value!r}"
 
 
 def write_doc(tmp_path, doc):

@@ -376,6 +376,13 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout(0.5)(Tensor(np.zeros((2, 2))), "train")
 
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_unknown_mode_rejected(self, rate, rng):
+        # checked before the rate, so a rate of 0 does not hide the fault
+        with pytest.raises(ValueError) as exc:
+            Dropout(rate)(Tensor(np.ones((2, 2))), "predict", rng)
+        assert str(exc.value) == "mode must be 'train' or 'eval', got 'predict'"
+
     @pytest.mark.parametrize("rate", [0.2, 0.5, 0.7])
     def test_matches_the_scaled_mask_bit_for_bit(self, rate, rng):
         x = rng.normal(0, 1, (3, 7, 5))
@@ -906,11 +913,11 @@ class TestAdam:
     @pytest.mark.parametrize(
         "name, value, problem",
         [
-            ("lr", float("nan"), "a finite positive number"),
-            ("lr", float("inf"), "a finite positive number"),
-            ("lr", -0.1, "a finite positive number"),
-            ("eps", 0.0, "a finite positive number"),
-            ("eps", float("nan"), "a finite positive number"),
+            ("lr", float("nan"), "in (0, inf)"),
+            ("lr", float("inf"), "in (0, inf)"),
+            ("lr", -0.1, "in (0, inf)"),
+            ("eps", 0.0, "in (0, inf)"),
+            ("eps", float("nan"), "in (0, inf)"),
             ("beta1", 1.0, "in [0, 1)"),
             ("beta1", float("nan"), "in [0, 1)"),
             ("beta2", -0.5, "in [0, 1)"),
@@ -954,8 +961,10 @@ class TestCheckpoint:
         model = RecognitionModel(SMALL, 3, "char", rng)
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, model)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-16])
+        with open(path, "rb") as f:
+            raw = f.read()
+        with open(path, "wb") as f:
+            f.write(raw[:-16])
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
