@@ -10,6 +10,7 @@ through parse and check_object, so a fault reads the same in each:
     {what}: {key}[{i}] must be an integer, got {entry!r}   (a list of integers)
     {what} has unknown fields {names}                      (JsonConfig)
     {name} must be in {interval}, got {value!r}            (check_ranges)
+    {what}: {name} must be in {interval}, got {value!r}    (check_ranges, via from_dict)
 
 A number is a float, or an int that float() can hold. check_ranges is
 the one range rule of the config classes and Adam: each numeric field
@@ -22,7 +23,7 @@ JsonConfig gives the frozen config dataclasses to_dict/from_dict.
 to_dict lists the fields in declaration order, so a checkpoint header
 written from it does not change when the code around it does; from_dict
 rejects unknown fields, then checks the shape before the dataclass's own
-range check runs.
+range check runs, and prefixes a fault from that check with what it read.
 """
 
 from __future__ import annotations
@@ -113,8 +114,9 @@ class JsonConfig:
 
     @classmethod
     def from_dict(cls, d: dict, what: str | None = None):
-        """cls(**d) once d has the fields' shapes; a shape fault names what,
-        the class name by default."""
+        """cls(**d) once d has the fields' shapes; a shape fault, or a range
+        fault from the class's own check, names what, the class name by
+        default."""
         what = cls.__name__ if what is None else what
         check_object(d, what, {})
         extra = set(d) - {f.name for f in fields(cls)}
@@ -123,4 +125,7 @@ class JsonConfig:
         hints = get_type_hints(cls)
         kinds = {f.name: hints[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
         check_object(d, what, kinds)
-        return cls(**d)
+        try:
+            return cls(**d)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None

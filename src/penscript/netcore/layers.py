@@ -39,7 +39,8 @@ class Conv1d:
         self.w = Tensor(_xavier(rng, (c_out, c_in, kernel), c_in * kernel, c_out))
         self.b = Tensor(np.zeros(c_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor | np.ndarray) -> Tensor:
+        """A plain array x is a constant (tensor.conv1d_op)."""
         return T.conv1d_op(x, self.w, self.b)
 
     def parameters(self):
@@ -83,17 +84,22 @@ class BatchNorm1d:
         if mode == "train":
             axes = tuple(range(x.data.ndim - 1))
             mu = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
+            # x - mu serves the variance and becomes the op's normalized input;
+            # this is x.var(axes), bit for bit
+            centered = x.data - mu
+            var = (centered * centered).sum(axis=axes) / (x.data.size // x.data.shape[-1])
             self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
             self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
             self.initialized = True
         elif mode == "eval":
             if not self.initialized:
                 raise RuntimeError("eval-mode batchnorm before any training step")
-            mu, var = self.running_mean, self.running_var
+            centered, var = x.data - self.running_mean, self.running_var
         else:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        return T.batchnorm_op(x, self.gamma, self.beta, mu, var, BN_EPS, train=(mode == "train"))
+        return T.batchnorm_op(
+            x, self.gamma, self.beta, centered, var, BN_EPS, train=(mode == "train")
+        )
 
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

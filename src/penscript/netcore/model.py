@@ -91,8 +91,8 @@ class RecognitionModel:
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         with T.no_tape() if mode == "eval" else nullcontext():
-            x = Tensor(batch)
-            x = self.conv(x)
+            # the batch is a constant: conv builds no gradient into it
+            x = self.conv(batch)
             x = self.pool(x)
             if self.norm is not None:
                 x = self.norm(x, mode)

@@ -25,11 +25,21 @@ is freed once the next op has read it. backward() through such a result
 runs but reaches nothing upstream. RecognitionModel.forward enters
 no_tape() in eval mode; the ops never look at it.
 
+An LSTM call (lstm_op) allocates one (D, batch, time, 4H) buffer that
+holds, in turn, the input projection, the gate activations and their
+gradients. Its tape keeps that buffer and the cell states and nothing
+else: the pullback recomputes tanh(c), reads h_{t-1} from the op's own
+output and copies the time-reversed input again, and no buffer outlives
+the call and its pullback.
+
 A BiLSTM call (lstm_op with two directions) runs each direction's array
 work outside the time loops on its own core: the input projection, the
 backward prelude and the gradient products each start one fresh helper
 thread for the second direction and join it before going on. numpy
-releases the GIL in that work, so the halves overlap. There is no
+releases the GIL in that work, so the halves overlap. Every array a half
+writes is allocated on the calling thread before the split, and the
+helper only writes into it: a fresh thread allocates from its own malloc
+arena, which the process keeps after the thread ends. There is no
 setting, and the results are byte-identical to running the halves one
 after the other: each half computes the same arrays, the fused time
 loops stay on the calling thread, and every gradient is added there,
@@ -195,7 +205,9 @@ def _per_direction(fn: Callable[[int], object], d_n: int) -> list:
     only once both have finished (fn(0)'s first).
 
     fn must only compute: the thread builds no Tensor (no_tape() is
-    process-wide) and adds into no .grad.
+    process-wide) and adds into no .grad. It should also write only into
+    arrays allocated before the call, through out= or assignment, since
+    the thread's own allocations come from a malloc arena of its own.
     """
     if d_n == 1:
         return [fn(0)]
@@ -236,16 +248,25 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     direction computes exactly what a D = 1 call on its own input does:
     D = 2 is bit-identical to a D = 1 call on x joined, on the last axis,
     with the time-reversed output of a D = 1 call on time-reversed x
-    (tests/test_netcore.py::TestBiLSTM). The per-step stores
-    are (time, D, batch, .), so a step reads and writes contiguous blocks,
-    and the gates, c and tanh(c) are written into them in place. The
-    weight, bias and input gradients are single products over all
-    batch * time rows of each direction.
+    (tests/test_netcore.py::TestBiLSTM).
+
+    A call allocates one (D, batch, time, 4H) buffer and uses it three
+    times. The input projection is written into it; step t overwrites its
+    frame t with the four gate activations; the pullback overwrites those
+    in place with the pre-activations' gradients, whose (batch * time)
+    rows per direction the weight, bias and input gradients read as
+    single products. The tape keeps that buffer and the cell states c,
+    (time + 1, D, batch, H), and nothing else: the pullback recomputes
+    tanh(c) with the forward's own per-step calls, reads h_{t-1} from the
+    op's output and copies the time-reversed input again. It drops each
+    store once it has read it, and frees its BPTT scratch before the
+    products run.
 
     With D = 2 the work outside the time loops (the input projection, the
     backward prelude and the gradient products) runs one direction per
-    thread through _per_direction; the gradients are added after the join,
-    direction 0's wh, wx, b and x, then direction 1's.
+    thread through _per_direction, writing only into arrays allocated
+    before the split; the gradients are added after the join, direction
+    0's wh, wx, b and x, then direction 1's.
     """
     d_n = len(cells)
     if d_n not in (1, 2):
@@ -253,34 +274,39 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     bsz, t_len, c_in = x.data.shape
     h = cells[0][1].data.shape[0]
     wh_s = np.stack([wh.data for _, wh, _ in cells])
-    # hoist the input projection out of the time loop
-    xw = np.empty((d_n, bsz * t_len, 4 * h))
 
-    def project(d):
+    def rows(d, x_rev):
         # direction d's input rows, (batch * time, c_in), in its reading order;
         # the reversed rows are a C-contiguous copy, as reverse_time makes them
-        wx, _, b = cells[d]
-        rows = x.data if d == 0 else np.ascontiguousarray(x.data[:, ::-1, :])
-        rows = rows.reshape(-1, c_in)
-        np.matmul(rows, wx.data, out=xw[d])
-        xw[d] += b.data
-        return rows
+        if d == 0:
+            return x.data.reshape(-1, c_in)
+        np.copyto(x_rev, x.data[:, ::-1, :])
+        return x_rev.reshape(-1, c_in)
 
-    x_rows = _per_direction(project, d_n)
-    xw = xw.reshape(d_n, bsz, t_len, 4 * h)
-    # per-step state for the backward pass, in loop order; acts holds the
-    # four gate activations side by side, like the pre-activations. cs and
-    # hs lead with the zero initial state, so step t reads [t], writes [t + 1]
-    acts = np.empty((t_len, d_n, bsz, 4 * h))
+    # the input projection, then the gate activations, then their gradients
+    buf = np.empty((d_n, bsz, t_len, 4 * h))
+    x_rev = np.empty_like(x.data) if d_n == 2 else None
+
+    def project(d):
+        wx, _, b = cells[d]
+        xw = buf[d].reshape(-1, 4 * h)
+        np.matmul(rows(d, x_rev), wx.data, out=xw)
+        xw += b.data
+
+    _per_direction(project, d_n)
+    del x_rev
+    # cs leads with the zero initial state, so step t reads [t] and writes
+    # [t + 1]; h_t is the state step t + 1 reads, copied to the output
     cs = np.zeros((t_len + 1, d_n, bsz, h))
-    tcs = np.empty((t_len, d_n, bsz, h))
-    hs = np.zeros((t_len + 1, d_n, bsz, h))
+    out_data = np.empty((bsz, t_len, d_n * h))
+    h_t = np.zeros((d_n, bsz, h))
     z = np.empty((d_n, bsz, 4 * h))
     ig = np.empty((d_n, bsz, h))
+    tc = np.empty((d_n, bsz, h))
     for t in range(t_len):
-        a = acts[t]
-        np.matmul(hs[t], wh_s, out=z)
-        z += xw[:, :, t]
+        a = buf[:, :, t]
+        np.matmul(h_t, wh_s, out=z)
+        z += a
         # sigmoid over all four blocks, then tanh over the cell block;
         # maximum then minimum is np.clip(z, -500, 500), without its wrapper
         np.maximum(z, -500.0, out=a)
@@ -294,48 +320,60 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
         np.multiply(a[:, :, h : 2 * h], cs[t], out=c)
         np.multiply(a[:, :, :h], a[:, :, 2 * h : 3 * h], out=ig)
         c += ig
-        np.tanh(c, out=tcs[t])
-        np.multiply(a[:, :, 3 * h :], tcs[t], out=hs[t + 1])
-    out_data = np.empty((bsz, t_len, d_n * h))
-    out_data[:, :, :h] = hs[1:, 0].transpose(1, 0, 2)
-    if d_n == 2:
-        out_data[:, :, h:] = hs[:0:-1, 1].transpose(1, 0, 2)
+        np.tanh(c, out=tc)
+        np.multiply(a[:, :, 3 * h :], tc, out=h_t)
+        out_data[:, t, :h] = h_t[0]
+        if d_n == 2:
+            out_data[:, t_len - 1 - t, h:] = h_t[1]
 
     def back(g):
-        # the output gradient of each direction, in its loop order
-        gs = np.empty((t_len, d_n, bsz, h))
-        # dz is (D, batch, time, 4, H), so the weight gradients read each
-        # direction's (batch * time) rows without a copy; dzt views it in
-        # loop order. It starts as each pre-activation's derivative by c_t
-        # (i, f and g gates) or by h_t (o gate), and the loop scales each
-        # step by dc or dh in place.
-        dz = np.empty((d_n, bsz, t_len, 4, h))
+        nonlocal buf, cs
+        # dz is the buffer as (D, batch, time, 4, H); dzt views it in loop order
+        dz = buf.reshape(d_n, bsz, t_len, 4, h)
         dzt = dz.transpose(2, 0, 1, 3, 4)
-        # scratch, then d(c_t)/d(h_t) in the same place
+        buf = None
+        # tanh(c_t), each step's block as the forward computed it, and then
+        # d(c_t)/d(h_t) in the same place
         dc_dh = np.empty((t_len, d_n, bsz, h))
+        for t in range(t_len):
+            np.tanh(cs[t + 1], out=dc_dh[t])
+        # the output gradient of each direction in its loop order, and the
+        # forget gate, which BPTT reads after its gradient has replaced it;
+        # each is prelude scratch until it is filled
+        gs = np.empty((t_len, d_n, bsz, h))
+        fs = np.empty((t_len, d_n, bsz, h))
 
         def prelude(d):
-            gs[:, d] = (g[:, :, :h] if d == 0 else g[:, ::-1, h:]).transpose(1, 0, 2)
-            i_g, f_g, g_g, o_g = (acts[:, d, :, k * h : (k + 1) * h] for k in range(4))
-            dz_i, dz_f, dz_g, dz_o = (dzt[:, d, :, k, :] for k in range(4))
-            one_minus = dc_dh[:, d]
-            np.multiply(g_g, i_g, out=dz_i)
-            dz_i *= np.subtract(1.0, i_g, out=one_minus)
-            np.multiply(cs[:-1, d], f_g, out=dz_f)
-            dz_f *= np.subtract(1.0, f_g, out=one_minus)
-            np.multiply(g_g, g_g, out=dz_g)
-            np.subtract(1.0, dz_g, out=dz_g)
-            dz_g *= i_g
-            np.multiply(tcs[:, d], o_g, out=dz_o)
-            dz_o *= np.subtract(1.0, o_g, out=one_minus)
-            # d(c_t)/d(h_t), in the scratch's place
-            np.multiply(tcs[:, d], tcs[:, d], out=one_minus)
-            np.subtract(1.0, one_minus, out=one_minus)
-            one_minus *= o_g
+            # over each gate, the pre-activation's derivative by c_t (i, f
+            # and g) or by h_t (o), which the BPTT loop then scales
+            i_g, f_g, g_g, o_g = (dzt[:, d, :, k, :] for k in range(4))
+            tcs, s, f_copy = dc_dh[:, d], gs[:, d], fs[:, d]
+            # g's, (1 - g * g) * i, waits in s while i's, g * i * (1 - i), is made
+            np.multiply(g_g, g_g, out=s)
+            np.subtract(1.0, s, out=s)
+            s *= i_g
+            g_g *= i_g
+            np.subtract(1.0, i_g, out=i_g)
+            i_g *= g_g
+            g_g[...] = s
+            # o's, tanh(c) * o * (1 - o), waits in f_copy while tanh(c)
+            # becomes d(c_t)/d(h_t) = (1 - tanh(c)^2) * o
+            np.subtract(1.0, o_g, out=s)
+            np.multiply(tcs, o_g, out=f_copy)
+            f_copy *= s
+            tcs *= tcs
+            np.subtract(1.0, tcs, out=tcs)
+            tcs *= o_g
+            o_g[...] = f_copy
+            # f's, c_{t-1} * f * (1 - f)
+            f_copy[...] = f_g
+            np.multiply(cs[:-1, d], f_g, out=f_g)
+            f_g *= np.subtract(1.0, f_copy, out=s)
+            s[...] = (g[:, :, :h] if d == 0 else g[:, ::-1, h:]).transpose(1, 0, 2)
 
         _per_direction(prelude, d_n)
+        cs = None
         wh_t = wh_s.transpose(0, 2, 1)
-        f_g = acts[..., h : 2 * h]
         dh = np.zeros((d_n, bsz, h))
         dc = np.zeros((d_n, bsz, h))
         tmp = np.empty((d_n, bsz, h))
@@ -347,46 +385,56 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             np.multiply(dz_t[:, :, :3], dc[:, :, None, :], out=dz_t[:, :, :3])
             np.multiply(dz_t[:, :, 3], dh, out=dz_t[:, :, 3])
             if t:
-                dc *= f_g[t]
+                dc *= fs[t]
                 np.matmul(dz_t.reshape(d_n, bsz, 4 * h), wh_t, out=dh)
+        del gs, dc_dh, fs
         # (direction, batch * time, .) rows in each direction's reading order
         dz2 = dz.reshape(d_n, -1, 4 * h)
+        h_prev = np.empty((d_n, bsz, t_len, h))
+        x_rev = np.empty_like(x.data) if d_n == 2 else None
+        g_wh = np.empty((d_n, h, 4 * h))
+        g_wx = np.empty((d_n, c_in, 4 * h))
+        g_b = np.empty((d_n, 4 * h))
+        g_x = np.empty((d_n, bsz, t_len, c_in))
 
         def products(d):
-            wx = cells[d][0].data
-            h_prev = np.ascontiguousarray(hs[:-1, d].transpose(1, 0, 2)).reshape(-1, h)
-            gx = (dz2[d] @ wx.T).reshape(x.data.shape)
-            return (
-                h_prev.T @ dz2[d],
-                x_rows[d].T @ dz2[d],
-                dz2[d].sum(axis=0),
-                gx if d == 0 else gx[:, ::-1, :],
-            )
+            # h_{t-1} in direction d's reading order: its output a frame back
+            prev = h_prev[d]
+            prev[:, 0] = 0.0
+            prev[:, 1:] = out_data[:, :-1, :h] if d == 0 else out_data[:, :0:-1, h:]
+            np.matmul(prev.reshape(-1, h).T, dz2[d], out=g_wh[d])
+            np.matmul(rows(d, x_rev).T, dz2[d], out=g_wx[d])
+            np.sum(dz2[d], axis=0, out=g_b[d])
+            np.matmul(dz2[d], cells[d][0].data.T, out=g_x[d].reshape(-1, c_in))
 
+        _per_direction(products, d_n)
         # every gradient is added here, after the join, direction by direction
-        for (wx, wh, b), (g_wh, g_wx, g_b, g_x) in zip(cells, _per_direction(products, d_n)):
-            wh.grad += g_wh
-            wx.grad += g_wx
-            b.grad += g_b
-            x.grad += g_x
+        for d, (wx, wh, b) in enumerate(cells):
+            wh.grad += g_wh[d]
+            wx.grad += g_wx[d]
+            b.grad += g_b[d]
+            x.grad += g_x[d] if d == 0 else g_x[d, :, ::-1, :]
 
     params = tuple(p for cell in cells for p in cell)
     return Tensor(out_data, (x,) + params, back)
 
 
-def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv1d_op(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """Same-length 1-D convolution over (batch, time, c_in).
 
     w is (c_out, c_in, k); zero padding puts floor((k-1)/2) frames on the
-    left and the remainder on the right.
+    left and the remainder on the right. A plain array x is a constant,
+    such as a data batch: the pullback then builds no input gradient, and
+    the node's parents are w and b alone.
     """
-    bsz, t_len, c_in = x.data.shape
+    x_data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    bsz, t_len, c_in = x_data.shape
     c_out, c_in_w, k = w.data.shape
     if c_in_w != c_in:
         raise ValueError(f"conv expects {c_in_w} input channels, got {c_in}")
     left = (k - 1) // 2
     right = k - 1 - left
-    xp = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
+    xp = np.pad(x_data, ((0, 0), (left, right), (0, 0)))
     # windows: (batch, time, c_in, k) -> columns (batch*time, c_in*k)
     cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
     cols2 = cols.reshape(bsz * t_len, c_in * k)
@@ -397,13 +445,16 @@ def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(bsz * t_len, c_out)
         w.grad += (g2.T @ cols2).reshape(c_out, c_in, k)
         b.grad += g2.sum(axis=0)
+        if not isinstance(x, Tensor):
+            return
         gcols = (g2 @ wmat.T).reshape(bsz, t_len, c_in, k)
         gxp = np.zeros_like(xp)
         for i in range(k):
             gxp[:, i : i + t_len, :] += gcols[:, :, :, i]
         x.grad += gxp[:, left : left + t_len, :]
 
-    return Tensor(out_data, (x, w, b), back)
+    parents = (x, w, b) if isinstance(x, Tensor) else (w, b)
+    return Tensor(out_data, parents, back)
 
 
 def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
@@ -455,37 +506,51 @@ def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
 
 
 def batchnorm_op(
-    x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray, var: np.ndarray, eps: float, train: bool
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    centered: np.ndarray,
+    var: np.ndarray,
+    eps: float,
+    train: bool,
 ) -> Tensor:
     """gamma * (x - mu) / sqrt(var + eps) + beta, per channel (the last axis).
 
-    train=True means mu and var are the statistics of x over every leading
-    axis, so the pullback into x also goes through them; else they are fixed.
+    centered is x - mu, an array the op owns: it scales it in place into
+    the normalized input. train=True means mu and var are the statistics
+    of x over every leading axis, so the pullback into x also goes through
+    them; else they are fixed.
     """
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centered
+    xhat *= inv
     axes = tuple(range(x.data.ndim - 1))
     n = x.data.size // x.data.shape[-1]
 
     def back(g):
-        gamma.grad += (g * xhat).sum(axis=axes)
+        # two full-size buffers, prod and dxhat, reused through out=
+        prod = np.multiply(g, xhat)
+        gamma.grad += prod.sum(axis=axes)
         beta.grad += g.sum(axis=axes)
-        dxhat = g * gamma.data
+        dxhat = np.multiply(g, gamma.data)
         if train:
-            # mean and variance depend on x, so subtract their pullbacks
-            x.grad += (
-                inv
-                / n
-                * (
-                    n * dxhat
-                    - dxhat.sum(axis=axes)
-                    - xhat * (dxhat * xhat).sum(axis=axes)
-                )
-            )
+            # mean and variance depend on x, so subtract their pullbacks:
+            # inv / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+            np.multiply(dxhat, xhat, out=prod)
+            by_xhat = prod.sum(axis=axes)
+            by_one = dxhat.sum(axis=axes)
+            np.multiply(xhat, by_xhat, out=prod)
+            np.multiply(n, dxhat, out=dxhat)
+            dxhat -= by_one
+            dxhat -= prod
+            np.multiply(inv / n, dxhat, out=dxhat)
         else:
-            x.grad += dxhat * inv
+            dxhat *= inv
+        x.grad += dxhat
 
-    return Tensor(gamma.data * xhat + beta.data, (x, gamma, beta), back)
+    out = gamma.data * xhat
+    out += beta.data
+    return Tensor(out, (x, gamma, beta), back)
 
 
 def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -4,7 +4,8 @@ Everything here is deliberately brute force and written against the
 definitions, not against the package: a memoized prefix recursion for
 edit distance, exhaustive path enumeration for the sequence loss and
 decoder, a prefix beam search over a {prefix: masses} dict, max-pooling by
-np.argmax, a central finite-difference
+np.argmax, an LSTM op that stores each per-step quantity in its own array
+and runs its directions one after the other, a central finite-difference
 differentiator, and the original one-line-at-a-time recording reader and
 per-value writer.
 """
@@ -17,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from penscript.dataio import RecordingFormatError
+from penscript.netcore.tensor import Tensor
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +161,107 @@ def maxpool_oracle(x: np.ndarray, pool: int, g: np.ndarray) -> tuple[np.ndarray,
     dx = np.zeros_like(x)
     dx += gwin.reshape(bsz, t_out * pool, ch)[:, :t_len, :]
     return np.take_along_axis(win, idx, axis=2)[:, :, 0, :], dx
+
+
+def lstm_oracle(x, cells):
+    """tensor.lstm_op as it stood before its one-buffer rewrite, kept to pin
+    every bit of the output and of each gradient.
+
+    The same arrays and operations in the same order, with the two
+    directions' array work run one after the other instead of on two
+    threads. Takes and returns Tensors, so a backward() through the
+    result adds into x.grad and each cell's grads as lstm_op does.
+    """
+    d_n = len(cells)
+    bsz, t_len, c_in = x.data.shape
+    h = cells[0][1].data.shape[0]
+    wh_s = np.stack([wh.data for _, wh, _ in cells])
+    xw = np.empty((d_n, bsz * t_len, 4 * h))
+    x_rows = []
+    for d in range(d_n):
+        wx, _, b = cells[d]
+        rows = x.data if d == 0 else np.ascontiguousarray(x.data[:, ::-1, :])
+        rows = rows.reshape(-1, c_in)
+        np.matmul(rows, wx.data, out=xw[d])
+        xw[d] += b.data
+        x_rows.append(rows)
+    xw = xw.reshape(d_n, bsz, t_len, 4 * h)
+    acts = np.empty((t_len, d_n, bsz, 4 * h))
+    cs = np.zeros((t_len + 1, d_n, bsz, h))
+    tcs = np.empty((t_len, d_n, bsz, h))
+    hs = np.zeros((t_len + 1, d_n, bsz, h))
+    z = np.empty((d_n, bsz, 4 * h))
+    ig = np.empty((d_n, bsz, h))
+    for t in range(t_len):
+        a = acts[t]
+        np.matmul(hs[t], wh_s, out=z)
+        z += xw[:, :, t]
+        np.maximum(z, -500.0, out=a)
+        np.minimum(a, 500.0, out=a)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        np.tanh(z[:, :, 2 * h : 3 * h], out=a[:, :, 2 * h : 3 * h])
+        c = cs[t + 1]
+        np.multiply(a[:, :, h : 2 * h], cs[t], out=c)
+        np.multiply(a[:, :, :h], a[:, :, 2 * h : 3 * h], out=ig)
+        c += ig
+        np.tanh(c, out=tcs[t])
+        np.multiply(a[:, :, 3 * h :], tcs[t], out=hs[t + 1])
+    out_data = np.empty((bsz, t_len, d_n * h))
+    out_data[:, :, :h] = hs[1:, 0].transpose(1, 0, 2)
+    if d_n == 2:
+        out_data[:, :, h:] = hs[:0:-1, 1].transpose(1, 0, 2)
+
+    def back(g):
+        gs = np.empty((t_len, d_n, bsz, h))
+        dz = np.empty((d_n, bsz, t_len, 4, h))
+        dzt = dz.transpose(2, 0, 1, 3, 4)
+        dc_dh = np.empty((t_len, d_n, bsz, h))
+        for d in range(d_n):
+            gs[:, d] = (g[:, :, :h] if d == 0 else g[:, ::-1, h:]).transpose(1, 0, 2)
+            i_g, f_g, g_g, o_g = (acts[:, d, :, k * h : (k + 1) * h] for k in range(4))
+            dz_i, dz_f, dz_g, dz_o = (dzt[:, d, :, k, :] for k in range(4))
+            one_minus = dc_dh[:, d]
+            np.multiply(g_g, i_g, out=dz_i)
+            dz_i *= np.subtract(1.0, i_g, out=one_minus)
+            np.multiply(cs[:-1, d], f_g, out=dz_f)
+            dz_f *= np.subtract(1.0, f_g, out=one_minus)
+            np.multiply(g_g, g_g, out=dz_g)
+            np.subtract(1.0, dz_g, out=dz_g)
+            dz_g *= i_g
+            np.multiply(tcs[:, d], o_g, out=dz_o)
+            dz_o *= np.subtract(1.0, o_g, out=one_minus)
+            np.multiply(tcs[:, d], tcs[:, d], out=one_minus)
+            np.subtract(1.0, one_minus, out=one_minus)
+            one_minus *= o_g
+        wh_t = wh_s.transpose(0, 2, 1)
+        f_g = acts[..., h : 2 * h]
+        dh = np.zeros((d_n, bsz, h))
+        dc = np.zeros((d_n, bsz, h))
+        tmp = np.empty((d_n, bsz, h))
+        for t in range(t_len - 1, -1, -1):
+            dz_t = dzt[t]
+            dh += gs[t]
+            np.multiply(dh, dc_dh[t], out=tmp)
+            dc += tmp
+            np.multiply(dz_t[:, :, :3], dc[:, :, None, :], out=dz_t[:, :, :3])
+            np.multiply(dz_t[:, :, 3], dh, out=dz_t[:, :, 3])
+            if t:
+                dc *= f_g[t]
+                np.matmul(dz_t.reshape(d_n, bsz, 4 * h), wh_t, out=dh)
+        dz2 = dz.reshape(d_n, -1, 4 * h)
+        for d, (wx, wh, b) in enumerate(cells):
+            h_prev = np.ascontiguousarray(hs[:-1, d].transpose(1, 0, 2)).reshape(-1, h)
+            gx = (dz2[d] @ wx.data.T).reshape(x.data.shape)
+            wh.grad += h_prev.T @ dz2[d]
+            wx.grad += x_rows[d].T @ dz2[d]
+            b.grad += dz2[d].sum(axis=0)
+            x.grad += gx if d == 0 else gx[:, ::-1, :]
+
+    params = tuple(p for cell in cells for p in cell)
+    return Tensor(out_data, (x,) + params, back)
 
 
 def assert_valid_script(script) -> None:

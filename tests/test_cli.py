@@ -221,7 +221,7 @@ class TestAugment:
         code, stdout, err = run(capsys, argv)
         assert code == 1
         assert stdout == ""
-        assert err == "error: scale_sigma must be in [0, inf), got -0.1\n"
+        assert err == f"error: config {cfg}: AugmentConfig: scale_sigma must be in [0, inf), got -0.1\n"
         assert not out.exists()
 
     def test_config_p_apply_zero_leaves_data_unchanged(self, tmp_path, capsys, rng):
@@ -507,7 +507,7 @@ class TestTrain:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: learning_rate must be in (0, inf), got ")
+        assert err.startswith("error: TrainConfig: learning_rate must be in (0, inf), got ")
         assert not out_dir.exists()
 
     def test_units_size_the_default_bilstm(self, tmp_path, capsys, rng):
@@ -710,23 +710,24 @@ class TestConfigFile:
         "section, problem",
         [
             ({"learning_rate": float("nan")}, "learning_rate must be in (0, inf)"),
+            ({"learning_rate": -1}, "learning_rate must be in (0, inf)"),
             ({"adam_eps": 0}, "adam_eps must be in (0, inf)"),
             ({"adam_eps": -1}, "adam_eps must be in (0, inf)"),
             ({"adam_beta1": 1.0}, "adam_beta1 must be in [0, 1)"),
             ({"adam_beta2": -0.5}, "adam_beta2 must be in [0, 1)"),
         ],
-        ids=["lr-nan", "eps-zero", "eps-negative", "beta1-one", "beta2-negative"],
+        ids=["lr-nan", "lr-negative", "eps-zero", "eps-negative", "beta1-one", "beta2-negative"],
     )
     def test_bad_optimizer_setting_names_the_field(self, tmp_path, capsys, rng, section, problem):
         data, labels = write_dataset(tmp_path, char_samples(rng, channels=13))
         out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"train": section})
         argv = ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1",
-                "--target-len", "12", "--out", str(out),
-                "--config", write_config(tmp_path, {"train": section})]
+                "--target-len", "12", "--out", str(out), "--config", cfg]
         code, stdout, err = run(capsys, argv)
         assert code == 1
         assert stdout == ""
-        assert err.startswith(f"error: {problem}, got ")
+        assert err.startswith(f"error: config {cfg}: TrainConfig: {problem}, got ")
         assert not out.exists()
 
     @pytest.mark.parametrize("loss, field", [("focal", "fl_gamma"), ("ctc", "jo_beta")])
@@ -740,7 +741,7 @@ class TestConfigFile:
         code, stdout, err = run(capsys, argv)
         assert code == 1
         assert stdout == ""
-        assert err == f"error: {field} must be in [0, inf), got nan\n"
+        assert err == f"error: config {cfg}: LossParams: {field} must be in [0, inf), got nan\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -207,6 +207,28 @@ def test_every_setting_keeps_to_its_interval(cls, name, interval, is_float):
         assert str(err.value) == f"{name} must be in {interval}, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "cls, doc, problem",
+    [
+        (ModelConfig, {"num_classes": 0}, "num_classes must be in [1, inf), got 0"),
+        (ModelConfig, {"num_classes": 3, "recurrent_kind": "GRU"},
+         "recurrent_kind must be 'LSTM' or 'BiLSTM'"),
+        (TrainConfig, {"epochs": 1, "learning_rate": -1}, "learning_rate must be in (0, inf), got -1"),
+        (LossParams, {"fl_gamma": -0.5}, "fl_gamma must be in [0, inf), got -0.5"),
+        (AugmentConfig, {"scale_sigma": -0.1}, "scale_sigma must be in [0, inf), got -0.1"),
+    ],
+    ids=["model-range", "model-kind", "train", "loss", "augment"],
+)
+def test_from_dict_names_what_it_read_on_a_range_fault(cls, doc, problem):
+    # a fault from the class's own check reads like a shape fault in that field
+    with pytest.raises(ValueError) as err:
+        cls.from_dict(doc)
+    assert str(err.value) == f"{cls.__name__}: {problem}"
+    with pytest.raises(ValueError) as err:
+        cls.from_dict(doc, "config c.json: X")
+    assert str(err.value) == f"config c.json: X: {problem}"
+
+
 def write_doc(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

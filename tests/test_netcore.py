@@ -32,7 +32,7 @@ from penscript.netcore import (
 )
 from penscript.netcore import tensor as T
 from penscript.seeding import stream
-from oracles import central_diff, maxpool_oracle, rel_err
+from oracles import central_diff, lstm_oracle, maxpool_oracle, rel_err
 
 # the package's `train` names the function, so fetch the module by its path
 train_module = importlib.import_module("penscript.netcore.train")
@@ -215,6 +215,24 @@ class TestConv:
         x_t = Tensor(x)
         grad, scalar = projection_grad(lambda v: T.conv1d_op(x_t, v, b_t), w, rng)
         assert rel_err(grad, central_diff(scalar, w)) < 1e-6
+
+    def test_plain_array_input_is_a_constant(self, rng):
+        x = rng.normal(0, 1, (2, 5, 3))
+        w_t, b_t = Tensor(rng.normal(0, 1, (2, 3, 4))), Tensor(rng.normal(0, 1, 2))
+        g = rng.normal(0, 1, (2, 5, 2))
+        results = []
+        for inp in (x, Tensor(x)):
+            w_t.zero_grad()
+            b_t.zero_grad()
+            out = T.conv1d_op(inp, w_t, b_t)
+            parents = out._parents
+            out.backward(g)
+            results.append((parents, out.data, w_t.grad.copy(), b_t.grad.copy()))
+        (const_parents, *const), (tensor_parents, *taped) = results
+        assert const_parents == (w_t, b_t)
+        assert len(tensor_parents) == 3
+        for a, b in zip(const, taped):
+            assert np.array_equal(a, b)
 
     def test_channel_mismatch_rejected(self, rng):
         layer = Conv1d(3, 2, 2, rng)
@@ -570,6 +588,40 @@ class TestBiLSTM:
         assert rel_err(grad, central_diff(scalar, x)) < 1e-5
 
 
+class TestLSTMOracle:
+    """lstm_op computes every bit its pre-buffer form (oracles.lstm_oracle) did."""
+
+    @staticmethod
+    def run(op, x, g, cells):
+        params = [p for cell in cells for p in cell]
+        for p in params:
+            p.zero_grad()
+        xt = Tensor(x.copy())
+        out = op(xt, cells)
+        out.backward(g)
+        return [out.data, xt.grad] + [p.grad.copy() for p in params]
+
+    @pytest.mark.parametrize(
+        "d_n, shared", [(1, False), (2, False), (2, True)], ids=["lstm", "bilstm", "shared-cell"]
+    )
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("c_in, h", [(5, 4), (13, 3)])
+    def test_output_and_gradients_equal_the_oracle(self, d_n, shared, bsz, c_in, h, rng):
+        t_len = 7
+        cells = [LSTM(c_in, h, rng).cell for _ in range(1 if shared else d_n)]
+        cells *= d_n // len(cells)
+        for _, _, b in cells:
+            b.data[...] = rng.normal(0, 1, b.data.shape)
+        x = rng.normal(0, 1, (bsz, t_len, c_in))
+        x[0, 0, :] = 1e4  # drives some gates into the sigmoid clip
+        g = rng.normal(0, 1, (bsz, t_len, d_n * h))
+        got = self.run(T.lstm_op, x, g, cells)
+        want = self.run(lstm_oracle, x, g, cells)
+        names = ["output", "x"] + [f"{n}[{d}]" for d in range(d_n) for n in ("wx", "wh", "b")]
+        for name, a, b in zip(names, got, want):
+            assert np.array_equal(a, b), name
+
+
 class TestDirectionSplit:
     """lstm_op's two directions share out their array work over two threads."""
 
@@ -675,6 +727,14 @@ class TestModel:
         a = model.forward(x, "eval").data
         b = model.forward(x, "eval").data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("task", ["seq2seq", "char"])
+    def test_tape_leaves_are_the_parameters(self, task, rng):
+        # the data batch enters conv as a constant, not as a leaf
+        model = RecognitionModel(SMALL, 3, task, rng)
+        out = model.forward(rng.normal(0, 1, (2, 8, 3)), "train", rng)
+        leaves = {id(n) for n in tape_nodes(out) if not n._parents}
+        assert leaves == {id(p) for _, p in model.parameters()}
 
     @pytest.mark.parametrize("task", ["seq2seq", "char"])
     def test_tape_freed_without_cycle_collector(self, task, rng):
@@ -860,6 +920,49 @@ class TestTapeMemory:
             tracemalloc.stop()
         assert held < 0.1 * forward_live
 
+    def test_bilstm_tape_holds_its_buffer_cell_states_and_output(self, rng):
+        # the (D, B, T, 4H) buffer, the (T + 1, D, B, H) cell states and the
+        # (B, T, D * H) output, plus 10% for the stacked wh and the node
+        bsz, t_len, c_in, h = 2, 400, 200, 60
+        layer = BiLSTM(c_in, h, rng)
+        x = Tensor(rng.normal(0, 1, (bsz, t_len, c_in)))
+        floor = 8 * (2 * bsz * t_len * 4 * h + (t_len + 1) * 2 * bsz * h + bsz * t_len * 2 * h)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = layer(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * floor
+        out.backward(np.ones_like(out.data))
+
+    def test_direction_halves_allocate_nothing(self, rng, monkeypatch):
+        # a helper thread allocates from its own malloc arena, so every array
+        # a half writes is allocated before the split; at batch 2 one
+        # direction's reversed input or input gradient is 1.2 MiB
+        model = RecognitionModel(ModelConfig(num_classes=15), 13, "seq2seq", rng)
+        x = rng.normal(0, 1, (2, 800, 13))
+        split = T._per_direction
+        rises = []
+
+        def traced_split(fn, d_n):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = split(fn, d_n)
+            rises.append(tracemalloc.get_traced_memory()[1] - entry)
+            return result
+
+        monkeypatch.setattr(T, "_per_direction", traced_split)
+        tracemalloc.start()
+        try:
+            out = model.forward(x, "train", rng)
+            out.backward(rng.normal(0, 1, out.data.shape))
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 3 * len(model.recurrent)
+        assert max(rises) <= 2**20
+
 
 class TestAdam:
     def test_zero_grad_leaves_params(self):
@@ -1035,6 +1138,13 @@ class TestCheckpointChecks:
         header["model"]["conv_filters"] = "6"
         rewrite(path, header, blob)
         with rejected(path, "ModelConfig: conv_filters must be an integer, got '6'"):
+            load_checkpoint(path)
+
+    def test_model_config_range_fault_names_the_file_and_class(self, tmp_path, rng):
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        header["model"]["conv_filters"] = 0
+        rewrite(path, header, blob)
+        with rejected(path, "ModelConfig: conv_filters must be in [1, inf), got 0"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
