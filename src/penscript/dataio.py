@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Annotated, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -195,7 +195,7 @@ def _parse_header(line: str) -> tuple[int, float]:
     return channels, rate_hz
 
 
-_LABEL_KINDS = {"label": str, "start": int, "end": int, "writer_id": int}
+_LABEL_KINDS = {"label": str, "start": int, "end": int, "writer_id": Annotated[int, "[0, inf)"]}
 
 
 def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
@@ -203,8 +203,8 @@ def label_entries(labels_text: str) -> Iterator[tuple[int, dict]]:
 
     Raises RecordingFormatError naming the line when it is not JSON, not an
     object, lacks one of the keys label, start, end and writer_id, when
-    label is not a JSON string or is empty, or when start, end or writer_id
-    is not a JSON integer.
+    label is not a JSON string or is empty, when start, end or writer_id
+    is not a JSON integer, or when writer_id is negative.
     """
     for lineno, line in enumerate(labels_text.splitlines(), start=1):
         if not line.strip():
@@ -398,14 +398,17 @@ class FoldPlan:
 
     @classmethod
     def from_dict(cls, d: dict, what: str = "fold plan") -> "FoldPlan":
-        """Rebuild a plan; a ValueError, under what, names a missing key or a
-        value of the wrong kind."""
+        """Rebuild a plan; a ValueError, under what, names a missing key, a
+        value of the wrong kind, or a plan the class rejects."""
         check_object(d, what, {"mode": str, "k": int, "seed": int, "folds": list})
         folds = []
         for n, f in enumerate(d["folds"]):
             check_object(f, f"{what} fold {n}", _FOLD_KINDS)
             folds.append((tuple(f["train"]), tuple(f["val"])))
-        return cls(mode=d["mode"], k=d["k"], seed=d["seed"], folds=tuple(folds))
+        try:
+            return cls(mode=d["mode"], k=d["k"], seed=d["seed"], folds=tuple(folds))
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

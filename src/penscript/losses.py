@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
-from penscript.jsonconfig import JsonConfig, check_ranges
+from penscript.jsonconfig import JsonConfig
 
 NEG_INF = float("-inf")
 
@@ -43,27 +43,19 @@ NEG_INF = float("-inf")
 class LossParams(JsonConfig):
     """Hyperparameters for every loss variant, defaults tuned for noisy labels."""
 
-    fl_alpha: float = 0.75
-    fl_gamma: float = 8.0
-    lsr_beta: float = 0.1
-    sbs_beta: float = 0.95
-    hbs_beta: float = 0.8
-    gce_alpha: float = 0.95
-    sce_alpha: float = 0.5
-    sce_beta: float = 0.5
-    jo_alpha: float = 1.2
-    jo_beta: float = 0.8
-    log_clamp_eps: float = 1e-12
-    rce_log_zero: float = -4.0
+    fl_alpha: Annotated[float, "[0, 1]"] = 0.75
+    fl_gamma: Annotated[float, "[0, inf)"] = 8.0
+    lsr_beta: Annotated[float, "[0, 1]"] = 0.1
+    sbs_beta: Annotated[float, "[0, 1]"] = 0.95
+    hbs_beta: Annotated[float, "[0, 1]"] = 0.8
+    gce_alpha: Annotated[float, "(0, 1]"] = 0.95
+    sce_alpha: Annotated[float, "[0, inf)"] = 0.5
+    sce_beta: Annotated[float, "[0, inf)"] = 0.5
+    jo_alpha: Annotated[float, "[0, inf)"] = 1.2
+    jo_beta: Annotated[float, "[0, inf)"] = 0.8
+    log_clamp_eps: Annotated[float, "(0, inf)"] = 1e-12
+    rce_log_zero: Annotated[float, "(-inf, inf)"] = -4.0
     scale_free: bool = False
-
-    def __post_init__(self) -> None:
-        check_ranges(self, {
-            "fl_alpha": "[0, 1]", "fl_gamma": "[0, inf)", "lsr_beta": "[0, 1]",
-            "sbs_beta": "[0, 1]", "hbs_beta": "[0, 1]", "gce_alpha": "(0, 1]",
-            "sce_alpha": "[0, inf)", "sce_beta": "[0, inf)", "jo_alpha": "[0, inf)",
-            "jo_beta": "[0, inf)", "log_clamp_eps": "(0, inf)", "rce_log_zero": "(-inf, inf)",
-        })
 
 
 @dataclass

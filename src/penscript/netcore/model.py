@@ -11,38 +11,38 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from penscript.dataio import Alphabet, Sample
-from penscript.jsonconfig import JsonConfig, check_object, check_ranges, parse
+from penscript.jsonconfig import JsonConfig, check_object, parse
 from penscript.netcore import tensor as T
 from penscript.netcore.layers import BatchNorm1d, BiLSTM, Conv1d, Dense, Dropout, LSTM, MaxPool1d
 from penscript.netcore.tensor import Tensor
 
 TASKS = ("seq2seq", "char")
 
+# TrainConfig.target_len and a checkpoint's train.target_len; train.py imports this module
+TargetLen = Annotated[int, "[1, inf)"]
+
 
 @dataclass(frozen=True)
 class ModelConfig(JsonConfig):
-    num_classes: int
-    conv_filters: int = 200
-    conv_kernel: int = 4
-    pool_size: int = 2
-    dropout_rate: float = 0.2
+    num_classes: Annotated[int, "[1, inf)"]
+    conv_filters: Annotated[int, "[1, inf)"] = 200
+    conv_kernel: Annotated[int, "[1, inf)"] = 4
+    pool_size: Annotated[int, "[1, inf)"] = 2
+    dropout_rate: Annotated[float, "[0, 1)"] = 0.2
     recurrent_kind: str = "BiLSTM"
-    lstm_units: int = 100
-    bilstm_units: int = 60
-    bilstm_layers: int = 2
-    dense_units: int = 100
+    lstm_units: Annotated[int, "[1, inf)"] = 100
+    bilstm_units: Annotated[int, "[1, inf)"] = 60
+    bilstm_layers: Annotated[int, "[1, inf)"] = 2
+    dense_units: Annotated[int, "[1, inf)"] = 100
     use_batchnorm: bool = True
 
     def __post_init__(self) -> None:
-        check_ranges(self, {
-            "num_classes": "[1, inf)", "conv_filters": "[1, inf)", "conv_kernel": "[1, inf)",
-            "pool_size": "[1, inf)", "lstm_units": "[1, inf)", "bilstm_units": "[1, inf)",
-            "bilstm_layers": "[1, inf)", "dense_units": "[1, inf)", "dropout_rate": "[0, 1)",
-        })
+        super().__post_init__()
         if self.recurrent_kind not in ("LSTM", "BiLSTM"):
             raise ValueError("recurrent_kind must be 'LSTM' or 'BiLSTM'")
 
@@ -157,22 +157,22 @@ def save_checkpoint(
         f.write(blob)
 
 
-_HEADER_KINDS = {"model": dict, "task": str, "in_channels": int, "arrays": list}
+_HEADER_KINDS = {"model": dict, "task": str, "in_channels": Annotated[int, "[1, inf)"], "arrays": list}
 # the run fields the train command writes; each is checked when present
-_RUN_FIELD_KINDS = {"epochs_completed": int, "alphabet": list, "train": dict}
+_RUN_FIELD_KINDS = {"epochs_completed": Annotated[int, "[0, inf)"], "alphabet": list, "train": dict}
 
 
 def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     """Rebuild the model from a checkpoint; returns (model, header).
 
     A header line that is not a JSON object holding model, task,
-    in_channels and arrays of the right kinds, a header or blob that does
-    not hold exactly the model's arrays, an array holding NaN or inf, or a
-    negative running variance fails with a ValueError naming the file and
-    the key or array. So does a run field, when present, that is not what
-    train writes: epochs_completed an integer >= 0, alphabet a list of
-    distinct symbols, one per class, and train an object whose target_len
-    is an integer >= 1.
+    in_channels (a positive integer) and arrays of the right kinds, a
+    header or blob that does not hold exactly the model's arrays, an array
+    holding NaN or inf, or a negative running variance fails with a
+    ValueError naming the file and the key or array. So does a run field,
+    when present, that is not what train writes: epochs_completed a
+    non-negative integer, alphabet a list of distinct symbols, one per
+    class, and train an object whose target_len is a positive integer.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -183,12 +183,9 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
 
     what = f"checkpoint {path} header"
     header = check_object(parse(header_line, what), what, _HEADER_KINDS)
-    in_channels = header["in_channels"]
-    if in_channels < 1:
-        raise bad(f"in_channels must be a positive integer, got {in_channels!r}")
     try:
         cfg = ModelConfig.from_dict(header["model"])
-        model = RecognitionModel(cfg, in_channels, header["task"], np.random.default_rng(0))
+        model = RecognitionModel(cfg, header["in_channels"], header["task"], np.random.default_rng(0))
     except ValueError as exc:
         raise bad(str(exc)) from None
 
@@ -224,9 +221,6 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
         model.norm.initialized = True
 
     check_object(header, what, {k: v for k, v in _RUN_FIELD_KINDS.items() if k in header})
-    completed = header.get("epochs_completed", 0)
-    if completed < 0:
-        raise bad(f"'epochs_completed' must be a non-negative integer, got {completed!r}")
     if "alphabet" in header:
         try:
             size = Alphabet(header["alphabet"]).size
@@ -235,8 +229,5 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
         if size != cfg.num_classes:
             raise bad(f"'alphabet' has {size} symbols, but the model has {cfg.num_classes} classes")
     if "train" in header:
-        section = check_object(header["train"], f"{what} 'train'", {"target_len": int})
-        target_len = section["target_len"]
-        if target_len < 1:
-            raise bad(f"'train.target_len' must be a positive integer, got {target_len!r}")
+        check_object(header["train"], f"{what} 'train'", {"target_len": TargetLen})
     return model, header

@@ -8,13 +8,13 @@ two runs produce bit-identical weights and history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Annotated, Callable, Iterable, Sequence
 
 import numpy as np
 
 from penscript import metrics
 from penscript.dataio import Sample
-from penscript.jsonconfig import JsonConfig, check_ranges
+from penscript.jsonconfig import JsonConfig
 from penscript.losses import (
     CHARACTER_LOSSES,
     LossParams,
@@ -22,7 +22,7 @@ from penscript.losses import (
     ctc_loss,
     greedy_decode,
 )
-from penscript.netcore.model import ModelConfig, RecognitionModel
+from penscript.netcore.model import ModelConfig, RecognitionModel, TargetLen
 from penscript.netcore.optim import Adam
 from penscript.preprocess import interpolate
 from penscript.seeding import stream
@@ -30,21 +30,14 @@ from penscript.seeding import stream
 
 @dataclass(frozen=True)
 class TrainConfig(JsonConfig):
-    epochs: int
-    learning_rate: float = 1e-4
-    batch_size: int = 50
+    epochs: Annotated[int, "[0, inf)"]
+    learning_rate: Annotated[float, "(0, inf)"] = 1e-4
+    batch_size: Annotated[int, "[1, inf)"] = 50
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    target_len: int = 800
-
-    def __post_init__(self) -> None:
-        check_ranges(self, {
-            "epochs": "[0, inf)", "learning_rate": "(0, inf)", "batch_size": "[1, inf)",
-            "adam_beta1": "[0, 1)", "adam_beta2": "[0, 1)", "adam_eps": "(0, inf)",
-            "target_len": "[1, inf)",
-        })
+    adam_beta1: Annotated[float, "[0, 1)"] = 0.9
+    adam_beta2: Annotated[float, "[0, 1)"] = 0.999
+    adam_eps: Annotated[float, "(0, inf)"] = 1e-8
+    target_len: TargetLen = 800
 
 
 def _prepare_inputs(

@@ -10,12 +10,12 @@ not depend on channel iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Annotated, Iterable
 
 import numpy as np
 
 from penscript.dataio import FORCE_CHANNEL, Sample
-from penscript.jsonconfig import JsonConfig, check_ranges
+from penscript.jsonconfig import JsonConfig
 from penscript.seeding import stream
 
 # canonical application order; also the substream ids
@@ -32,25 +32,20 @@ class AugmentConfig(JsonConfig):
     is below 1 so every time-warp speed stays positive.
     """
 
-    p_apply: float = 0.5
-    scale_sigma: float = 0.1
-    jitter_sigma: float = 0.1
-    shift_force: float = 200.0
-    shift_other: float = 20.0
-    mag_warp_low: float = 0.7
-    mag_warp_high: float = 1.3
-    warp_sigma: float = 0.1
-    bezier_control_points: int = 10
+    p_apply: Annotated[float, "[0, 1]"] = 0.5
+    scale_sigma: Annotated[float, "[0, inf)"] = 0.1
+    jitter_sigma: Annotated[float, "[0, inf)"] = 0.1
+    shift_force: Annotated[float, "[0, inf)"] = 200.0
+    shift_other: Annotated[float, "[0, inf)"] = 20.0
+    mag_warp_low: Annotated[float, "(-inf, inf)"] = 0.7
+    mag_warp_high: Annotated[float, "(-inf, inf)"] = 1.3
+    warp_sigma: Annotated[float, "[0, 1)"] = 0.1
+    bezier_control_points: Annotated[int, "[2, inf)"] = 10
     accelerometer_channels: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
     force_channel: int = FORCE_CHANNEL
 
     def __post_init__(self) -> None:
-        check_ranges(self, {
-            "p_apply": "[0, 1]", "scale_sigma": "[0, inf)", "jitter_sigma": "[0, inf)",
-            "shift_force": "[0, inf)", "shift_other": "[0, inf)",
-            "mag_warp_low": "(-inf, inf)", "mag_warp_high": "(-inf, inf)",
-            "warp_sigma": "[0, 1)", "bezier_control_points": "[2, inf)",
-        })
+        super().__post_init__()
         if not self.mag_warp_low < self.mag_warp_high:
             raise ValueError("mag_warp_low must be < mag_warp_high")
         object.__setattr__(

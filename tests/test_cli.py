@@ -466,8 +466,11 @@ class TestTrain:
             (lambda p: p.pop("folds"), "fold plan {plan} is missing the key(s) folds"),
             (lambda p: p["folds"][0]["train"].insert(0, 1.5), "fold plan {plan} fold 0: train[0] must be an integer, got 1.5"),
             (lambda p: p["folds"][0].update(val=[2, True]), "error: fold plan {plan} fold 0: val[1] must be an integer, got True\n"),
+            (lambda p: p.update(k=1), "error: fold plan {plan}: fold count must be >= 2\n"),
+            (lambda p: p.update(mode="XX"), "error: fold plan {plan}: mode must be 'WD' or 'WI', got 'XX'\n"),
+            (lambda p: p.update(k=4), "error: fold plan {plan}: fold list length must equal k\n"),
         ],
-        ids=["index-99", "index-negative", "no-folds", "index-float", "index-bool"],
+        ids=["index-99", "index-negative", "no-folds", "index-float", "index-bool", "k-one", "mode", "k-not-fold-count"],
     )
     def test_bad_fold_plan_is_named(self, tmp_path, capsys, rng, edit, message):
         data, labels, plan_path = self.wi_plan(tmp_path, capsys, rng)
@@ -894,13 +897,13 @@ _RUN_FIELDS = [
     ("no-train", {"alphabet": EQUATIONS}, " header is missing the key(s) train", True),
     ("no-target-len", {**RUN, "train": {}}, " header 'train' is missing the key(s) target_len", False),
     ("target-len-str", {**RUN, "train": {"target_len": "12"}}, " header 'train': target_len must be an integer, got '12'", False),
-    ("target-len-zero", {**RUN, "train": {"target_len": 0}}, ": 'train.target_len' must be a positive integer, got 0", False),
+    ("target-len-zero", {**RUN, "train": {"target_len": 0}}, " header 'train': target_len must be in [1, inf), got 0", False),
     ("train-list", {**RUN, "train": [12]}, " header: train must be a JSON object, got [12]", False),
     ("epochs-list", {**RUN, "epochs_completed": [1]}, " header: epochs_completed must be an integer, got [1]", False),
     ("epochs-str", {**RUN, "epochs_completed": "x"}, " header: epochs_completed must be an integer, got 'x'", False),
     ("epochs-bool", {**RUN, "epochs_completed": True}, " header: epochs_completed must be an integer, got True", False),
     ("epochs-float", {**RUN, "epochs_completed": 2.7}, " header: epochs_completed must be an integer, got 2.7", False),
-    ("epochs-negative", {**RUN, "epochs_completed": -5}, ": 'epochs_completed' must be a non-negative integer, got -5", False),
+    ("epochs-negative", {**RUN, "epochs_completed": -5}, " header: epochs_completed must be in [0, inf), got -5", False),
     ("epochs-two", {**RUN, "epochs_completed": 2}, None, False),
     ("epochs-absent", RUN, None, False),
 ]

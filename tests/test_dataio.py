@@ -158,8 +158,10 @@ class TestParseRecording:
              "labels line 2: end must be an integer, got 0.9"),
             ('{"label": "1", "start": 0, "end": 0, "writer_id": true}',
              "labels line 2: writer_id must be an integer, got True"),
+            ('{"label": "1", "start": 0, "end": 0, "writer_id": -1}',
+             r"^labels line 2: writer_id must be in \[0, inf\), got -1$"),
         ],
-        ids=["list", "missing-keys", "broken-json", "start-str", "end-float", "writer-bool"],
+        ids=["list", "missing-keys", "broken-json", "start-str", "end-float", "writer-bool", "writer-negative"],
     )
     def test_bad_label_line_is_named(self, line, expected):
         raw = make_recording([[1.0, 2.0]])

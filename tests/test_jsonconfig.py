@@ -3,7 +3,7 @@ import math
 import re
 from dataclasses import fields
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, get_type_hints
+from typing import Annotated, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -79,6 +79,38 @@ class TestCheckObject:
     def test_largest_float_sized_int_is_a_number(self):
         big = int(1.7976931348623157e308)
         assert check_object({"x": big}, "doc", {"x": float}) == {"x": big}
+
+
+class TestCheckObjectInterval:
+    """A kind declared as Annotated[kind, interval]: the kind, then the interval."""
+
+    def test_value_inside_its_interval_is_returned(self):
+        obj = {"n": 1, "x": 0.5}
+        kinds = {"n": Annotated[int, "[1, inf)"], "x": Annotated[float, "[0, 1)"]}
+        assert check_object(obj, "doc", kinds) is obj
+
+    def test_wrong_kind_is_reported_before_the_range(self):
+        # "x" is outside its interval and comes first, but "n" is not an integer
+        kinds = {"x": Annotated[float, "[0, 1)"], "n": Annotated[int, "[1, inf)"]}
+        with pytest.raises(ValueError) as err:
+            check_object({"x": 5.0, "n": "0"}, "doc", kinds)
+        assert str(err.value) == "doc: n must be an integer, got '0'"
+
+    def test_true_is_a_kind_fault_not_a_range_fault(self):
+        with pytest.raises(ValueError) as err:
+            check_object({"n": True}, "doc", {"n": Annotated[int, "[0, inf)"]})
+        assert str(err.value) == "doc: n must be an integer, got True"
+
+    def test_int_too_large_for_a_float_is_a_shape_fault(self):
+        with pytest.raises(ValueError) as err:
+            check_object({"x": 10**400}, "doc", {"x": Annotated[float, "(0, inf)"]})
+        assert str(err.value) == f"doc: x must be a number, got {10**400!r}"
+
+    @pytest.mark.parametrize("value", [0, -3, math.nan], ids=["bound", "below", "nan"])
+    def test_range_fault_names_what(self, value):
+        with pytest.raises(ValueError) as err:
+            check_object({"n": 2, "x": value}, "the doc", {"n": int, "x": Annotated[float, "(0, 1]"]})
+        assert str(err.value) == f"the doc: x must be in (0, 1], got {value!r}"
 
 
 class TestCheckRanges:
@@ -185,14 +217,17 @@ def _probes(interval: str, is_float: bool) -> tuple[list, list]:
     return accept, reject
 
 
-def test_ranges_cover_every_float_field():
+def test_declared_intervals_are_the_spec():
+    """Each config class's hints declare exactly RANGES' intervals, in field
+    order, and every float field declares one."""
     for cls, (_, ranges) in RANGES.items():
         if cls is Adam:
             continue
-        hints = get_type_hints(cls)
-        numeric = {f.name for f in fields(cls) if hints[f.name] in (int, float)}
-        floats = {f.name for f in fields(cls) if hints[f.name] is float}
-        assert floats <= set(ranges) <= numeric, cls.__name__
+        hints = get_type_hints(cls, include_extras=True)
+        declared = [(f.name, get_args(hints[f.name])[1]) for f in fields(cls) if get_origin(hints[f.name]) is Annotated]
+        assert declared == list(ranges.items()), cls.__name__
+        floats = {f.name for f in fields(cls) if get_type_hints(cls)[f.name] is float}
+        assert floats <= set(ranges), cls.__name__
 
 
 @pytest.mark.parametrize("cls, name, interval, is_float", SETTINGS)

@@ -1103,7 +1103,7 @@ def rejected(path, problem):
 
 
 def misshapen(path, problem):
-    """Expect load_checkpoint's JSON shape check to fail, naming the file in its subject."""
+    """Expect load_checkpoint's check_object to fail, naming the file in its subject."""
     return pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {path} {problem}"))
 
 
@@ -1151,7 +1151,7 @@ class TestCheckpointChecks:
         "value, expect, problem",
         [
             ("3", misshapen, "header: in_channels must be an integer, got '3'"),
-            (0, rejected, "in_channels must be a positive integer, got 0"),
+            (0, misshapen, "header: in_channels must be in [1, inf), got 0"),
             (True, misshapen, "header: in_channels must be an integer, got True"),
         ],
         ids=["3", "0", "True"],
@@ -1233,9 +1233,9 @@ class TestCheckpointChecks:
     @pytest.mark.parametrize(
         "field, value, problem",
         [
-            ("epochs_completed", -1, ": 'epochs_completed' must be a non-negative integer, got -1"),
+            ("epochs_completed", -1, " header: epochs_completed must be in [0, inf), got -1"),
             ("alphabet", list("abc"), ": 'alphabet' has 3 symbols, but the model has 4 classes"),
-            ("train", {"target_len": 0}, ": 'train.target_len' must be a positive integer, got 0"),
+            ("train", {"target_len": 0}, " header 'train': target_len must be in [1, inf), got 0"),
         ],
         ids=["epochs", "alphabet", "train"],
     )
