@@ -286,8 +286,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    refs = [line for line in _read(args.refs).splitlines() if line.strip()]
-    hyps = [line for line in _read(args.hyps).splitlines() if line.strip()]
+    refs = _read(args.refs).splitlines()
+    hyps = [line if line.strip() else "" for line in _read(args.hyps).splitlines()]
+    for n, line in enumerate(refs, 1):
+        if not line.strip():
+            raise ValueError(f"reference file {args.refs} line {n} is blank")
     if len(refs) != len(hyps):
         raise ValueError("reference and hypothesis files differ in line count")
     alphabet = _alphabet(args.alphabet, refs + hyps)
@@ -295,7 +298,7 @@ def cmd_evaluate(args) -> int:
     hists = metrics.error_positions(scripts, [len(r) for r in refs], args.bins)
     report = {
         "cer": metrics.cer_of_scripts(scripts),
-        "wer": metrics.wer([[r] for r in refs], [[h] for h in hyps]),
+        "wer": metrics.wer([[r] for r in refs], [[h] if h else [] for h in hyps]),
         "histograms": {k: v.tolist() for k, v in hists.items()},
         "confusion": metrics.confusion_matrix(scripts, alphabet).tolist(),
         "confusion_symbols": list(alphabet.symbols),

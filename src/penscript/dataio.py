@@ -417,10 +417,10 @@ class FoldPlan:
 def make_splits(samples: Sequence[Sample], mode: str, k: int, seed: int) -> FoldPlan:
     """Build a writer-dependent (WD) or writer-independent (WI) k-fold plan.
 
-    WD shuffles each writer's samples and deals them into k balanced chunks,
-    so every writer appears in train and validation of each fold (up to one
-    sample imbalance). WI shuffles the writers and deals whole writers
-    round-robin to folds, keeping writer sets disjoint.
+    WD shuffles each writer's samples and deals them into k balanced chunks
+    (k at most the largest writer's sample count, so no fold validates on
+    nothing). WI shuffles the writers and deals whole writers round-robin
+    to folds, keeping writer sets disjoint.
     """
     if mode not in ("WD", "WI"):
         raise ValueError(f"mode must be 'WD' or 'WI', got {mode!r}")
@@ -438,6 +438,9 @@ def make_splits(samples: Sequence[Sample], mode: str, k: int, seed: int) -> Fold
     folds: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     if mode == "WD":
+        most = max(len(indices) for indices in by_writer.values())
+        if most < k:
+            raise ValueError(f"WD split needs a writer with >= {k} samples, got at most {most}")
         val_sets: list[set[int]] = [set() for _ in range(k)]
         for writer in sorted(by_writer):
             indices = np.array(by_writer[writer])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Annotated
 
 import numpy as np
@@ -135,22 +136,40 @@ def forward_seq2seq(sample: Sample, model: RecognitionModel, mode: str = "eval")
     return model.forward(sample.values[None, :, :], mode).data[0]
 
 
+BLOB_DTYPE = np.dtype("<f8")  # the checkpoint blob's element type
+
+
+def _blob_arrays(model: RecognitionModel) -> list[tuple[str, np.ndarray]]:
+    """The (name, array) pairs a checkpoint's blob holds, in blob order."""
+    return [(n, p.data) for n, p in model.parameters()] + model.buffers()
+
+
+def _manifest(arrays: list[tuple[str, np.ndarray]]) -> list[dict]:
+    """The header's "arrays" list: one {name, shape} entry per blob array."""
+    return [{"name": n, "shape": list(a.shape)} for n, a in arrays]
+
+
 def save_checkpoint(
     path: str,
     model: RecognitionModel,
     extra: dict | None = None,
 ) -> None:
-    """One-file checkpoint: JSON header line + little-endian float64 blob."""
-    arrays = [(n, p.data) for n, p in model.parameters()] + model.buffers()
+    """One-file checkpoint: a JSON header line, then the blob.
+
+    The blob holds each array of _blob_arrays (the parameters, then the
+    batchnorm running stats) in that order, C-ordered, as BLOB_DTYPE
+    values; the header's "arrays" is their _manifest, in the same order.
+    """
+    arrays = _blob_arrays(model)
     header = {
         "model": model.cfg.to_dict(),
         "task": model.task,
         "in_channels": model.in_channels,
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+        "arrays": _manifest(arrays),
     }
     if extra:
         header.update(extra)
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
+    blob = b"".join(np.ascontiguousarray(a, dtype=BLOB_DTYPE).tobytes() for _, a in arrays)
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8"))
         f.write(b"\n")
@@ -166,13 +185,14 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     """Rebuild the model from a checkpoint; returns (model, header).
 
     A header line that is not a JSON object holding model, task,
-    in_channels (a positive integer) and arrays of the right kinds, a
-    header or blob that does not hold exactly the model's arrays, an array
-    holding NaN or inf, or a negative running variance fails with a
-    ValueError naming the file and the key or array. So does a run field,
-    when present, that is not what train writes: epochs_completed a
-    non-negative integer, alphabet a list of distinct symbols, one per
-    class, and train an object whose target_len is a positive integer.
+    in_channels (a positive integer) and arrays of the right kinds, arrays
+    other than the _manifest save_checkpoint writes for that model (named
+    by its first differing entry), a blob of another size, an array holding
+    NaN or inf, or a negative running variance fails with a ValueError
+    naming the file. So does a run field, when present, that is not what
+    train writes: epochs_completed a non-negative integer, alphabet a list
+    of distinct symbols, one per class, and train an object whose
+    target_len is a positive integer.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -189,34 +209,25 @@ def load_checkpoint(path: str) -> tuple[RecognitionModel, dict]:
     except ValueError as exc:
         raise bad(str(exc)) from None
 
-    homes = {**{name: p.data for name, p in model.parameters()}, **dict(model.buffers())}
-    specs = [
-        check_object(spec, f"checkpoint {path} array entry {n}", {"name": str, "shape": list})
-        for n, spec in enumerate(header["arrays"])
-    ]
-    names = [spec["name"] for spec in specs]
-    for spec, name in zip(specs, names):
-        if name not in homes:
-            raise bad(f"array {name!r} has no home in the model")
-        if names.count(name) > 1:
-            raise bad(f"array {name!r} appears twice")
-        shape = list(homes[name].shape)
-        if spec["shape"] != shape:
-            raise bad(f"array {name!r} has shape {spec['shape']}, the model's is {shape}")
-    missing = [name for name in homes if name not in names]
-    if missing:
-        raise bad(f"array {missing[0]!r} is missing")
+    arrays = _blob_arrays(model)
+    listed = [json.dumps(entry, sort_keys=True) for entry in header["arrays"]]
+    manifest = [json.dumps(entry, sort_keys=True) for entry in _manifest(arrays)]
+    for i, (held, want) in enumerate(zip_longest(listed, manifest, fillvalue="nothing")):
+        if held != want:
+            raise bad(f"array entry {i}: the file lists {held}, the model holds {want}")
 
-    sizes = [homes[name].size for name in names]
-    if len(blob) != 8 * sum(sizes):
-        raise bad(f"the blob holds {len(blob)} bytes, but its manifest needs {8 * sum(sizes)}")
-    for name, chunk in zip(names, np.split(np.frombuffer(blob, "<f8"), np.cumsum(sizes)[:-1])):
+    sizes = [a.size for _, a in arrays]
+    nbytes = BLOB_DTYPE.itemsize * sum(sizes)
+    if len(blob) != nbytes:
+        raise bad(f"the blob holds {len(blob)} bytes, but its manifest needs {nbytes}")
+    chunks = np.split(np.frombuffer(blob, BLOB_DTYPE), np.cumsum(sizes)[:-1])
+    for (name, home), chunk in zip(arrays, chunks):
         if not np.isfinite(chunk).all():
             raise bad(f"array {name!r} holds a non-finite value")
         if name == "norm.running_var" and (chunk < 0).any():
             # eval batchnorm takes sqrt(var + eps): every output would be NaN
             raise bad(f"array {name!r} holds a negative variance")
-        homes[name][...] = chunk.reshape(homes[name].shape)
+        home[...] = chunk.reshape(home.shape)
     if model.norm is not None:
         model.norm.initialized = True
 

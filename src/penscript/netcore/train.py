@@ -96,10 +96,10 @@ def _evaluate_split(
         greedy_decode,
     )
     if model.task == "seq2seq":
-        exact = sum(1 for h, r in zip(hyps, labels) if h == r)
+        # one word per label, as evaluate scores an equation
         return {
             "cer": metrics.cer(labels, hyps),
-            "wer": 1.0 - exact / len(labels),
+            "wer": metrics.wer([[r] for r in labels], [[h] for h in hyps]),
         }
     return {"crr": metrics.crr(labels, hyps)}
 

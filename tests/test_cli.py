@@ -851,6 +851,29 @@ class TestEvaluate:
         _, out, _ = run(capsys, ["evaluate", "--refs", str(refs), "--hyps", str(hyps)])
         assert json.loads(out)["crr"] == 0.75
 
+    def test_blank_hypothesis_is_the_empty_one(self, tmp_path, capsys):
+        # paired by line number: "12" against nothing is two deletions
+        refs = tmp_path / "refs.txt"
+        hyps = tmp_path / "hyps.txt"
+        refs.write_text("12\n34\n", encoding="utf-8")
+        hyps.write_text("\n34\n", encoding="utf-8")
+        code, out, _ = run(capsys, ["evaluate", "--refs", str(refs), "--hyps", str(hyps), "--bins", "2"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["cer"] == 0.5
+        assert report["wer"] == 0.5
+        assert report["histograms"]["delete"] == [1, 1]
+        assert sum(report["histograms"]["insert"]) == sum(report["histograms"]["mismatch"]) == 0
+
+    def test_blank_reference_line_is_named(self, tmp_path, capsys):
+        refs = tmp_path / "refs.txt"
+        hyps = tmp_path / "hyps.txt"
+        refs.write_text("12\n \n34\n", encoding="utf-8")
+        hyps.write_text("12\n5\n34\n", encoding="utf-8")
+        code, out, err = run(capsys, ["evaluate", "--refs", str(refs), "--hyps", str(hyps)])
+        assert (code, out) == (1, "")
+        assert err == f"error: reference file {refs} line 2 is blank\n"
+
     def test_line_count_mismatch_fails(self, tmp_path, capsys):
         refs = tmp_path / "refs.txt"
         hyps = tmp_path / "hyps.txt"

@@ -358,6 +358,14 @@ class TestMakeSplits:
             assert not train_writers & val_writers
             assert train_writers | val_writers == set(range(10))
 
+    def test_wd_k_is_bounded_by_the_largest_writer(self):
+        # writer 0 holds 3 samples and writer 1 holds 1
+        samples = make_writer_corpus(writers=2, per_writer=3)[:4]
+        plan = make_splits(samples, "WD", 3, seed=0)
+        assert all(val for _, val in plan.folds)
+        with pytest.raises(ValueError, match="^" + re.escape("WD split needs a writer with >= 4 samples, got at most 3") + "$"):
+            make_splits(samples, "WD", 4, seed=0)
+
     def test_wi_needs_enough_writers(self):
         samples = make_writer_corpus(writers=2, per_writer=3)
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from penscript.netcore import (
     train,
 )
 from penscript.netcore import tensor as T
+from penscript.netcore.model import BLOB_DTYPE, _blob_arrays
 from penscript.seeding import stream
 from oracles import central_diff, lstm_oracle, maxpool_oracle, rel_err
 
@@ -1060,6 +1061,24 @@ class TestCheckpoint:
             model.forward(x, "eval").data, loaded.forward(x, "eval").data
         )
 
+    @pytest.mark.parametrize("loss", ["ctc", "cce"])
+    @pytest.mark.parametrize("use_batchnorm", [True, False], ids=["bn", "no-bn"])
+    @pytest.mark.parametrize("kind", ["BiLSTM", "LSTM"])
+    def test_every_kind_train_writes_round_trips(self, tmp_path, rng, loss, use_batchnorm, kind):
+        cfg = dataclasses.replace(SMALL, recurrent_kind=kind, lstm_units=3, use_batchnorm=use_batchnorm)
+        train_cfg = TrainConfig(epochs=1, batch_size=4, seed=9, target_len=12)
+        model, _ = train(tiny_dataset(rng), (range(8), ()), cfg, train_cfg, loss)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model)
+        loaded, header = load_checkpoint(path)
+
+        arrays = _blob_arrays(model)
+        assert header["arrays"] == [{"name": n, "shape": list(a.shape)} for n, a in arrays]
+        assert [n for n, _ in arrays] == [n for n, _ in model.parameters()] + [n for n, _ in model.buffers()]
+        for (n1, a1), (n2, a2) in zip(arrays, _blob_arrays(loaded), strict=True):
+            assert n1 == n2
+            assert np.array_equal(a1, a2)
+
     def test_truncated_blob_rejected(self, tmp_path, rng):
         model = RecognitionModel(SMALL, 3, "char", rng)
         path = str(tmp_path / "m.ckpt")
@@ -1093,8 +1112,54 @@ def with_first_entry(header, blob, name, value):
     for spec in header["arrays"]:
         if spec["name"] == name:
             break
-        offset += 8 * int(np.prod(spec["shape"]))
-    return blob[:offset] + np.array([value], "<f8").tobytes() + blob[offset + 8 :]
+        offset += BLOB_DTYPE.itemsize * int(np.prod(spec["shape"]))
+    return blob[:offset] + np.array([value], BLOB_DTYPE).tobytes() + blob[offset + BLOB_DTYPE.itemsize :]
+
+
+def entry(name, shape):
+    return {"name": name, "shape": shape}
+
+
+def set_entry(i, value):
+    def mutate(header, blob):
+        header["arrays"][i] = value
+        return blob
+
+    return mutate
+
+
+def drop_last(header, blob):
+    """norm.running_var unlisted, and cut from the blob."""
+    spec = header["arrays"].pop()
+    return blob[: -BLOB_DTYPE.itemsize * spec["shape"][0]]
+
+
+def append_extra(header, blob):
+    """An array the model lacks, listed and stored after the model's own."""
+    header["arrays"].append(entry("norm.extra", [2]))
+    return blob + np.zeros(2, BLOB_DTYPE).tobytes()
+
+
+def swap_first_two(header, blob):
+    """conv.b listed and stored before conv.w: the model's arrays, reordered."""
+    w, b = (BLOB_DTYPE.itemsize * int(np.prod(s["shape"])) for s in header["arrays"][:2])
+    header["arrays"][:2] = header["arrays"][1::-1]
+    return blob[w : w + b] + blob[:w] + blob[w + b :]
+
+
+# (mutation of the saved SMALL char checkpoint, first entry that differs,
+# what the file lists there, what the model holds there; None for nothing)
+MANIFEST_FAULTS = [
+    pytest.param(set_entry(1, entry("conv.bias", [6])), 1, entry("conv.bias", [6]), entry("conv.b", [6]), id="rename"),
+    pytest.param(set_entry(1, entry("conv.w", [6])), 1, entry("conv.w", [6]), entry("conv.b", [6]), id="repeat"),
+    pytest.param(drop_last, 15, None, entry("norm.running_var", [6]), id="drop-last"),
+    pytest.param(
+        set_entry(12, entry("head.w", [4, 5])), 12, entry("head.w", [4, 5]), entry("head.w", [5, 4]), id="transpose"
+    ),
+    pytest.param(set_entry(0, ["conv.w"]), 0, ["conv.w"], entry("conv.w", [6, 3, 3]), id="non-object"),
+    pytest.param(append_extra, 16, entry("norm.extra", [2]), None, id="extra"),
+    pytest.param(swap_first_two, 0, entry("conv.b", [6]), entry("conv.w", [6, 3, 3]), id="reordered"),
+]
 
 
 def rejected(path, problem):
@@ -1163,44 +1228,14 @@ class TestCheckpointChecks:
         with expect(path, problem):
             load_checkpoint(path)
 
-    def test_unknown_array(self, tmp_path, rng):
+    @pytest.mark.parametrize("mutate, index, listed, held", MANIFEST_FAULTS)
+    def test_manifest_is_the_models(self, tmp_path, rng, mutate, index, listed, held):
         path, header, blob = saved_checkpoint(tmp_path, rng)
-        header["arrays"][1]["name"] = "conv.bias"
-        rewrite(path, header, blob)
-        with rejected(path, "array 'conv.bias' has no home in the model"):
+        rewrite(path, header, mutate(header, blob))
+        listed, held = ("nothing" if e is None else json.dumps(e) for e in (listed, held))
+        with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-
-    def test_repeated_array(self, tmp_path, rng):
-        path, header, blob = saved_checkpoint(tmp_path, rng)
-        header["arrays"][1]["name"] = "conv.w"
-        rewrite(path, header, blob)
-        with rejected(path, "array 'conv.w' appears twice"):
-            load_checkpoint(path)
-
-    def test_missing_array(self, tmp_path, rng):
-        path, header, blob = saved_checkpoint(tmp_path, rng)
-        spec = header["arrays"].pop()
-        assert spec["name"] == "norm.running_var"
-        rewrite(path, header, blob[: -8 * spec["shape"][0]])
-        with rejected(path, "array 'norm.running_var' is missing"):
-            load_checkpoint(path)
-
-    def test_transposed_array(self, tmp_path, rng):
-        path, header, blob = saved_checkpoint(tmp_path, rng)
-        spec = next(s for s in header["arrays"] if s["name"] == "head.w")
-        rows, cols = spec["shape"]
-        spec["shape"] = [cols, rows]
-        rewrite(path, header, blob)
-        expected = f"array 'head.w' has shape {[cols, rows]}, the model's is {[rows, cols]}"
-        with rejected(path, expected):
-            load_checkpoint(path)
-
-    def test_malformed_manifest(self, tmp_path, rng):
-        path, header, blob = saved_checkpoint(tmp_path, rng)
-        header["arrays"][0] = ["conv.w"]
-        rewrite(path, header, blob)
-        with misshapen(path, "array entry 0 must be a JSON object, got list"):
-            load_checkpoint(path)
+        assert str(err.value) == f"checkpoint {path}: array entry {index}: the file lists {listed}, the model holds {held}"
 
     @pytest.mark.parametrize(
         "name, value", [("norm.running_var", np.nan), ("conv.w", np.inf), ("head.b", -np.inf)]
@@ -1306,6 +1341,15 @@ class TestTrain:
         model, history = train(mixed, (range(8), ()), SMALL, cfg, "ctc")
         assert model.task == "seq2seq"
         assert history[0]["skipped"] == 2
+
+    def test_validation_wer_matches_evaluate(self, rng, monkeypatch):
+        # 4 of 5 exact: 1 - 4/5 is 0.19999999999999996, evaluate's (5 - 4)/5 is 0.2
+        labels = [(0,), (1,), (2,), (0, 1), (1, 2)]
+        hyps = labels[:4] + [(2, 1)]
+        monkeypatch.setattr(train_module, "predict", lambda *args: hyps)
+        model = RecognitionModel(SMALL, 3, "seq2seq", rng)
+        scores = train_module._evaluate_split(model, np.zeros((5, 4, 3)), labels, range(5), 5)
+        assert scores["wer"] == 0.2
 
     def test_ctc_scores_each_batch_in_one_call(self, rng, monkeypatch):
         train_module = importlib.import_module("penscript.netcore.train")
