@@ -287,6 +287,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     refs = _read(args.refs).splitlines()
+    if not refs:
+        raise ValueError(f"reference file {args.refs} holds no lines")
     hyps = [line if line.strip() else "" for line in _read(args.hyps).splitlines()]
     for n, line in enumerate(refs, 1):
         if not line.strip():
@@ -303,8 +305,9 @@ def cmd_evaluate(args) -> int:
         "confusion": metrics.confusion_matrix(scripts, alphabet).tolist(),
         "confusion_symbols": list(alphabet.symbols),
     }
-    if all(len(r) == 1 for r in refs) and all(len(h) == 1 for h in hyps):
-        report["crr"] = metrics.crr(refs, hyps)
+    if all(len(r) == 1 for r in refs):
+        # any hypothesis but the reference's one symbol, the empty one too, is a miss
+        report["crr"] = sum(r == h for r, h in zip(refs, hyps)) / len(refs)
     _emit(report)
     return 0
 

@@ -118,6 +118,24 @@ def check_layers(rng: np.random.Generator) -> dict[str, float]:
     xs = Tensor(rng.normal(0, 1, (2, 4)))
     report["log_softmax"] = _graph_check(lambda: T.log_softmax_op(xs), [xs], rng)
 
+    # train mode, with a fresh generator per build so the dropout mask holds.
+    # Frames rise by at least 0.5 in every channel and the weights are
+    # positive, so each window's later frame wins by far more than H; with 7
+    # frames the last frame is alone in its window, past the right padding.
+    # Batchnorm's batch mean cancels b, whose gradient is then exactly zero,
+    # so b is checked in a build without it.
+    xc = np.arange(7.0)[None, :, None] + rng.uniform(0, 0.5, (2, 7, 3))
+    conv_c, bn_c = layers.Conv1d(3, 4, 2, rng), layers.BatchNorm1d(4)
+    conv_c.w.data = np.abs(conv_c.w.data) + 0.5
+
+    def block(norm):
+        return lambda: T.conv_block_op(xc, conv_c.w, conv_c.b, 2, norm, 0.5, np.random.default_rng(0))
+
+    with_bn = _graph_check(block(bn_c.block_norm("train")), [conv_c.w, bn_c.gamma, bn_c.beta], rng)
+    conv_c.w.zero_grad()
+    conv_c.b.zero_grad()
+    report["conv_block"] = max(with_bn, _graph_check(block(None), [conv_c.w, conv_c.b], rng))
+
     return report
 
 

@@ -5,6 +5,7 @@ from penscript.netcore.tensor import (
     affine,
     batchnorm_op,
     conv1d_op,
+    conv_block_op,
     dropout_op,
     log_softmax_op,
     lstm_op,
@@ -34,7 +35,7 @@ from penscript.netcore.train import TrainConfig, predict, train
 
 __all__ = [
     "Tensor",
-    "affine", "batchnorm_op", "conv1d_op", "dropout_op", "log_softmax_op",
+    "affine", "batchnorm_op", "conv1d_op", "conv_block_op", "dropout_op", "log_softmax_op",
     "lstm_op", "maxpool1d_op", "mean_time", "relu", "reverse_time",
     "BatchNorm1d", "BiLSTM", "Conv1d", "Dense", "Dropout", "LSTM", "MaxPool1d",
     "ModelConfig", "RecognitionModel", "forward_seq2seq",

@@ -80,26 +80,38 @@ class BatchNorm1d:
         self.running_var = np.ones(channels)
         self.initialized = False
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
+    def statistics(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+        """(x - mu, var) per channel, for tensor.batchnorm_op.
+
+        Train mode takes mu and var over every leading axis of x and then
+        refreshes the running stats; eval mode reads the running stats.
+        """
         if mode == "train":
-            axes = tuple(range(x.data.ndim - 1))
-            mu = x.data.mean(axis=axes)
+            axes = tuple(range(x.ndim - 1))
+            mu = x.mean(axis=axes)
             # x - mu serves the variance and becomes the op's normalized input;
             # this is x.var(axes), bit for bit
-            centered = x.data - mu
-            var = (centered * centered).sum(axis=axes) / (x.data.size // x.data.shape[-1])
+            centered = x - mu
+            var = (centered * centered).sum(axis=axes) / (x.size // x.shape[-1])
             self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
             self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
             self.initialized = True
-        elif mode == "eval":
+            return centered, var
+        if mode == "eval":
             if not self.initialized:
                 raise RuntimeError("eval-mode batchnorm before any training step")
-            centered, var = x.data - self.running_mean, self.running_var
-        else:
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+            return x - self.running_mean, self.running_var
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+
+    def __call__(self, x: Tensor, mode: str) -> Tensor:
+        centered, var = self.statistics(x.data, mode)
         return T.batchnorm_op(
             x, self.gamma, self.beta, centered, var, BN_EPS, train=(mode == "train")
         )
+
+    def block_norm(self, mode: str) -> T.BlockNorm:
+        """This layer's norm argument of tensor.conv_block_op in mode."""
+        return self.gamma, self.beta, lambda x: self.statistics(x, mode), BN_EPS, mode == "train"
 
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -114,14 +126,19 @@ class Dropout:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
 
-    def __call__(self, x: Tensor, mode: str, rng: np.random.Generator | None = None) -> Tensor:
+    def active_rate(self, mode: str, rng: np.random.Generator | None) -> float:
+        """The rate a call in mode applies, 0.0 in eval mode; a train-mode
+        call with a rate needs a generator."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         if mode == "eval" or self.rate == 0.0:
-            return x
+            return 0.0
         if rng is None:
             raise ValueError("train-mode dropout needs a random generator")
-        return T.dropout_op(x, self.rate, rng)
+        return self.rate
+
+    def __call__(self, x: Tensor, mode: str, rng: np.random.Generator | None = None) -> Tensor:
+        return T.dropout_op(x, self.active_rate(mode, rng), rng)
 
     def parameters(self):
         return []

@@ -1,9 +1,10 @@
 """The recognition architecture and its checkpoint format.
 
-One convolution block (conv -> max-pool -> batchnorm -> dropout) feeds a
-recurrent stack, then a dense head. The sequence head emits per-frame
-log-probabilities over classes plus blank; the character head mean-pools
-over time and emits one class distribution through an extra dense layer.
+One convolution block (conv -> max-pool -> batchnorm -> dropout, a single
+tape node: tensor.conv_block_op) feeds a recurrent stack, then a dense
+head. The sequence head emits per-frame log-probabilities over classes
+plus blank; the character head mean-pools over time and emits one class
+distribution through an extra dense layer.
 """
 
 from __future__ import annotations
@@ -92,12 +93,11 @@ class RecognitionModel:
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         with T.no_tape() if mode == "eval" else nullcontext():
-            # the batch is a constant: conv builds no gradient into it
-            x = self.conv(batch)
-            x = self.pool(x)
-            if self.norm is not None:
-                x = self.norm(x, mode)
-            x = self.drop(x, mode, rng)
+            # conv, pool, batchnorm and dropout in one tape node; the batch is
+            # a constant, so conv builds no gradient into it
+            norm = None if self.norm is None else self.norm.block_norm(mode)
+            rate = self.drop.active_rate(mode, rng)
+            x = T.conv_block_op(batch, self.conv.w, self.conv.b, self.pool.pool, norm, rate, rng)
             for layer in self.recurrent:
                 x = layer(x)
             if self.task == "seq2seq":

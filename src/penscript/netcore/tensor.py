@@ -25,12 +25,23 @@ is freed once the next op has read it. backward() through such a result
 runs but reaches nothing upstream. RecognitionModel.forward enters
 no_tape() in eval mode; the ops never look at it.
 
+Two ops are fused tape nodes: one node stands for a chain of array work
+and keeps only what its pullback reads, besides its output.
+
 An LSTM call (lstm_op) allocates one (D, batch, time, 4H) buffer that
 holds, in turn, the input projection, the gate activations and their
 gradients. Its tape keeps that buffer and the cell states and nothing
 else: the pullback recomputes tanh(c), reads h_{t-1} from the op's own
 output and copies the time-reversed input again, and no buffer outlives
 the call and its pullback.
+
+A conv block call (conv_block_op) runs conv -> max-pool -> batchnorm ->
+dropout over a constant input such as the data batch. Its tape keeps
+conv's columns, pool's per-offset masks, batchnorm's xhat and dropout's
+boolean mask; each stage's output goes once the next stage has read it.
+conv1d_op, maxpool1d_op, batchnorm_op and dropout_op each wrap one of the
+array forward and pullback pairs the block chains, so the block computes
+their chain's output and gradients bit for bit.
 
 A BiLSTM call (lstm_op with two directions) runs each direction's array
 work outside the time loops on its own core: the input projection, the
@@ -419,6 +430,49 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     return Tensor(out_data, (x,) + params, back)
 
 
+def _as_added(gx: np.ndarray) -> np.ndarray:
+    """gx, in place, as a zero-filled .grad holds it once gx is added in.
+
+    0.0 + v is v, except that -0.0 becomes +0.0. A fused node passes each
+    stage's input gradient through this, so the stage before reads the bits
+    it would read from its output's .grad in a chain of single ops.
+    """
+    gx += 0.0
+    return gx
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conv1d_op's output for arrays, and the columns its pullback reads."""
+    bsz, t_len, c_in = x.shape
+    c_out, c_in_w, k = w.shape
+    if c_in_w != c_in:
+        raise ValueError(f"conv expects {c_in_w} input channels, got {c_in}")
+    left = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (left, k - 1 - left), (0, 0)))
+    # windows: (batch, time, c_in, k) -> columns (batch*time, c_in*k)
+    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1).reshape(bsz * t_len, c_in * k)
+    out = (cols @ w.reshape(c_out, c_in * k).T + b).reshape(bsz, t_len, c_out)
+    return out, cols
+
+
+def _conv_pullback(g, cols, w: Tensor, b: Tensor, x_shape: tuple | None = None):
+    """Adds into w.grad and b.grad; returns the gradient into an input of
+    x_shape, or None when there is none (a constant input)."""
+    c_out, c_in, k = w.data.shape
+    g2 = g.reshape(-1, c_out)
+    w.grad += (g2.T @ cols).reshape(c_out, c_in, k)
+    b.grad += g2.sum(axis=0)
+    if x_shape is None:
+        return None
+    bsz, t_len, _ = x_shape
+    left = (k - 1) // 2
+    gcols = (g2 @ w.data.reshape(c_out, c_in * k)).reshape(bsz, t_len, c_in, k)
+    gxp = np.zeros((bsz, t_len + k - 1, c_in))
+    for i in range(k):
+        gxp[:, i : i + t_len, :] += gcols[:, :, :, i]
+    return gxp[:, left : left + t_len, :]
+
+
 def conv1d_op(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """Same-length 1-D convolution over (batch, time, c_in).
 
@@ -428,33 +482,55 @@ def conv1d_op(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     the node's parents are w and b alone.
     """
     x_data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    bsz, t_len, c_in = x_data.shape
-    c_out, c_in_w, k = w.data.shape
-    if c_in_w != c_in:
-        raise ValueError(f"conv expects {c_in_w} input channels, got {c_in}")
-    left = (k - 1) // 2
-    right = k - 1 - left
-    xp = np.pad(x_data, ((0, 0), (left, right), (0, 0)))
-    # windows: (batch, time, c_in, k) -> columns (batch*time, c_in*k)
-    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-    cols2 = cols.reshape(bsz * t_len, c_in * k)
-    wmat = w.data.reshape(c_out, c_in * k).T
-    out_data = (cols2 @ wmat + b.data).reshape(bsz, t_len, c_out)
+    out, cols = _conv_forward(x_data, w.data, b.data)
+    if not isinstance(x, Tensor):
+        return Tensor(out, (w, b), lambda g: _conv_pullback(g, cols, w, b))
 
     def back(g):
-        g2 = g.reshape(bsz * t_len, c_out)
-        w.grad += (g2.T @ cols2).reshape(c_out, c_in, k)
-        b.grad += g2.sum(axis=0)
-        if not isinstance(x, Tensor):
-            return
-        gcols = (g2 @ wmat.T).reshape(bsz, t_len, c_in, k)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            gxp[:, i : i + t_len, :] += gcols[:, :, :, i]
-        x.grad += gxp[:, left : left + t_len, :]
+        x.grad += _conv_pullback(g, cols, w, b, x_data.shape)
 
-    parents = (x, w, b) if isinstance(x, Tensor) else (w, b)
-    return Tensor(out_data, parents, back)
+    return Tensor(out, (x, w, b), back)
+
+
+def _pool_forward(x: np.ndarray, pool: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """maxpool1d_op's output for an array, and the per-offset masks its
+    pullback reads."""
+    if pool < 1:
+        raise ValueError("pool size must be >= 1")
+    out = x[:, ::pool, :].copy()
+    out_bits = out.view(np.uint64)
+    # takes[k - 1]: where offset k beat offsets 0..k-1 (a final window may lack it)
+    takes = []
+    for k in range(1, pool):
+        xk = x[:, k::pool, :]
+        n = xk.shape[1]
+        best, best_bits = out[:, :n, :], out_bits[:, :n, :]
+        take = xk <= best
+        np.logical_not(take, out=take)  # greater, or xk is NaN
+        take &= best == best  # a NaN, once in, stays
+        # best = where(take, xk, best): flip the bits that differ, where taken
+        flip = np.bitwise_xor(best_bits, xk.view(np.uint64))
+        flip *= take
+        best_bits ^= flip
+        takes.append(take)
+    return out, takes
+
+
+def _pool_pullback(g: np.ndarray, takes: list[np.ndarray], x_shape: tuple) -> np.ndarray:
+    """The input gradient: g at each window's winning frame, +0.0 elsewhere."""
+    pool = len(takes) + 1
+    gx = np.empty(x_shape)
+    g_bits, gx_bits = g.view(np.uint64), gx.view(np.uint64)
+    # a later offset's win overrides an earlier one's; offset 0 keeps the rest
+    rest = np.ones(g.shape, dtype=bool)
+    for k in range(pool - 1, 0, -1):
+        take = takes[k - 1]
+        n = take.shape[1]
+        rest_k = rest[:, :n, :]
+        np.multiply(g_bits[:, :n, :], take & rest_k, out=gx_bits[:, k::pool, :])
+        rest_k &= ~take
+    np.multiply(g_bits, rest, out=gx_bits[:, ::pool, :])
+    return gx
 
 
 def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
@@ -469,40 +545,49 @@ def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
     integer ops on the float64 bit patterns: exact, and without a branch
     per element, several times faster than a masked np.copyto.
     """
-    if pool < 1:
-        raise ValueError("pool size must be >= 1")
-    out = x.data[:, ::pool, :].copy()
-    out_bits = out.view(np.uint64)
-    # takes[k - 1]: where offset k beat offsets 0..k-1 (a final window may lack it)
-    takes = []
-    for k in range(1, pool):
-        xk = x.data[:, k::pool, :]
-        n = xk.shape[1]
-        best, best_bits = out[:, :n, :], out_bits[:, :n, :]
-        take = xk <= best
-        np.logical_not(take, out=take)  # greater, or xk is NaN
-        take &= best == best  # a NaN, once in, stays
-        # best = where(take, xk, best): flip the bits that differ, where taken
-        flip = np.bitwise_xor(best_bits, xk.view(np.uint64))
-        flip *= take
-        best_bits ^= flip
-        takes.append(take)
+    out, takes = _pool_forward(x.data, pool)
 
     def back(g):
-        g_bits = g.view(np.uint64)
-        # a later offset's win overrides an earlier one's; offset 0 keeps the rest
-        rest = np.ones(g.shape, dtype=bool)
-        for k in range(pool - 1, 0, -1):
-            take = takes[k - 1]
-            n = take.shape[1]
-            rest_k = rest[:, :n, :]
-            gk = x.grad[:, k::pool, :]
-            gk += (g_bits[:, :n, :] * (take & rest_k)).view(np.float64)
-            rest_k &= ~take
-        g0 = x.grad[:, ::pool, :]
-        g0 += (g_bits * rest).view(np.float64)
+        x.grad += _pool_pullback(g, takes, x.data.shape)
 
     return Tensor(out, (x,), back)
+
+
+def _bn_forward(centered, var, eps: float, gamma: np.ndarray, beta: np.ndarray):
+    """batchnorm_op's output for arrays, and (xhat, 1 / sqrt(var + eps)), which
+    its pullback reads; xhat is made in place of centered."""
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered
+    xhat *= inv
+    out = gamma * xhat
+    out += beta
+    return out, (xhat, inv)
+
+
+def _bn_pullback(g: np.ndarray, saved, gamma: Tensor, beta: Tensor, train: bool) -> np.ndarray:
+    """Adds into gamma.grad and beta.grad; returns the input gradient."""
+    xhat, inv = saved
+    axes = tuple(range(xhat.ndim - 1))
+    n = xhat.size // xhat.shape[-1]
+    # two full-size buffers, prod and dxhat, reused through out=
+    prod = np.multiply(g, xhat)
+    gamma.grad += prod.sum(axis=axes)
+    beta.grad += g.sum(axis=axes)
+    dxhat = np.multiply(g, gamma.data)
+    if train:
+        # mean and variance depend on x, so subtract their pullbacks:
+        # inv / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+        np.multiply(dxhat, xhat, out=prod)
+        by_xhat = prod.sum(axis=axes)
+        by_one = dxhat.sum(axis=axes)
+        np.multiply(xhat, by_xhat, out=prod)
+        np.multiply(n, dxhat, out=dxhat)
+        dxhat -= by_one
+        dxhat -= prod
+        np.multiply(inv / n, dxhat, out=dxhat)
+    else:
+        dxhat *= inv
+    return dxhat
 
 
 def batchnorm_op(
@@ -521,48 +606,93 @@ def batchnorm_op(
     of x over every leading axis, so the pullback into x also goes through
     them; else they are fixed.
     """
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered
-    xhat *= inv
-    axes = tuple(range(x.data.ndim - 1))
-    n = x.data.size // x.data.shape[-1]
+    out, saved = _bn_forward(centered, var, eps, gamma.data, beta.data)
 
     def back(g):
-        # two full-size buffers, prod and dxhat, reused through out=
-        prod = np.multiply(g, xhat)
-        gamma.grad += prod.sum(axis=axes)
-        beta.grad += g.sum(axis=axes)
-        dxhat = np.multiply(g, gamma.data)
-        if train:
-            # mean and variance depend on x, so subtract their pullbacks:
-            # inv / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
-            np.multiply(dxhat, xhat, out=prod)
-            by_xhat = prod.sum(axis=axes)
-            by_one = dxhat.sum(axis=axes)
-            np.multiply(xhat, by_xhat, out=prod)
-            np.multiply(n, dxhat, out=dxhat)
-            dxhat -= by_one
-            dxhat -= prod
-            np.multiply(inv / n, dxhat, out=dxhat)
-        else:
-            dxhat *= inv
-        x.grad += dxhat
+        x.grad += _bn_pullback(g, saved, gamma, beta, train)
 
-    out = gamma.data * xhat
-    out += beta.data
     return Tensor(out, (x, gamma, beta), back)
+
+
+def _dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, out=None):
+    """x times a fresh keep mask and 1 / (1 - rate), into out when given,
+    and the boolean mask, one byte an element, which the pullback reads.
+
+    The mask, then the Python scalar: the bits of x * (keep / (1 - rate)),
+    for finite values, +-0, +-inf and NaN, without a float64 scale array.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("dropout rate must be in [0, 1)")
+    keep = rng.random(x.shape) >= rate
+    out = np.multiply(x, keep, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out, keep
+
+
+def _dropout_pullback(g: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    gx = np.multiply(g, keep)
+    gx *= 1.0 / (1.0 - rate)
+    return gx
 
 
 def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only in train mode (eval is the identity)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return x
-    # a boolean mask, one byte an element; keep / (1 - rate) is the float64 scale
-    keep = rng.random(x.data.shape) >= rate
+    out, keep = _dropout_forward(x.data, rate, rng)
 
     def back(g):
-        x.grad += g * (keep / (1.0 - rate))
+        x.grad += _dropout_pullback(g, keep, rate)
 
-    return Tensor(x.data * (keep / (1.0 - rate)), (x,), back)
+    return Tensor(out, (x,), back)
+
+
+# batchnorm's part of conv_block_op: gamma, beta, stats, eps and train
+BlockNorm = tuple[Tensor, Tensor, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], float, bool]
+
+
+def conv_block_op(
+    x: np.ndarray,
+    w: Tensor,
+    b: Tensor,
+    pool: int,
+    norm: BlockNorm | None,
+    rate: float,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """conv1d_op -> maxpool1d_op -> batchnorm_op -> dropout_op over a
+    constant x, such as a data batch, as one tape node.
+
+    Each stage runs its op's own array forward and pullback, so the output
+    and every gradient are bit for bit those of the chain of single ops.
+    norm is None for no batchnorm, or (gamma, beta, stats, eps, train):
+    stats maps the pooled array to (pooled - mu, var), as
+    BatchNorm1d.statistics does, and train means mu and var are the
+    batch's. rate is dropout's, and 0 runs none, as in eval mode; else rng
+    draws the mask.
+
+    The tape keeps conv's columns, pool's per-offset masks, batchnorm's
+    xhat and dropout's boolean mask, besides the output. Each stage's
+    output is freed once the next stage has read it, and dropout scales
+    batchnorm's output in place.
+    """
+    out, cols = _conv_forward(np.asarray(x, dtype=np.float64), w.data, b.data)
+    conv_shape = out.shape
+    out, takes = _pool_forward(out, pool)
+    params = (w, b)
+    if norm is not None:
+        gamma, beta, stats, eps, train = norm
+        out, bn_saved = _bn_forward(*stats(out), eps, gamma.data, beta.data)
+        params += (gamma, beta)
+    keep = None
+    if rate:
+        out, keep = _dropout_forward(out, rate, rng, out=out)
+
+    def back(g):
+        if keep is not None:
+            g = _as_added(_dropout_pullback(g, keep, rate))
+        if norm is not None:
+            g = _as_added(_bn_pullback(g, bn_saved, gamma, beta, train))
+        _conv_pullback(_as_added(_pool_pullback(g, takes, conv_shape)), cols, w, b)
+
+    return Tensor(out, params, back)

@@ -5,7 +5,8 @@ definitions, not against the package: a memoized prefix recursion for
 edit distance, exhaustive path enumeration for the sequence loss and
 decoder, a prefix beam search over a {prefix: masses} dict, max-pooling by
 np.argmax, an LSTM op that stores each per-step quantity in its own array
-and runs its directions one after the other, a central finite-difference
+and runs its directions one after the other, the conv block as a chain of
+one tape node per stage, a central finite-difference
 differentiator, and the original one-line-at-a-time recording reader and
 per-value writer.
 """
@@ -262,6 +263,81 @@ def lstm_oracle(x, cells):
 
     params = tuple(p for cell in cells for p in cell)
     return Tensor(out_data, (x,) + params, back)
+
+
+def conv_block_oracle(x, w, b, pool, norm, rate, rng, eps=1e-5):
+    """tensor.conv_block_op in train mode as it stood before its fusion: a
+    chain of four tape nodes, kept to pin every bit of the output and of
+    each gradient.
+
+    Conv, batchnorm and dropout are the single ops of that time; pooling
+    is maxpool_oracle. x is a constant array; norm is None or (gamma,
+    beta), normalized by the batch's own statistics; rate 0 draws no mask.
+    Takes and returns Tensors, so a backward() through the result adds
+    into each parameter's grad, each node reading its output's .grad.
+    """
+    bsz, t_len, c_in = x.shape
+    c_out, _, k = w.data.shape
+    left = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (left, k - 1 - left), (0, 0)))
+    cols2 = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1).reshape(bsz * t_len, c_in * k)
+    wmat = w.data.reshape(c_out, c_in * k).T
+
+    def conv_back(g):
+        g2 = g.reshape(bsz * t_len, c_out)
+        w.grad += (g2.T @ cols2).reshape(c_out, c_in, k)
+        b.grad += g2.sum(axis=0)
+
+    conv = Tensor((cols2 @ wmat + b.data).reshape(bsz, t_len, c_out), (w, b), conv_back)
+
+    def pool_back(g):
+        conv.grad += maxpool_oracle(conv.data, pool, g)[1]
+
+    t_out = -(-t_len // pool)
+    y = Tensor(maxpool_oracle(conv.data, pool, np.zeros((bsz, t_out, c_out)))[0], (conv,), pool_back)
+    if norm is not None:
+        y = _batchnorm_node(y, *norm, eps)
+    if rate:
+        y = _dropout_node(y, rate, rng)
+    return y
+
+
+def _batchnorm_node(x, gamma, beta, eps):
+    axes = tuple(range(x.data.ndim - 1))
+    n = x.data.size // x.data.shape[-1]
+    mu = x.data.mean(axis=axes)
+    centered = x.data - mu
+    var = (centered * centered).sum(axis=axes) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+
+    def back(g):
+        prod = np.multiply(g, xhat)
+        gamma.grad += prod.sum(axis=axes)
+        beta.grad += g.sum(axis=axes)
+        dxhat = np.multiply(g, gamma.data)
+        np.multiply(dxhat, xhat, out=prod)
+        by_xhat = prod.sum(axis=axes)
+        by_one = dxhat.sum(axis=axes)
+        np.multiply(xhat, by_xhat, out=prod)
+        np.multiply(n, dxhat, out=dxhat)
+        dxhat -= by_one
+        dxhat -= prod
+        np.multiply(inv / n, dxhat, out=dxhat)
+        x.grad += dxhat
+
+    out = gamma.data * xhat
+    out += beta.data
+    return Tensor(out, (x, gamma, beta), back)
+
+
+def _dropout_node(x, rate, rng):
+    keep = rng.random(x.data.shape) >= rate
+
+    def back(g):
+        x.grad += g * (keep / (1.0 - rate))
+
+    return Tensor(x.data * (keep / (1.0 - rate)), (x,), back)
 
 
 def assert_valid_script(script) -> None:

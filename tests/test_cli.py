@@ -851,6 +851,36 @@ class TestEvaluate:
         _, out, _ = run(capsys, ["evaluate", "--refs", str(refs), "--hyps", str(hyps)])
         assert json.loads(out)["crr"] == 0.75
 
+    @pytest.mark.parametrize("hyps_text", ["\n2\n", "12\n2\n"], ids=["empty", "two-symbols"])
+    def test_crr_counts_any_other_hypothesis_as_a_miss(self, tmp_path, capsys, hyps_text):
+        refs = tmp_path / "refs.txt"
+        hyps = tmp_path / "hyps.txt"
+        refs.write_text("1\n2\n", encoding="utf-8")
+        hyps.write_text(hyps_text, encoding="utf-8")
+        code, out, _ = run(capsys, ["evaluate", "--refs", str(refs), "--hyps", str(hyps)])
+        assert code == 0
+        assert json.loads(out)["crr"] == 0.5
+
+    def test_no_crr_for_longer_references(self, tmp_path, capsys):
+        refs = tmp_path / "refs.txt"
+        hyps = tmp_path / "hyps.txt"
+        refs.write_text("1\n23\n", encoding="utf-8")
+        hyps.write_text("1\n2\n", encoding="utf-8")
+        code, out, _ = run(capsys, ["evaluate", "--refs", str(refs), "--hyps", str(hyps)])
+        assert code == 0
+        assert "crr" not in json.loads(out)
+
+    @pytest.mark.parametrize("alphabet", ["auto", "equations"])
+    def test_empty_reference_file_is_named(self, tmp_path, capsys, alphabet):
+        refs = tmp_path / "refs.txt"
+        hyps = tmp_path / "hyps.txt"
+        refs.write_text("", encoding="utf-8")
+        hyps.write_text("", encoding="utf-8")
+        args = ["evaluate", "--refs", str(refs), "--hyps", str(hyps), "--alphabet", alphabet]
+        code, out, err = run(capsys, args)
+        assert (code, out) == (1, "")
+        assert err == f"error: reference file {refs} holds no lines\n"
+
     def test_blank_hypothesis_is_the_empty_one(self, tmp_path, capsys):
         # paired by line number: "12" against nothing is two deletions
         refs = tmp_path / "refs.txt"

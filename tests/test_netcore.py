@@ -33,7 +33,7 @@ from penscript.netcore import (
 from penscript.netcore import tensor as T
 from penscript.netcore.model import BLOB_DTYPE, _blob_arrays
 from penscript.seeding import stream
-from oracles import central_diff, lstm_oracle, maxpool_oracle, rel_err
+from oracles import central_diff, conv_block_oracle, lstm_oracle, maxpool_oracle, rel_err
 
 # the package's `train` names the function, so fetch the module by its path
 train_module = importlib.import_module("penscript.netcore.train")
@@ -419,6 +419,95 @@ class TestDropout:
             Dropout(1.0)
         with pytest.raises(ValueError):
             Dropout(-0.1)
+
+
+class TestConvBlock:
+    """conv_block_op computes every bit the chain of four single-op nodes
+    (oracles.conv_block_oracle) did."""
+
+    @staticmethod
+    def run(block, g, params):
+        for p in params:
+            p.zero_grad()
+        out = block()
+        out.backward(g)
+        return [out.data] + [p.grad.copy() for p in params]
+
+    def check(self, x, g, kernel, pool, use_bn, rate, rng):
+        conv = Conv1d(x.shape[-1], g.shape[-1], kernel, rng)
+        conv.b.data[...] = rng.normal(0, 1, conv.b.data.shape)
+        params = [conv.w, conv.b]
+        norm = oracle_norm = None
+        if use_bn:
+            bn = BatchNorm1d(g.shape[-1])
+            bn.gamma.data[...] = rng.normal(1, 0.5, bn.gamma.data.shape)
+            bn.beta.data[...] = rng.normal(0, 0.5, bn.beta.data.shape)
+            params += [bn.gamma, bn.beta]
+            norm, oracle_norm = bn.block_norm("train"), (bn.gamma, bn.beta)
+        got = self.run(
+            lambda: T.conv_block_op(x, conv.w, conv.b, pool, norm, rate, np.random.default_rng(3)),
+            g, params,
+        )
+        want = self.run(
+            lambda: conv_block_oracle(x, conv.w, conv.b, pool, oracle_norm, rate, np.random.default_rng(3)),
+            g, params,
+        )
+        for name, a, b in zip(["output", "w", "b", "gamma", "beta"], got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+    @pytest.mark.parametrize("use_bn", [True, False], ids=["bn", "no-bn"])
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bsz", [1, 3])
+    def test_output_and_gradients_equal_the_oracle(self, use_bn, rate, pool, kernel, bsz, rng):
+        # 7 frames leave pools 2 and 3 a partial final window
+        x = rng.normal(0, 1, (bsz, 7, 2))
+        g = rng.normal(0, 1, (bsz, -(-7 // pool), 4))
+        self.check(x, g, kernel, pool, use_bn, rate, rng)
+
+    @pytest.mark.parametrize("use_bn", [True, False], ids=["bn", "no-bn"])
+    def test_each_stage_reads_what_the_single_ops_read(self, use_bn, rng, monkeypatch):
+        # dropout's pullback makes -0.0 where a negative gradient meets a
+        # dropped unit; in a chain of single ops the next node adds it into a
+        # zeroed .grad, which makes it +0.0, and the block passes the same bits
+        seen = []
+        for name in ("_bn_pullback", "_pool_pullback", "_conv_pullback"):
+            def record(g, *args, _pullback=getattr(T, name)):
+                seen.append(g.copy())
+                return _pullback(g, *args)
+
+            monkeypatch.setattr(T, name, record)
+        conv, pool, bn, drop = Conv1d(2, 6, 3, rng), MaxPool1d(2), BatchNorm1d(6), Dropout(0.5)
+        x = rng.normal(0, 1, (2, 7, 2))
+        g = -np.abs(rng.normal(0, 1, (2, 4, 6)))
+        runs = []
+        for fused in (False, True):
+            if fused:
+                norm = bn.block_norm("train") if use_bn else None
+                out = T.conv_block_op(x, conv.w, conv.b, 2, norm, 0.5, np.random.default_rng(3))
+            else:
+                y = pool(conv(x))
+                out = drop(bn(y, "train") if use_bn else y, "train", np.random.default_rng(3))
+            seen.clear()
+            out.backward(g)
+            runs.append(list(seen))
+        assert len(runs[0]) == len(runs[1]) == (3 if use_bn else 2)
+        assert (runs[0][0] == 0).any()
+        for a, b in zip(*runs):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_model_forward_runs_the_block_as_one_node(self, rng):
+        cfg = ModelConfig(num_classes=4, conv_filters=6, bilstm_units=3)
+        model = RecognitionModel(cfg, 3, "seq2seq", rng)
+        out = model.forward(rng.normal(0, 1, (2, 9, 3)), "train", rng)
+        inner = [n for n in tape_nodes(out) if n._parents]
+        # the block, two BiLSTM layers, the head's affine and log-softmax
+        assert len(inner) == 5
+        block = next(n for n in inner if any(p is model.conv.w for p in n._parents))
+        params = (model.conv.w, model.conv.b, model.norm.gamma, model.norm.beta)
+        assert [id(p) for p in block._parents] == [id(p) for p in params]
+        out.backward(np.ones_like(out.data))
 
 
 class TestDense:
@@ -932,6 +1021,29 @@ class TestTapeMemory:
         try:
             before = tracemalloc.get_traced_memory()[0]
             out = layer(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * floor
+        out.backward(np.ones_like(out.data))
+
+    def test_conv_block_tape_holds_its_columns_masks_xhat_and_output(self, rng):
+        # conv's (B * T, c_in * k) columns, pool's bool mask per offset past
+        # the first, batchnorm's xhat, dropout's bool mask and the output,
+        # plus 10% for the node (the chain held 2.5 times the floor)
+        cfg = ModelConfig(num_classes=15)
+        model = RecognitionModel(cfg, 13, "seq2seq", rng)
+        bsz, t_len = 2, 800
+        x = rng.normal(0, 1, (bsz, t_len, 13))
+        cols = bsz * t_len * 13 * cfg.conv_kernel
+        pooled = bsz * (t_len // cfg.pool_size) * cfg.conv_filters
+        # 8-byte columns, xhat and output; pool_size - 1 pool masks and dropout's, a byte each
+        floor = 8 * cols + 2 * 8 * pooled + cfg.pool_size * pooled
+        norm = model.norm.block_norm("train")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv_block_op(x, model.conv.w, model.conv.b, cfg.pool_size, norm, cfg.dropout_rate, rng)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
