@@ -136,6 +136,13 @@ def check_layers(rng: np.random.Generator) -> dict[str, float]:
     conv_c.b.zero_grad()
     report["conv_block"] = max(with_bn, _graph_check(block(None), [conv_c.w, conv_c.b], rng))
 
+    # two stacked layers: the upper pullback hands the lower one its output
+    # gradient, and the lower one hands x its input gradient
+    xst = Tensor(rng.normal(0, 1, (2, 3, 2)))
+    stack = [layers.BiLSTM(2, 2, rng), layers.BiLSTM(4, 2, rng)]
+    stack_params = [p for layer in stack for _, p in layer.parameters()]
+    report["bilstm_stack"] = _graph_check(lambda: stack[1](stack[0](xst)), [xst] + stack_params, rng)
+
     return report
 
 

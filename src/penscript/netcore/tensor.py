@@ -10,7 +10,10 @@ Everything is float64; batches lead the shape.
 
 A gradient is made on demand: the first read of .grad fills it with a
 fresh zero array, so a tensor whose gradient nobody reads never holds
-one, and no two tensors share one. backward() frees the graph as it
+one, and no two tensors share one. A pullback may instead hand a fresh
+array that nothing else reads to a tensor with no gradient yet: that
+first contribution becomes the gradient, holding the bits zeros + it
+would (lstm_op's input gradient). backward() frees the graph as it
 walks it: once a node's pullback has run, the node gives up the pullback
 (with the activations it kept) and its parents, and every node but the
 output backward() started from drops its gradient. Leaves, the
@@ -31,14 +34,20 @@ and keeps only what its pullback reads, besides its output.
 An LSTM call (lstm_op) allocates one (D, batch, time, 4H) buffer that
 holds, in turn, the input projection, the gate activations and their
 gradients. Its tape keeps that buffer and the cell states and nothing
-else: the pullback recomputes tanh(c), reads h_{t-1} from the op's own
-output and copies the time-reversed input again, and no buffer outlives
-the call and its pullback.
+else, and no buffer outlives the call and its pullback. The pullback
+works in that memory: tanh(c), and then d(c)/d(h), overwrite the cell
+states, and it reads the output gradient in place. Besides it allocates
+four arrays: a copy of the forget gates, h_{t-1} (D, batch, time, H),
+read from the op's own output, the time-reversed input, which direction
+1's input gradient then overwrites, and direction 0's input gradient,
+which becomes the input's gradient when it has none yet.
 
 A conv block call (conv_block_op) runs conv -> max-pool -> batchnorm ->
 dropout over a constant input such as the data batch. Its tape keeps
-conv's columns, pool's per-offset masks, batchnorm's xhat and dropout's
-boolean mask; each stage's output goes once the next stage has read it.
+the zero-padded copy of the input that conv builds (the pullback
+rebuilds conv's columns from it), pool's per-offset masks, batchnorm's
+xhat and dropout's boolean mask; each stage's output goes once the next
+stage has read it.
 conv1d_op, maxpool1d_op, batchnorm_op and dropout_op each wrap one of the
 array forward and pullback pairs the block chains, so the block computes
 their chain's output and gradients bit for bit.
@@ -90,6 +99,13 @@ def _spent(g) -> None:
 
 
 class Tensor:
+    """An array, the tensors it was computed from and its pullback.
+
+    .grad is d(loss)/d(self), summed over every path backward() takes.
+    Reading it before anything was added gives zeros; a pullback's first
+    contribution may also become the gradient array itself (lstm_op).
+    """
+
     __slots__ = ("data", "_grad", "_parents", "_backward")
 
     def __init__(self, data, parents: tuple = (), backward=None):
@@ -242,6 +258,27 @@ def _per_direction(fn: Callable[[int], object], d_n: int) -> list:
     return results
 
 
+def _loop_order(a: np.ndarray, d_n: int, h: int) -> list[np.ndarray]:
+    """Views of a (batch, time, D * H) array, one (time, batch, H) per
+    direction, each in the order that direction reads time."""
+    views = [a[:, :, :h].transpose(1, 0, 2)]
+    if d_n == 2:
+        views.append(a[:, ::-1, h:].transpose(1, 0, 2))
+    return views
+
+
+def _as_added(gx: np.ndarray) -> np.ndarray:
+    """gx, in place, as a zero-filled .grad holds it once gx is added in.
+
+    0.0 + v is v, except that -0.0 becomes +0.0. A fused node passes each
+    stage's input gradient through this, so the stage before reads the bits
+    it would read from its output's .grad in a chain of single ops, and
+    lstm_op the input gradient that becomes x's .grad.
+    """
+    gx += 0.0
+    return gx
+
+
 def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
     """LSTM over (batch, time, c_in) in D = len(cells) directions, one tape node.
 
@@ -252,14 +289,16 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     the directions side by side, each at the frame it read.
 
     One Python time loop serves both directions, in the forward pass and
-    in backpropagation through time: step t multiplies the D recurrent
-    states by their wh at once, with a stacked np.matmul, and the BPTT
-    step does the same with wh.T. The backward direction projects a
-    time-reversed copy of x and keeps its state in loop order, so each
-    direction computes exactly what a D = 1 call on its own input does:
-    D = 2 is bit-identical to a D = 1 call on x joined, on the last axis,
-    with the time-reversed output of a D = 1 call on time-reversed x
-    (tests/test_netcore.py::TestBiLSTM).
+    in backpropagation through time: step t computes the D directions'
+    gates at once in one (D, batch, 4H) scratch and stores them into frame
+    t of the buffer below; each direction's h_t goes straight into the
+    output, which step t + 1 reads back as h_{t-1}. The BPTT step
+    multiplies the D gradients by wh.T at once, with a stacked np.matmul.
+    The backward direction projects a time-reversed copy of x and keeps
+    its state in loop order, so each direction computes exactly what a
+    D = 1 call on its own input does: D = 2 is bit-identical to a D = 1
+    call on x joined, on the last axis, with the time-reversed output of a
+    D = 1 call on time-reversed x (tests/test_netcore.py::TestBiLSTM).
 
     A call allocates one (D, batch, time, 4H) buffer and uses it three
     times. The input projection is written into it; step t overwrites its
@@ -267,11 +306,16 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     in place with the pre-activations' gradients, whose (batch * time)
     rows per direction the weight, bias and input gradients read as
     single products. The tape keeps that buffer and the cell states c,
-    (time + 1, D, batch, H), and nothing else: the pullback recomputes
-    tanh(c) with the forward's own per-step calls, reads h_{t-1} from the
-    op's output and copies the time-reversed input again. It drops each
-    store once it has read it, and frees its BPTT scratch before the
-    products run.
+    (time + 1, D, batch, H), and nothing else.
+
+    The pullback works in that memory. tanh(c_t), with the forward's own
+    per-step calls, and then d(c_t)/d(h_t) overwrite c_t; the output
+    gradient is read in place. It allocates a copy of the forget gates,
+    which BPTT reads after their gradients have replaced them, h_{t-1}
+    (scratch until the products fill it from the op's output), the
+    time-reversed input, which direction 1's input gradient then
+    overwrites, and direction 0's input gradient, which becomes x's
+    gradient when x has none yet.
 
     With D = 2 the work outside the time loops (the input projection, the
     backward prelude and the gradient products) runs one direction per
@@ -307,17 +351,24 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     _per_direction(project, d_n)
     del x_rev
     # cs leads with the zero initial state, so step t reads [t] and writes
-    # [t + 1]; h_t is the state step t + 1 reads, copied to the output
+    # [t + 1]; h_t goes to the output, where step t + 1 reads it
     cs = np.zeros((t_len + 1, d_n, bsz, h))
     out_data = np.empty((bsz, t_len, d_n * h))
-    h_t = np.zeros((d_n, bsz, h))
+    frames = buf.transpose(2, 0, 1, 3)
+    hs = _loop_order(out_data, d_n, h)
     z = np.empty((d_n, bsz, 4 * h))
+    a = np.empty((d_n, bsz, 4 * h))
+    i_a, f_a, g_a, o_a = (a[:, :, k * h : (k + 1) * h] for k in range(4))
+    g_z = z[:, :, 2 * h : 3 * h]
     ig = np.empty((d_n, bsz, h))
     tc = np.empty((d_n, bsz, h))
     for t in range(t_len):
-        a = buf[:, :, t]
-        np.matmul(h_t, wh_s, out=z)
-        z += a
+        if t:
+            for d in range(d_n):
+                np.matmul(hs[d][t - 1], wh_s[d], out=z[d])
+        else:  # the zero initial state
+            np.matmul(np.zeros((d_n, bsz, h)), wh_s, out=z)
+        z += frames[t]
         # sigmoid over all four blocks, then tanh over the cell block;
         # maximum then minimum is np.clip(z, -500, 500), without its wrapper
         np.maximum(z, -500.0, out=a)
@@ -326,16 +377,15 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
         np.exp(a, out=a)
         a += 1.0
         np.divide(1.0, a, out=a)
-        np.tanh(z[:, :, 2 * h : 3 * h], out=a[:, :, 2 * h : 3 * h])
+        np.tanh(g_z, out=g_a)
         c = cs[t + 1]
-        np.multiply(a[:, :, h : 2 * h], cs[t], out=c)
-        np.multiply(a[:, :, :h], a[:, :, 2 * h : 3 * h], out=ig)
+        np.multiply(f_a, cs[t], out=c)
+        np.multiply(i_a, g_a, out=ig)
         c += ig
         np.tanh(c, out=tc)
-        np.multiply(a[:, :, 3 * h :], tc, out=h_t)
-        out_data[:, t, :h] = h_t[0]
-        if d_n == 2:
-            out_data[:, t_len - 1 - t, h:] = h_t[1]
+        for d in range(d_n):
+            np.multiply(o_a[d], tc[d], out=hs[d][t])
+        frames[t] = a
 
     def back(g):
         nonlocal buf, cs
@@ -343,22 +393,26 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
         dz = buf.reshape(d_n, bsz, t_len, 4, h)
         dzt = dz.transpose(2, 0, 1, 3, 4)
         buf = None
+        # h_{t-1} per direction once the products fill it; until then, scratch
+        h_prev = np.empty((d_n, bsz, t_len, h))
+        scratch = h_prev.transpose(2, 0, 1, 3)
+        # f's, c_{t-1} * f * (1 - f), before tanh replaces the c it reads;
+        # BPTT reads f itself from fs
+        f_g = dzt[:, :, :, 1, :]
+        fs = f_g.copy()
+        np.multiply(cs[:-1], f_g, out=f_g)
+        f_g *= np.subtract(1.0, fs, out=scratch)
         # tanh(c_t), each step's block as the forward computed it, and then
         # d(c_t)/d(h_t) in the same place
-        dc_dh = np.empty((t_len, d_n, bsz, h))
-        for t in range(t_len):
-            np.tanh(cs[t + 1], out=dc_dh[t])
-        # the output gradient of each direction in its loop order, and the
-        # forget gate, which BPTT reads after its gradient has replaced it;
-        # each is prelude scratch until it is filled
-        gs = np.empty((t_len, d_n, bsz, h))
-        fs = np.empty((t_len, d_n, bsz, h))
+        for t in range(1, t_len + 1):
+            np.tanh(cs[t], out=cs[t])
+        dc_dh = cs[1:]
 
         def prelude(d):
-            # over each gate, the pre-activation's derivative by c_t (i, f
-            # and g) or by h_t (o), which the BPTT loop then scales
-            i_g, f_g, g_g, o_g = (dzt[:, d, :, k, :] for k in range(4))
-            tcs, s, f_copy = dc_dh[:, d], gs[:, d], fs[:, d]
+            # over each gate, the pre-activation's derivative by c_t (i and
+            # g) or by h_t (o), which the BPTT loop then scales
+            i_g, g_g, o_g = (dzt[:, d, :, k, :] for k in (0, 2, 3))
+            tcs, s = dc_dh[:, d], scratch[:, d]
             # g's, (1 - g * g) * i, waits in s while i's, g * i * (1 - i), is made
             np.multiply(g_g, g_g, out=s)
             np.subtract(1.0, s, out=s)
@@ -367,30 +421,25 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             np.subtract(1.0, i_g, out=i_g)
             i_g *= g_g
             g_g[...] = s
-            # o's, tanh(c) * o * (1 - o), waits in f_copy while tanh(c)
+            # o's, tanh(c) * o * (1 - o), waits in s while tanh(c)
             # becomes d(c_t)/d(h_t) = (1 - tanh(c)^2) * o
-            np.subtract(1.0, o_g, out=s)
-            np.multiply(tcs, o_g, out=f_copy)
-            f_copy *= s
+            np.multiply(tcs, o_g, out=s)
             tcs *= tcs
             np.subtract(1.0, tcs, out=tcs)
             tcs *= o_g
-            o_g[...] = f_copy
-            # f's, c_{t-1} * f * (1 - f)
-            f_copy[...] = f_g
-            np.multiply(cs[:-1, d], f_g, out=f_g)
-            f_g *= np.subtract(1.0, f_copy, out=s)
-            s[...] = (g[:, :, :h] if d == 0 else g[:, ::-1, h:]).transpose(1, 0, 2)
+            np.subtract(1.0, o_g, out=o_g)
+            o_g *= s
 
         _per_direction(prelude, d_n)
-        cs = None
+        gs = _loop_order(g, d_n, h)
         wh_t = wh_s.transpose(0, 2, 1)
         dh = np.zeros((d_n, bsz, h))
         dc = np.zeros((d_n, bsz, h))
         tmp = np.empty((d_n, bsz, h))
         for t in range(t_len - 1, -1, -1):
             dz_t = dzt[t]
-            dh += gs[t]
+            for d in range(d_n):
+                dh[d] += gs[d][t]
             np.multiply(dh, dc_dh[t], out=tmp)
             dc += tmp
             np.multiply(dz_t[:, :, :3], dc[:, :, None, :], out=dz_t[:, :, :3])
@@ -398,15 +447,14 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             if t:
                 dc *= fs[t]
                 np.matmul(dz_t.reshape(d_n, bsz, 4 * h), wh_t, out=dh)
-        del gs, dc_dh, fs
+        cs = dc_dh = fs = None  # freed before the products allocate
         # (direction, batch * time, .) rows in each direction's reading order
         dz2 = dz.reshape(d_n, -1, 4 * h)
-        h_prev = np.empty((d_n, bsz, t_len, h))
         x_rev = np.empty_like(x.data) if d_n == 2 else None
+        g_x = np.empty_like(x.data)
         g_wh = np.empty((d_n, h, 4 * h))
         g_wx = np.empty((d_n, c_in, 4 * h))
         g_b = np.empty((d_n, 4 * h))
-        g_x = np.empty((d_n, bsz, t_len, c_in))
 
         def products(d):
             # h_{t-1} in direction d's reading order: its output a frame back
@@ -416,7 +464,10 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             np.matmul(prev.reshape(-1, h).T, dz2[d], out=g_wh[d])
             np.matmul(rows(d, x_rev).T, dz2[d], out=g_wx[d])
             np.sum(dz2[d], axis=0, out=g_b[d])
-            np.matmul(dz2[d], cells[d][0].data.T, out=g_x[d].reshape(-1, c_in))
+            # direction 1's input gradient replaces the reversed input once
+            # its wx product has read it
+            gx_d = g_x if d == 0 else x_rev
+            np.matmul(dz2[d], cells[d][0].data.T, out=gx_d.reshape(-1, c_in))
 
         _per_direction(products, d_n)
         # every gradient is added here, after the join, direction by direction
@@ -424,43 +475,44 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             wh.grad += g_wh[d]
             wx.grad += g_wx[d]
             b.grad += g_b[d]
-            x.grad += g_x[d] if d == 0 else g_x[d, :, ::-1, :]
+            if d > 0:
+                x.grad += x_rev[:, ::-1, :]
+            elif x._grad is None:
+                x.grad = _as_added(g_x)  # a fresh array nothing else reads
+            else:
+                x.grad += g_x
 
     params = tuple(p for cell in cells for p in cell)
     return Tensor(out_data, (x,) + params, back)
 
 
-def _as_added(gx: np.ndarray) -> np.ndarray:
-    """gx, in place, as a zero-filled .grad holds it once gx is added in.
-
-    0.0 + v is v, except that -0.0 becomes +0.0. A fused node passes each
-    stage's input gradient through this, so the stage before reads the bits
-    it would read from its output's .grad in a chain of single ops.
-    """
-    gx += 0.0
-    return gx
-
-
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """conv1d_op's output for arrays, and the columns its pullback reads."""
+    """conv1d_op's output for arrays, and the zero-padded copy of x from
+    which its pullback rebuilds the columns."""
     bsz, t_len, c_in = x.shape
     c_out, c_in_w, k = w.shape
     if c_in_w != c_in:
         raise ValueError(f"conv expects {c_in_w} input channels, got {c_in}")
     left = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (left, k - 1 - left), (0, 0)))
-    # windows: (batch, time, c_in, k) -> columns (batch*time, c_in*k)
-    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1).reshape(bsz * t_len, c_in * k)
-    out = (cols @ w.reshape(c_out, c_in * k).T + b).reshape(bsz, t_len, c_out)
-    return out, cols
+    out = (_columns(xp, k) @ w.reshape(c_out, c_in * k).T + b).reshape(bsz, t_len, c_out)
+    return out, xp
 
 
-def _conv_pullback(g, cols, w: Tensor, b: Tensor, x_shape: tuple | None = None):
-    """Adds into w.grad and b.grad; returns the gradient into an input of
-    x_shape, or None when there is none (a constant input)."""
+def _columns(xp: np.ndarray, k: int) -> np.ndarray:
+    """The (batch * time, c_in * k) columns of a padded input's k-frame windows."""
+    bsz, padded, c_in = xp.shape
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
+    return windows.reshape(bsz * (padded - k + 1), c_in * k)
+
+
+def _conv_pullback(g, xp, w: Tensor, b: Tensor, x_shape: tuple | None = None):
+    """Adds into w.grad and b.grad, reading the columns rebuilt from the
+    padded input xp; returns the gradient into an input of x_shape, or
+    None when there is none (a constant input)."""
     c_out, c_in, k = w.data.shape
     g2 = g.reshape(-1, c_out)
-    w.grad += (g2.T @ cols).reshape(c_out, c_in, k)
+    w.grad += (g2.T @ _columns(xp, k)).reshape(c_out, c_in, k)
     b.grad += g2.sum(axis=0)
     if x_shape is None:
         return None
@@ -482,12 +534,12 @@ def conv1d_op(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     the node's parents are w and b alone.
     """
     x_data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    out, cols = _conv_forward(x_data, w.data, b.data)
+    out, xp = _conv_forward(x_data, w.data, b.data)
     if not isinstance(x, Tensor):
-        return Tensor(out, (w, b), lambda g: _conv_pullback(g, cols, w, b))
+        return Tensor(out, (w, b), lambda g: _conv_pullback(g, xp, w, b))
 
     def back(g):
-        x.grad += _conv_pullback(g, cols, w, b, x_data.shape)
+        x.grad += _conv_pullback(g, xp, w, b, x_data.shape)
 
     return Tensor(out, (x, w, b), back)
 
@@ -671,12 +723,15 @@ def conv_block_op(
     batch's. rate is dropout's, and 0 runs none, as in eval mode; else rng
     draws the mask.
 
-    The tape keeps conv's columns, pool's per-offset masks, batchnorm's
-    xhat and dropout's boolean mask, besides the output. Each stage's
-    output is freed once the next stage has read it, and dropout scales
-    batchnorm's output in place.
+    The tape keeps conv's zero-padded input, pool's per-offset masks,
+    batchnorm's xhat and dropout's boolean mask, besides the output. The
+    padded input is a copy, about k times smaller than conv's (batch * time,
+    c_in * k) columns, and so a caller that reuses x cannot change the
+    gradient; the pullback rebuilds the columns from it, but not conv's
+    output. Each stage's output is freed once the next stage has read it,
+    and dropout scales batchnorm's output in place.
     """
-    out, cols = _conv_forward(np.asarray(x, dtype=np.float64), w.data, b.data)
+    out, xp = _conv_forward(np.asarray(x, dtype=np.float64), w.data, b.data)
     conv_shape = out.shape
     out, takes = _pool_forward(out, pool)
     params = (w, b)
@@ -693,6 +748,6 @@ def conv_block_op(
             g = _as_added(_dropout_pullback(g, keep, rate))
         if norm is not None:
             g = _as_added(_bn_pullback(g, bn_saved, gamma, beta, train))
-        _conv_pullback(_as_added(_pool_pullback(g, takes, conv_shape)), cols, w, b)
+        _conv_pullback(_as_added(_pool_pullback(g, takes, conv_shape)), xp, w, b)
 
     return Tensor(out, params, back)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -912,6 +915,23 @@ class TestEvaluate:
         code, _, err = run(capsys, ["evaluate", "--refs", str(refs), "--hyps", str(hyps)])
         assert code == 1
         assert "error:" in err
+
+    def test_closed_stdout_is_no_fault(self, tmp_path):
+        # as in `penscript evaluate ... | head -3` when head exits first: the
+        # reader closes the pipe before the summary is written
+        refs = tmp_path / "refs.txt"
+        refs.write_text("12+3\n4-1\n", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "penscript.cli", "evaluate", "--refs", str(refs), "--hyps", str(refs)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 SEQ_FLAGS = [

@@ -682,11 +682,14 @@ class TestLSTMOracle:
     """lstm_op computes every bit its pre-buffer form (oracles.lstm_oracle) did."""
 
     @staticmethod
-    def run(op, x, g, cells):
+    def run(op, x, g, cells, held):
+        # held is None for an x with no gradient yet, else the one it holds
         params = [p for cell in cells for p in cell]
         for p in params:
             p.zero_grad()
         xt = Tensor(x.copy())
+        if held is not None:
+            xt.grad = held.copy()
         out = op(xt, cells)
         out.backward(g)
         return [out.data, xt.grad] + [p.grad.copy() for p in params]
@@ -705,11 +708,18 @@ class TestLSTMOracle:
         x = rng.normal(0, 1, (bsz, t_len, c_in))
         x[0, 0, :] = 1e4  # drives some gates into the sigmoid clip
         g = rng.normal(0, 1, (bsz, t_len, d_n * h))
-        got = self.run(T.lstm_op, x, g, cells)
-        want = self.run(lstm_oracle, x, g, cells)
+        # -0.0 rows: two frames in every batch row and direction, and
+        # direction 0 throughout the last batch row
+        g[:, [1, t_len - 1]] = -0.0
+        g[-1, :, :h] = -0.0
         names = ["output", "x"] + [f"{n}[{d}]" for d in range(d_n) for n in ("wx", "wh", "b")]
-        for name, a, b in zip(names, got, want):
-            assert np.array_equal(a, b), name
+        # x without a gradient takes direction 0's input gradient as its own;
+        # x with one adds it in
+        for held in (None, rng.normal(0, 1, x.shape)):
+            got = self.run(T.lstm_op, x, g, cells, held)
+            want = self.run(lstm_oracle, x, g, cells, held)
+            for name, a, b in zip(names, got, want):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (name, held is None)
 
 
 class TestDirectionSplit:
@@ -1027,18 +1037,44 @@ class TestTapeMemory:
         assert held <= 1.1 * floor
         out.backward(np.ones_like(out.data))
 
-    def test_conv_block_tape_holds_its_columns_masks_xhat_and_output(self, rng):
-        # conv's (B * T, c_in * k) columns, pool's bool mask per offset past
-        # the first, batchnorm's xhat, dropout's bool mask and the output,
-        # plus 10% for the node (the chain held 2.5 times the floor)
+    def test_bilstm_pullback_adds_at_most_four_arrays(self, rng):
+        # above the tape and the output gradient, the pullback holds h_{t-1}
+        # and the forget gates' copy, (D, B, T, H) each, the reversed input
+        # and one input gradient, (B, T, c_in) each, which becomes x's, plus
+        # 10% for the per-direction weight gradients and the BPTT state; it
+        # held 1.25 times this floor with a second input gradient and x's
+        # zero-filled one besides
+        bsz, t_len, c_in, h = 2, 400, 200, 60
+        layer = BiLSTM(c_in, h, rng)
+        for _, p in layer.parameters():
+            p.grad = np.zeros_like(p.data)  # made before the trace
+        x = Tensor(rng.normal(0, 1, (bsz, t_len, c_in)))
+        g = rng.normal(0, 1, (bsz, t_len, 2 * h))
+        tape = 2 * bsz * t_len * 4 * h + (t_len + 1) * 2 * bsz * h + bsz * t_len * 2 * h
+        floor = 8 * (tape + bsz * t_len * 2 * h + 2 * (2 * bsz * t_len * h) + 2 * bsz * t_len * c_in)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = layer(x)
+            out.backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * floor
+
+    def test_conv_block_tape_holds_its_padded_input_masks_xhat_and_output(self, rng):
+        # conv's zero-padded (B, T + k - 1, c_in) input, pool's bool mask per
+        # offset past the first, batchnorm's xhat, dropout's bool mask and the
+        # output, plus 10% for the node (the (B * T, c_in * k) columns held
+        # instead of the padded input came to 1.17 times this floor)
         cfg = ModelConfig(num_classes=15)
         model = RecognitionModel(cfg, 13, "seq2seq", rng)
         bsz, t_len = 2, 800
         x = rng.normal(0, 1, (bsz, t_len, 13))
-        cols = bsz * t_len * 13 * cfg.conv_kernel
+        padded = bsz * (t_len + cfg.conv_kernel - 1) * 13
         pooled = bsz * (t_len // cfg.pool_size) * cfg.conv_filters
-        # 8-byte columns, xhat and output; pool_size - 1 pool masks and dropout's, a byte each
-        floor = 8 * cols + 2 * 8 * pooled + cfg.pool_size * pooled
+        # 8-byte padded input, xhat and output; pool_size - 1 pool masks and dropout's, a byte each
+        floor = 8 * padded + 2 * 8 * pooled + cfg.pool_size * pooled
         norm = model.norm.block_norm("train")
         tracemalloc.start()
         try:
