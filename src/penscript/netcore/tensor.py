@@ -13,13 +13,16 @@ fresh zero array, so a tensor whose gradient nobody reads never holds
 one, and no two tensors share one. A pullback may instead hand a fresh
 array that nothing else reads to a tensor with no gradient yet: that
 first contribution becomes the gradient, holding the bits zeros + it
-would (lstm_op's input gradient). backward() frees the graph as it
-walks it: once a node's pullback has run, the node gives up the pullback
-(with the activations it kept) and its parents, and every node but the
-output backward() started from drops its gradient. Leaves, the
-parameters and inputs, keep theirs and accumulate across graphs. A graph
-therefore backpropagates once; a second backward() through it raises
-ValueError before any pullback runs.
+would (affine's and lstm_op's input gradients). A pullback owns the
+gradient it is handed and may overwrite it, since backward() drops that
+array once the pullback has run; the output backward() started from
+hands its pullback a copy, so its .grad still reads the seed sum.
+backward() frees the graph as it walks it: once a node's pullback has
+run, the node gives up the pullback (with the activations it kept) and
+its parents, and every node but the output backward() started from
+drops its gradient. Leaves, the parameters and inputs, keep theirs and
+accumulate across graphs. A graph therefore backpropagates once; a
+second backward() through it raises ValueError before any pullback runs.
 
 Inside no_tape() the constructor keeps only the value: it drops the
 parents and the pullback, so every op's result is a leaf, and an
@@ -33,14 +36,15 @@ and keeps only what its pullback reads, besides its output.
 
 An LSTM call (lstm_op) allocates one (D, batch, time, 4H) buffer that
 holds, in turn, the input projection, the gate activations and their
-gradients. Its tape keeps that buffer and the cell states and nothing
-else, and no buffer outlives the call and its pullback. The pullback
-works in that memory: tanh(c), and then d(c)/d(h), overwrite the cell
-states, and it reads the output gradient in place. Besides it allocates
-four arrays: a copy of the forget gates, h_{t-1} (D, batch, time, H),
-read from the op's own output, the time-reversed input, which direction
-1's input gradient then overwrites, and direction 0's input gradient,
-which becomes the input's gradient when it has none yet.
+gradients. Its tape keeps that buffer and nothing else, besides its
+output, and no buffer outlives the call and its pullback. The pullback
+rebuilds the cell states from the gates in the buffer, (time + 1, D,
+batch, H); tanh(c), and then d(c)/d(h), overwrite them. Besides it
+allocates a copy of the forget gates, the time-reversed input, which
+direction 1's input gradient then overwrites, and direction 0's input
+gradient, which becomes the input's gradient when it has none yet; its
+other scratch is a few frames long. It reads the output gradient in
+place and, once BPTT has spent it, writes h_{t-1} over it.
 
 A conv block call (conv_block_op) runs conv -> max-pool -> batchnorm ->
 dropout over a constant input such as the data batch. Its tape keeps
@@ -75,6 +79,8 @@ from contextlib import contextmanager
 import numpy as np
 
 _taping = True
+# frames per chunk of lstm_op's pullback scratch
+_CHUNK = 64
 
 
 @contextmanager
@@ -103,7 +109,10 @@ class Tensor:
 
     .grad is d(loss)/d(self), summed over every path backward() takes.
     Reading it before anything was added gives zeros; a pullback's first
-    contribution may also become the gradient array itself (lstm_op).
+    contribution may also become the gradient array itself (affine,
+    lstm_op). backward() hands each pullback its node's gradient to own,
+    and it may overwrite it; the output backward() started from hands
+    over a copy, so its .grad still reads the seed sum afterwards.
     """
 
     __slots__ = ("data", "_grad", "_parents", "_backward")
@@ -168,7 +177,8 @@ class Tensor:
             node = topo.pop()
             if node._backward is None:
                 continue
-            node._backward(node.grad)
+            # a pullback owns its gradient; the output's own stays readable
+            node._backward(node.grad.copy() if node is self else node.grad)
             node._backward = _spent
             node._parents = ()
             if node is not self:
@@ -183,7 +193,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         g2 = g.reshape(-1, w.data.shape[1])
-        x.grad += (g2 @ w.data.T).reshape(x.data.shape)
+        g_x = (g2 @ w.data.T).reshape(x.data.shape)
+        if x._grad is None:
+            x.grad = _as_added(g_x)  # a fresh array nothing else reads
+        else:
+            x.grad += g_x
         w.grad += x2.T @ g2
         b.grad += g2.sum(axis=0)
 
@@ -273,7 +287,7 @@ def _as_added(gx: np.ndarray) -> np.ndarray:
     0.0 + v is v, except that -0.0 becomes +0.0. A fused node passes each
     stage's input gradient through this, so the stage before reads the bits
     it would read from its output's .grad in a chain of single ops, and
-    lstm_op the input gradient that becomes x's .grad.
+    affine and lstm_op the input gradient that becomes x's .grad.
     """
     gx += 0.0
     return gx
@@ -291,9 +305,11 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     One Python time loop serves both directions, in the forward pass and
     in backpropagation through time: step t computes the D directions'
     gates at once in one (D, batch, 4H) scratch and stores them into frame
-    t of the buffer below; each direction's h_t goes straight into the
-    output, which step t + 1 reads back as h_{t-1}. The BPTT step
-    multiplies the D gradients by wh.T at once, with a stacked np.matmul.
+    t of the buffer below. It keeps one rolling (D, batch, H) cell state
+    and writes h_t into a contiguous (time + 1, D, batch, H) history, from
+    which step t + 1 multiplies h_{t-1} by wh with one stacked np.matmul
+    and which fills the output after the loop. The BPTT step multiplies
+    the D gradients by wh.T at once in the same way.
     The backward direction projects a time-reversed copy of x and keeps
     its state in loop order, so each direction computes exactly what a
     D = 1 call on its own input does: D = 2 is bit-identical to a D = 1
@@ -305,17 +321,22 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     frame t with the four gate activations; the pullback overwrites those
     in place with the pre-activations' gradients, whose (batch * time)
     rows per direction the weight, bias and input gradients read as
-    single products. The tape keeps that buffer and the cell states c,
-    (time + 1, D, batch, H), and nothing else.
+    single products. The tape keeps that buffer, besides the output, and
+    nothing else.
 
-    The pullback works in that memory. tanh(c_t), with the forward's own
-    per-step calls, and then d(c_t)/d(h_t) overwrite c_t; the output
-    gradient is read in place. It allocates a copy of the forget gates,
-    which BPTT reads after their gradients have replaced them, h_{t-1}
-    (scratch until the products fill it from the op's output), the
-    time-reversed input, which direction 1's input gradient then
-    overwrites, and direction 0's input gradient, which becomes x's
-    gradient when x has none yet.
+    The pullback first rebuilds the cell states c, (time + 1, D, batch,
+    H), from the buffer's gates with the forward's own per-step calls,
+    f * c_{t-1} and then + i * g, so they hold the forward's bits; then
+    tanh(c_t), again per step, and d(c_t)/d(h_t) overwrite c_t. Besides
+    it allocates a copy of the forget gates, which BPTT reads after their
+    gradients have replaced them, the time-reversed input, which
+    direction 1's input gradient then overwrites, and direction 0's input
+    gradient, which becomes x's gradient when x has none yet. The
+    elementwise temporaries (i * g, 1 - f and the prelude's) share one
+    scratch of _CHUNK frames. The output gradient, which the pullback
+    owns, is read in place by BPTT; then its (batch * time, D * H) rows
+    take each direction's h_{t-1}, from the op's output, in that
+    direction's columns, where the wh product reads them.
 
     With D = 2 the work outside the time loops (the input projection, the
     backward prelude and the gradient products) runs one direction per
@@ -350,12 +371,12 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
 
     _per_direction(project, d_n)
     del x_rev
-    # cs leads with the zero initial state, so step t reads [t] and writes
-    # [t + 1]; h_t goes to the output, where step t + 1 reads it
-    cs = np.zeros((t_len + 1, d_n, bsz, h))
-    out_data = np.empty((bsz, t_len, d_n * h))
+    # hist leads with the zero initial state, so step t reads h_{t-1} from
+    # [t] and writes h_t to [t + 1]; c is the one cell state, updated in place
+    hist = np.empty((t_len + 1, d_n, bsz, h))
+    hist[0] = 0.0
+    c = np.zeros((d_n, bsz, h))
     frames = buf.transpose(2, 0, 1, 3)
-    hs = _loop_order(out_data, d_n, h)
     z = np.empty((d_n, bsz, 4 * h))
     a = np.empty((d_n, bsz, 4 * h))
     i_a, f_a, g_a, o_a = (a[:, :, k * h : (k + 1) * h] for k in range(4))
@@ -363,45 +384,54 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     ig = np.empty((d_n, bsz, h))
     tc = np.empty((d_n, bsz, h))
     for t in range(t_len):
-        if t:
-            for d in range(d_n):
-                np.matmul(hs[d][t - 1], wh_s[d], out=z[d])
-        else:  # the zero initial state
-            np.matmul(np.zeros((d_n, bsz, h)), wh_s, out=z)
+        np.matmul(hist[t], wh_s, out=z)
         z += frames[t]
-        # sigmoid over all four blocks, then tanh over the cell block;
-        # maximum then minimum is np.clip(z, -500, 500), without its wrapper
+        # sigmoid over all four blocks, then tanh over the cell block; the
+        # lower clip keeps exp(-z) from overflowing, while z >= 500 gives
+        # exactly 1.0 with or without an upper one, and NaN passes either way
         np.maximum(z, -500.0, out=a)
-        np.minimum(a, 500.0, out=a)
         np.negative(a, out=a)
         np.exp(a, out=a)
         a += 1.0
         np.divide(1.0, a, out=a)
         np.tanh(g_z, out=g_a)
-        c = cs[t + 1]
-        np.multiply(f_a, cs[t], out=c)
+        np.multiply(f_a, c, out=c)
         np.multiply(i_a, g_a, out=ig)
         c += ig
         np.tanh(c, out=tc)
-        for d in range(d_n):
-            np.multiply(o_a[d], tc[d], out=hs[d][t])
+        np.multiply(o_a, tc, out=hist[t + 1])
         frames[t] = a
+    # each direction's h_t at the frame it read
+    out_data = np.empty((bsz, t_len, d_n * h))
+    for d, h_d in enumerate(_loop_order(out_data, d_n, h)):
+        h_d[...] = hist[1:, d]
+    del hist
 
     def back(g):
-        nonlocal buf, cs
+        nonlocal buf
         # dz is the buffer as (D, batch, time, 4, H); dzt views it in loop order
         dz = buf.reshape(d_n, bsz, t_len, 4, h)
         dzt = dz.transpose(2, 0, 1, 3, 4)
         buf = None
-        # h_{t-1} per direction once the products fill it; until then, scratch
-        h_prev = np.empty((d_n, bsz, t_len, h))
-        scratch = h_prev.transpose(2, 0, 1, 3)
+        i_g, f_g, g_g = (dzt[:, :, :, k, :] for k in range(3))
+        # frame chunks and their scratch, in place of full-length temporaries
+        chunks = [slice(t0, min(t0 + _CHUNK, t_len)) for t0 in range(0, t_len, _CHUNK)]
+        scratch = np.empty((min(_CHUNK, t_len), d_n, bsz, h))
+        # the cell states, rebuilt from the gates with the forward's own
+        # per-step calls, f * c_{t-1} and then + i * g; cs leads with c_{-1} = 0
+        cs = np.empty((t_len + 1, d_n, bsz, h))
+        cs[0] = 0.0
+        for sl in chunks:
+            np.multiply(i_g[sl], g_g[sl], out=scratch[: sl.stop - sl.start])
+            for t in range(sl.start, sl.stop):
+                np.multiply(f_g[t], cs[t], out=cs[t + 1])
+                cs[t + 1] += scratch[t - sl.start]
         # f's, c_{t-1} * f * (1 - f), before tanh replaces the c it reads;
         # BPTT reads f itself from fs
-        f_g = dzt[:, :, :, 1, :]
         fs = f_g.copy()
         np.multiply(cs[:-1], f_g, out=f_g)
-        f_g *= np.subtract(1.0, fs, out=scratch)
+        for sl in chunks:
+            f_g[sl] *= np.subtract(1.0, fs[sl], out=scratch[: sl.stop - sl.start])
         # tanh(c_t), each step's block as the forward computed it, and then
         # d(c_t)/d(h_t) in the same place
         for t in range(1, t_len + 1):
@@ -411,24 +441,25 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
         def prelude(d):
             # over each gate, the pre-activation's derivative by c_t (i and
             # g) or by h_t (o), which the BPTT loop then scales
-            i_g, g_g, o_g = (dzt[:, d, :, k, :] for k in (0, 2, 3))
-            tcs, s = dc_dh[:, d], scratch[:, d]
-            # g's, (1 - g * g) * i, waits in s while i's, g * i * (1 - i), is made
-            np.multiply(g_g, g_g, out=s)
-            np.subtract(1.0, s, out=s)
-            s *= i_g
-            g_g *= i_g
-            np.subtract(1.0, i_g, out=i_g)
-            i_g *= g_g
-            g_g[...] = s
-            # o's, tanh(c) * o * (1 - o), waits in s while tanh(c)
-            # becomes d(c_t)/d(h_t) = (1 - tanh(c)^2) * o
-            np.multiply(tcs, o_g, out=s)
-            tcs *= tcs
-            np.subtract(1.0, tcs, out=tcs)
-            tcs *= o_g
-            np.subtract(1.0, o_g, out=o_g)
-            o_g *= s
+            for sl in chunks:
+                i_c, g_c, o_c = (dzt[sl, d, :, k, :] for k in (0, 2, 3))
+                tcs, s = dc_dh[sl, d], scratch[: sl.stop - sl.start, d]
+                # g's, (1 - g * g) * i, waits in s while i's, g * i * (1 - i), is made
+                np.multiply(g_c, g_c, out=s)
+                np.subtract(1.0, s, out=s)
+                s *= i_c
+                g_c *= i_c
+                np.subtract(1.0, i_c, out=i_c)
+                i_c *= g_c
+                g_c[...] = s
+                # o's, tanh(c) * o * (1 - o), waits in s while tanh(c)
+                # becomes d(c_t)/d(h_t) = (1 - tanh(c)^2) * o
+                np.multiply(tcs, o_c, out=s)
+                tcs *= tcs
+                np.subtract(1.0, tcs, out=tcs)
+                tcs *= o_c
+                np.subtract(1.0, o_c, out=o_c)
+                o_c *= s
 
         _per_direction(prelude, d_n)
         gs = _loop_order(g, d_n, h)
@@ -447,9 +478,13 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             if t:
                 dc *= fs[t]
                 np.matmul(dz_t.reshape(d_n, bsz, 4 * h), wh_t, out=dh)
-        cs = dc_dh = fs = None  # freed before the products allocate
+        cs = dc_dh = fs = scratch = None  # freed before the products allocate
         # (direction, batch * time, .) rows in each direction's reading order
         dz2 = dz.reshape(d_n, -1, 4 * h)
+        # the spent output gradient as (batch * time, D * H) rows: direction
+        # d's columns take its h_{t-1}, (batch, time, H) in its reading order
+        g_rows = g.reshape(-1, d_n * h)
+        g_prev = g_rows.reshape(bsz, t_len, d_n * h)
         x_rev = np.empty_like(x.data) if d_n == 2 else None
         g_x = np.empty_like(x.data)
         g_wh = np.empty((d_n, h, 4 * h))
@@ -458,10 +493,11 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
 
         def products(d):
             # h_{t-1} in direction d's reading order: its output a frame back
-            prev = h_prev[d]
+            cols = slice(d * h, (d + 1) * h)
+            prev = g_prev[:, :, cols]
             prev[:, 0] = 0.0
             prev[:, 1:] = out_data[:, :-1, :h] if d == 0 else out_data[:, :0:-1, h:]
-            np.matmul(prev.reshape(-1, h).T, dz2[d], out=g_wh[d])
+            np.matmul(g_rows[:, cols].T, dz2[d], out=g_wh[d])
             np.matmul(rows(d, x_rev).T, dz2[d], out=g_wx[d])
             np.sum(dz2[d], axis=0, out=g_b[d])
             # direction 1's input gradient replaces the reversed input once

@@ -677,6 +677,16 @@ class TestBiLSTM:
         grad, scalar = projection_grad(lambda v: layer(v), x, rng)
         assert rel_err(grad, central_diff(scalar, x)) < 1e-5
 
+    @pytest.mark.parametrize("d_n", [1, 2])
+    def test_root_gradient_is_the_seed_after_backward(self, d_n, rng):
+        # the pullback writes h_{t-1} over the gradient it is handed, so
+        # backward() hands the output it started from a copy of its own
+        cells = [LSTM(3, 4, rng).cell for _ in range(d_n)]
+        y = T.lstm_op(Tensor(rng.normal(0, 1, (2, 6, 3))), cells)
+        seed = rng.normal(0, 1, y.data.shape)
+        y.backward(seed)
+        assert np.array_equal(y.grad.view(np.uint64), seed.view(np.uint64))
+
 
 class TestLSTMOracle:
     """lstm_op computes every bit its pre-buffer form (oracles.lstm_oracle) did."""
@@ -720,6 +730,20 @@ class TestLSTMOracle:
             want = self.run(lstm_oracle, x, g, cells, held)
             for name, a, b in zip(names, got, want):
                 assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (name, held is None)
+
+
+    @pytest.mark.parametrize("d_n", [1, 2])
+    def test_frames_past_a_scratch_chunk_equal_the_oracle(self, d_n, rng):
+        # the pullback's elementwise scratch spans T._CHUNK frames; a
+        # sequence of two full chunks and a partial one keeps every bit
+        t_len = 2 * T._CHUNK + 5
+        cells = [LSTM(5, 4, rng).cell for _ in range(d_n)]
+        x = rng.normal(0, 1, (2, t_len, 5))
+        g = rng.normal(0, 1, (2, t_len, d_n * 4))
+        got = self.run(T.lstm_op, x, g, cells, None)
+        want = self.run(lstm_oracle, x, g, cells, None)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestDirectionSplit:
@@ -1020,13 +1044,14 @@ class TestTapeMemory:
             tracemalloc.stop()
         assert held < 0.1 * forward_live
 
-    def test_bilstm_tape_holds_its_buffer_cell_states_and_output(self, rng):
-        # the (D, B, T, 4H) buffer, the (T + 1, D, B, H) cell states and the
-        # (B, T, D * H) output, plus 10% for the stacked wh and the node
+    def test_bilstm_tape_holds_its_buffer_and_output(self, rng):
+        # the (D, B, T, 4H) buffer and the (B, T, D * H) output, plus 10% for
+        # the stacked wh and the node (it held 1.26 times this floor while
+        # the tape kept the (T + 1, D, B, H) cell states besides)
         bsz, t_len, c_in, h = 2, 400, 200, 60
         layer = BiLSTM(c_in, h, rng)
         x = Tensor(rng.normal(0, 1, (bsz, t_len, c_in)))
-        floor = 8 * (2 * bsz * t_len * 4 * h + (t_len + 1) * 2 * bsz * h + bsz * t_len * 2 * h)
+        floor = 8 * (2 * bsz * t_len * 4 * h + bsz * t_len * 2 * h)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1038,20 +1063,23 @@ class TestTapeMemory:
         out.backward(np.ones_like(out.data))
 
     def test_bilstm_pullback_adds_at_most_four_arrays(self, rng):
-        # above the tape and the output gradient, the pullback holds h_{t-1}
-        # and the forget gates' copy, (D, B, T, H) each, the reversed input
-        # and one input gradient, (B, T, c_in) each, which becomes x's, plus
-        # 10% for the per-direction weight gradients and the BPTT state; it
-        # held 1.25 times this floor with a second input gradient and x's
-        # zero-filled one besides
+        # above the tape and the output gradient, the pullback holds the
+        # rebuilt cell states and the forget gates' copy, (D, B, T, H) each,
+        # the reversed input and one input gradient, (B, T, c_in) each, which
+        # becomes x's, plus 10% for the per-direction weight gradients, the
+        # BPTT state and the frame-chunk scratch; h_{t-1} goes into the spent
+        # output gradient (here the copy backward() hands the pullback of
+        # the output it started from), where a separate h_{t-1} array once
+        # took a fifth place in this floor
         bsz, t_len, c_in, h = 2, 400, 200, 60
         layer = BiLSTM(c_in, h, rng)
         for _, p in layer.parameters():
             p.grad = np.zeros_like(p.data)  # made before the trace
         x = Tensor(rng.normal(0, 1, (bsz, t_len, c_in)))
         g = rng.normal(0, 1, (bsz, t_len, 2 * h))
-        tape = 2 * bsz * t_len * 4 * h + (t_len + 1) * 2 * bsz * h + bsz * t_len * 2 * h
-        floor = 8 * (tape + bsz * t_len * 2 * h + 2 * (2 * bsz * t_len * h) + 2 * bsz * t_len * c_in)
+        tape = 2 * bsz * t_len * 4 * h + bsz * t_len * 2 * h
+        cs_and_fs = (t_len + 1) * 2 * bsz * h + 2 * bsz * t_len * h
+        floor = 8 * (tape + bsz * t_len * 2 * h + cs_and_fs + 2 * bsz * t_len * c_in)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1061,6 +1089,76 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * floor
+
+    def test_paper_shaped_step_peaks_at_the_upper_pullback_floor(self, rng):
+        # at batch 2 a training step peaks in the upper BiLSTM's pullback,
+        # over the tape beneath it (the conv block's padded input, xhat,
+        # output, pool and dropout masks, a byte each, the lower BiLSTM's
+        # buffer and output, and each layer's stacked wh) with the
+        # pullback's own dz and four (B, T, 2H) arrays: its output, its
+        # output gradient, which then holds h_{t-1}, and the rebuilt cell
+        # states and forget gates' copy, or, once those are freed, the
+        # reversed input and the input gradient. 10% more covers the weight
+        # gradients and the head's few (B, T, classes + 1) arrays; the step
+        # peaked at 1.2 times this floor while the tape kept the cell
+        # states and the pullback a separate h_{t-1}
+        cfg = ModelConfig(num_classes=15)
+        model = RecognitionModel(cfg, 13, "seq2seq", rng)
+        bsz, t_len = 2, 800
+        x = rng.normal(0, 1, (bsz, t_len, 13))
+        targets = [(1, 2, 3), (4, 4, 5)]
+        h = cfg.bilstm_units
+        pooled = bsz * (t_len // cfg.pool_size) * cfg.conv_filters
+        seq = bsz * (t_len // cfg.pool_size) * 2 * h  # one (B, T, 2H) array
+        conv = 8 * bsz * (t_len + cfg.conv_kernel - 1) * 13 + 2 * 8 * pooled + cfg.pool_size * pooled
+        lower = 8 * (4 * seq + seq + 2 * h * 4 * h)
+        floor = conv + lower + 8 * (4 * seq + 2 * h * 4 * h) + 4 * 8 * seq
+
+        def step():
+            out = model.forward(x, "train", rng)
+            seed = ctc_loss(out.data, targets).grad_logits
+            for _, p in model.parameters():
+                p.zero_grad()
+            out.backward(seed)
+
+        step()  # the parameters' grads exist from here on
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * floor
+
+    def test_head_pullback_hands_its_product_to_x(self, rng):
+        # affine's pullback makes x's gradient, g @ w.T, as one (B, T, c_in)
+        # array and adopts it when x has none yet; adding it into a
+        # zero-filled .grad took two
+        bsz, t_len, c_in, c_out = 2, 400, 120, 16
+        x = Tensor(rng.normal(0, 1, (bsz, t_len, c_in)))
+        w, b = Tensor(rng.normal(0, 1, (c_in, c_out))), Tensor(rng.normal(0, 1, c_out))
+        for p in (w, b):
+            p.grad = np.zeros_like(p.data)
+        y = T.affine(x, w, b)
+        pullback, rises = y._backward, []
+
+        def traced(g):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pullback(g)
+            rises.append(tracemalloc.get_traced_memory()[1] - entry)
+
+        y._backward = traced
+        g = rng.normal(0, 1, y.data.shape)
+        tracemalloc.start()
+        try:
+            y.backward(g)
+        finally:
+            tracemalloc.stop()
+        assert rises[0] <= 1.1 * 8 * bsz * t_len * c_in
+        want = np.zeros(x.data.shape) + (g.reshape(-1, c_out) @ w.data.T).reshape(x.data.shape)
+        assert np.array_equal(x.grad.view(np.uint64), want.view(np.uint64))
 
     def test_conv_block_tape_holds_its_padded_input_masks_xhat_and_output(self, rng):
         # conv's zero-padded (B, T + k - 1, c_in) input, pool's bool mask per
