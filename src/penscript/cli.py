@@ -297,6 +297,12 @@ def cmd_evaluate(args) -> int:
     if len(refs) != len(hyps):
         raise ValueError("reference and hypothesis files differ in line count")
     alphabet = _alphabet(args.alphabet, refs + hyps)
+    for kind, path, lines in (("reference", args.refs, refs), ("hypothesis", args.hyps, hyps)):
+        for n, line in enumerate(lines, 1):
+            try:
+                alphabet.encode_label(line)
+            except ValueError as exc:
+                raise ValueError(f"{kind} file {path} line {n}: {exc}") from None
     scripts = [metrics.edit_distance(r, h) for r, h in zip(refs, hyps)]
     hists = metrics.error_positions(scripts, [len(r) for r in refs], args.bins)
     report = {
@@ -307,8 +313,7 @@ def cmd_evaluate(args) -> int:
         "confusion_symbols": list(alphabet.symbols),
     }
     if all(len(r) == 1 for r in refs):
-        # any hypothesis but the reference's one symbol, the empty one too, is a miss
-        report["crr"] = sum(r == h for r, h in zip(refs, hyps)) / len(refs)
+        report["crr"] = metrics.crr(refs, hyps)
     _emit(report)
     return 0
 

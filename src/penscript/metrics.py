@@ -4,7 +4,7 @@ The unit-cost edit distance counts the substitutions, insertions and
 deletions needed to turn the hypothesis into the reference. CER divides
 the summed counts by the number of reference characters, WER does the
 same with words as atomic tokens, and CRR is plain accuracy over
-single-symbol predictions. The traceback keeps a deterministic alignment
+single-symbol references. The traceback keeps a deterministic alignment
 so error positions and confusions are reproducible.
 """
 
@@ -121,17 +121,15 @@ def wer(references: Sequence[Sequence[str]], hypotheses: Sequence[Sequence[str]]
 
 
 def crr(references: Sequence, hypotheses: Sequence) -> float:
-    """Fraction of exactly matching single-symbol predictions."""
+    """Fraction of single-symbol references whose hypothesis is exactly that
+    symbol; any other hypothesis, the empty one too, is a miss."""
     if len(references) != len(hypotheses):
         raise ValueError("references and hypotheses differ in length")
     if not references:
         raise ValueError("nothing to score")
-    for seq in (*references, *hypotheses):
-        if len(seq) != 1:
-            raise ValueError("crr expects single-symbol entries")
-    return sum(1 for r, h in zip(references, hypotheses) if tuple(r) == tuple(h)) / len(
-        references
-    )
+    if any(len(r) != 1 for r in references):
+        raise ValueError("crr expects single-symbol references")
+    return sum(tuple(r) == tuple(h) for r, h in zip(references, hypotheses)) / len(references)
 
 
 def error_positions(

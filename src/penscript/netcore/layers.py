@@ -39,8 +39,7 @@ class Conv1d:
         self.w = Tensor(_xavier(rng, (c_out, c_in, kernel), c_in * kernel, c_out))
         self.b = Tensor(np.zeros(c_out))
 
-    def __call__(self, x: Tensor | np.ndarray) -> Tensor:
-        """A plain array x is a constant (tensor.conv1d_op)."""
+    def __call__(self, x: Tensor) -> Tensor:
         return T.conv1d_op(x, self.w, self.b)
 
     def parameters(self):
@@ -104,13 +103,11 @@ class BatchNorm1d:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        centered, var = self.statistics(x.data, mode)
-        return T.batchnorm_op(
-            x, self.gamma, self.beta, centered, var, BN_EPS, train=(mode == "train")
-        )
+        return T.batchnorm_op(x, self.block_norm(mode))
 
     def block_norm(self, mode: str) -> T.BlockNorm:
-        """This layer's norm argument of tensor.conv_block_op in mode."""
+        """This layer in mode as the norm argument of tensor.batchnorm_op
+        and tensor.conv_block_op."""
         return self.gamma, self.beta, lambda x: self.statistics(x, mode), BN_EPS, mode == "train"
 
     def parameters(self):

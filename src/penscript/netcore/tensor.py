@@ -12,11 +12,11 @@ A gradient is made on demand: the first read of .grad fills it with a
 fresh zero array, so a tensor whose gradient nobody reads never holds
 one, and no two tensors share one. A pullback may instead hand a fresh
 array that nothing else reads to a tensor with no gradient yet: that
-first contribution becomes the gradient, holding the bits zeros + it
-would (affine's and lstm_op's input gradients). A pullback owns the
-gradient it is handed and may overwrite it, since backward() drops that
-array once the pullback has run; the output backward() started from
-hands its pullback a copy, so its .grad still reads the seed sum.
+first contribution becomes the gradient (affine's and lstm_op's input
+gradients). A pullback owns the gradient it is handed and may overwrite
+it, since backward() drops that array once the pullback has run; the
+output backward() started from hands its pullback a copy, so its .grad
+still reads the seed sum.
 backward() frees the graph as it walks it: once a node's pullback has
 run, the node gives up the pullback (with the activations it kept) and
 its parents, and every node but the output backward() started from
@@ -52,9 +52,10 @@ the zero-padded copy of the input that conv builds (the pullback
 rebuilds conv's columns from it), pool's per-offset masks, batchnorm's
 xhat and dropout's boolean mask; each stage's output goes once the next
 stage has read it.
+
 conv1d_op, maxpool1d_op, batchnorm_op and dropout_op each wrap one of the
 array forward and pullback pairs the block chains, so the block computes
-their chain's output and gradients bit for bit.
+their chain's output and parameter gradients bit for bit.
 
 A BiLSTM call (lstm_op with two directions) runs each direction's array
 work outside the time loops on its own core: the input projection, the
@@ -110,9 +111,11 @@ class Tensor:
     .grad is d(loss)/d(self), summed over every path backward() takes.
     Reading it before anything was added gives zeros; a pullback's first
     contribution may also become the gradient array itself (affine,
-    lstm_op). backward() hands each pullback its node's gradient to own,
-    and it may overwrite it; the output backward() started from hands
-    over a copy, so its .grad still reads the seed sum afterwards.
+    lstm_op), with its bits as computed, so a zero there may be -0.0
+    where adding it into zeros gives +0.0. backward() hands each pullback
+    its node's gradient to own, and it may overwrite it; the output
+    backward() started from hands over a copy, so its .grad still reads
+    the seed sum afterwards.
     """
 
     __slots__ = ("data", "_grad", "_parents", "_backward")
@@ -195,7 +198,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(-1, w.data.shape[1])
         g_x = (g2 @ w.data.T).reshape(x.data.shape)
         if x._grad is None:
-            x.grad = _as_added(g_x)  # a fresh array nothing else reads
+            x.grad = g_x  # a fresh array nothing else reads
         else:
             x.grad += g_x
         w.grad += x2.T @ g2
@@ -279,18 +282,6 @@ def _loop_order(a: np.ndarray, d_n: int, h: int) -> list[np.ndarray]:
     if d_n == 2:
         views.append(a[:, ::-1, h:].transpose(1, 0, 2))
     return views
-
-
-def _as_added(gx: np.ndarray) -> np.ndarray:
-    """gx, in place, as a zero-filled .grad holds it once gx is added in.
-
-    0.0 + v is v, except that -0.0 becomes +0.0. A fused node passes each
-    stage's input gradient through this, so the stage before reads the bits
-    it would read from its output's .grad in a chain of single ops, and
-    affine and lstm_op the input gradient that becomes x's .grad.
-    """
-    gx += 0.0
-    return gx
 
 
 def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
@@ -514,7 +505,7 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             if d > 0:
                 x.grad += x_rev[:, ::-1, :]
             elif x._grad is None:
-                x.grad = _as_added(g_x)  # a fresh array nothing else reads
+                x.grad = g_x  # a fresh array nothing else reads
             else:
                 x.grad += g_x
 
@@ -561,21 +552,17 @@ def _conv_pullback(g, xp, w: Tensor, b: Tensor, x_shape: tuple | None = None):
     return gxp[:, left : left + t_len, :]
 
 
-def conv1d_op(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-length 1-D convolution over (batch, time, c_in).
 
     w is (c_out, c_in, k); zero padding puts floor((k-1)/2) frames on the
-    left and the remainder on the right. A plain array x is a constant,
-    such as a data batch: the pullback then builds no input gradient, and
-    the node's parents are w and b alone.
+    left and the remainder on the right. The pullback adds into x's
+    gradient too; conv_block_op is the conv over a constant input.
     """
-    x_data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    out, xp = _conv_forward(x_data, w.data, b.data)
-    if not isinstance(x, Tensor):
-        return Tensor(out, (w, b), lambda g: _conv_pullback(g, xp, w, b))
+    out, xp = _conv_forward(x.data, w.data, b.data)
 
     def back(g):
-        x.grad += _conv_pullback(g, xp, w, b, x_data.shape)
+        x.grad += _conv_pullback(g, xp, w, b, x.data.shape)
 
     return Tensor(out, (x, w, b), back)
 
@@ -678,23 +665,23 @@ def _bn_pullback(g: np.ndarray, saved, gamma: Tensor, beta: Tensor, train: bool)
     return dxhat
 
 
-def batchnorm_op(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    centered: np.ndarray,
-    var: np.ndarray,
-    eps: float,
-    train: bool,
-) -> Tensor:
+# the norm argument of batchnorm_op and conv_block_op: gamma, beta, stats,
+# eps and train
+BlockNorm = tuple[Tensor, Tensor, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], float, bool]
+
+
+def batchnorm_op(x: Tensor, norm: BlockNorm) -> Tensor:
     """gamma * (x - mu) / sqrt(var + eps) + beta, per channel (the last axis).
 
-    centered is x - mu, an array the op owns: it scales it in place into
-    the normalized input. train=True means mu and var are the statistics
-    of x over every leading axis, so the pullback into x also goes through
-    them; else they are fixed.
+    norm is (gamma, beta, stats, eps, train), as conv_block_op takes it.
+    stats maps x's array to (x - mu, var), as BatchNorm1d.statistics does;
+    the op owns x - mu and scales it in place into the normalized input.
+    train means mu and var are the statistics of x over every leading
+    axis, so the pullback into x also goes through them; else they are
+    fixed.
     """
-    out, saved = _bn_forward(centered, var, eps, gamma.data, beta.data)
+    gamma, beta, stats, eps, train = norm
+    out, saved = _bn_forward(*stats(x.data), eps, gamma.data, beta.data)
 
     def back(g):
         x.grad += _bn_pullback(g, saved, gamma, beta, train)
@@ -735,10 +722,6 @@ def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return Tensor(out, (x,), back)
 
 
-# batchnorm's part of conv_block_op: gamma, beta, stats, eps and train
-BlockNorm = tuple[Tensor, Tensor, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], float, bool]
-
-
 def conv_block_op(
     x: np.ndarray,
     w: Tensor,
@@ -752,12 +735,11 @@ def conv_block_op(
     constant x, such as a data batch, as one tape node.
 
     Each stage runs its op's own array forward and pullback, so the output
-    and every gradient are bit for bit those of the chain of single ops.
-    norm is None for no batchnorm, or (gamma, beta, stats, eps, train):
-    stats maps the pooled array to (pooled - mu, var), as
-    BatchNorm1d.statistics does, and train means mu and var are the
-    batch's. rate is dropout's, and 0 runs none, as in eval mode; else rng
-    draws the mask.
+    and every parameter gradient are bit for bit those of the chain of
+    single ops; the stages hand each other their gradients as computed.
+    norm is None for no batchnorm, or batchnorm_op's norm argument, whose
+    stats gets the pooled array. rate is dropout's, and 0 runs none, as in
+    eval mode; else rng draws the mask.
 
     The tape keeps conv's zero-padded input, pool's per-offset masks,
     batchnorm's xhat and dropout's boolean mask, besides the output. The
@@ -781,9 +763,9 @@ def conv_block_op(
 
     def back(g):
         if keep is not None:
-            g = _as_added(_dropout_pullback(g, keep, rate))
+            g = _dropout_pullback(g, keep, rate)
         if norm is not None:
-            g = _as_added(_bn_pullback(g, bn_saved, gamma, beta, train))
-        _conv_pullback(_as_added(_pool_pullback(g, takes, conv_shape)), xp, w, b)
+            g = _bn_pullback(g, bn_saved, gamma, beta, train)
+        _conv_pullback(_pool_pullback(g, takes, conv_shape), xp, w, b)
 
     return Tensor(out, params, back)

@@ -907,6 +907,23 @@ class TestEvaluate:
         assert (code, out) == (1, "")
         assert err == f"error: reference file {refs} line 2 is blank\n"
 
+    @pytest.mark.parametrize(
+        "refs_text, hyps_text, where",
+        [("12\n22\n", "1y2\n2\n", "hypothesis file {hyps} line 1: symbol 'y'"),
+         ("12\n1+x\n", "12\n1+1\n", "reference file {refs} line 2: symbol 'x'")],
+        ids=["inserted", "matched"],
+    )
+    def test_symbol_outside_the_alphabet_is_named(self, tmp_path, capsys, refs_text, hyps_text, where):
+        # an inserted symbol is aligned to no reference symbol, but is checked too
+        refs = tmp_path / "refs.txt"
+        hyps = tmp_path / "hyps.txt"
+        refs.write_text(refs_text, encoding="utf-8")
+        hyps.write_text(hyps_text, encoding="utf-8")
+        args = ["evaluate", "--refs", str(refs), "--hyps", str(hyps), "--alphabet", "equations"]
+        code, out, err = run(capsys, args)
+        assert (code, out) == (1, "")
+        assert err == f"error: {where.format(refs=refs, hyps=hyps)} is not in the alphabet\n"
+
     def test_line_count_mismatch_fails(self, tmp_path, capsys):
         refs = tmp_path / "refs.txt"
         hyps = tmp_path / "hyps.txt"

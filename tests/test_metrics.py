@@ -120,6 +120,9 @@ class TestRates:
     def test_crr(self):
         assert crr(["a", "b", "c", "d"], ["a", "b", "c", "x"]) == 0.75
         assert crr(["a"] * 10, ["a"] * 10) == 1.0
+        # any other hypothesis, a longer or the empty one, is a miss
+        assert crr(["a", "b"], ["a", "bc"]) == 0.5
+        assert crr(["a"], [""]) == 0.0
 
     def test_crr_rejects_multichar(self):
         with pytest.raises(ValueError):
