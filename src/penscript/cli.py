@@ -27,6 +27,7 @@ from penscript.dataio import (
     label_entries,
     make_splits,
     parse_recording,
+    replacing,
     write_recording,
 )
 from penscript.jsonconfig import check_object, parse
@@ -267,20 +268,22 @@ def cmd_train(args) -> int:
     )
 
     out = _out_dir(args)
-    with open(out / "history.jsonl", "w", encoding="utf-8") as f:
+    # the history takes its file's place only after the checkpoint has
+    # taken its own, so a failed write leaves both files as they were
+    with replacing(out / "history.jsonl", "w", encoding="utf-8") as f:
         for record in history:
             f.write(json.dumps(record) + "\n")
-    save_checkpoint(
-        str(out / "model.ckpt"),
-        model,
-        extra={
-            "train": train_cfg.to_dict(),
-            "loss": args.loss,
-            "loss_params": loss_params.to_dict(),
-            "alphabet": list(alphabet.symbols),
-            "epochs_completed": header.get("epochs_completed", 0) + train_cfg.epochs,
-        },
-    )
+        save_checkpoint(
+            str(out / "model.ckpt"),
+            model,
+            extra={
+                "train": train_cfg.to_dict(),
+                "loss": args.loss,
+                "loss_params": loss_params.to_dict(),
+                "alphabet": list(alphabet.symbols),
+                "epochs_completed": header.get("epochs_completed", 0) + train_cfg.epochs,
+            },
+        )
     final = history[-1] if history else {}
     _emit({"epochs": len(history), "final": final, "checkpoint": str(out / "model.ckpt")})
     return 0

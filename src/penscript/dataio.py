@@ -21,8 +21,11 @@ the force channel is last and must be non-negative.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Annotated, Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import IO, Annotated, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -366,6 +369,28 @@ def write_recording(
         )
         offset += s.num_timesteps
     return "\n".join(data_lines) + "\n", "\n".join(label_lines) + "\n"
+
+
+@contextmanager
+def replacing(path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """open(path, mode) for a write that replaces path whole or not at all.
+
+    The block writes a new file beside path, which takes path's place by
+    os.replace (atomic on POSIX) once the block ends without error; on any
+    exception, the write's or the block's, the new file is removed and
+    path keeps its old bytes. The new file is created as open() creates
+    one, so it gets open()'s permission bits under the umask.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    f = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _FOLD_KINDS = {"train": tuple[int, ...], "val": tuple[int, ...]}

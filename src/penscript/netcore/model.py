@@ -17,7 +17,7 @@ from typing import Annotated
 
 import numpy as np
 
-from penscript.dataio import Alphabet, Sample
+from penscript.dataio import Alphabet, Sample, replacing
 from penscript.jsonconfig import JsonConfig, check_object, parse
 from penscript.netcore import tensor as T
 from penscript.netcore.layers import BatchNorm1d, BiLSTM, Conv1d, Dense, Dropout, LSTM, MaxPool1d
@@ -159,6 +159,8 @@ def save_checkpoint(
     The blob holds each array of _blob_arrays (the parameters, then the
     batchnorm running stats) in that order, C-ordered, as BLOB_DTYPE
     values; the header's "arrays" is their _manifest, in the same order.
+    The file replaces path whole or not at all (dataio.replacing), so a
+    failed save leaves an earlier checkpoint there as it was.
     """
     arrays = _blob_arrays(model)
     header = {
@@ -170,7 +172,7 @@ def save_checkpoint(
     if extra:
         header.update(extra)
     blob = b"".join(np.ascontiguousarray(a, dtype=BLOB_DTYPE).tobytes() for _, a in arrays)
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8"))
         f.write(b"\n")
         f.write(blob)

@@ -57,18 +57,22 @@ conv1d_op, maxpool1d_op, batchnorm_op and dropout_op each wrap one of the
 array forward and pullback pairs the block chains, so the block computes
 their chain's output and parameter gradients bit for bit.
 
-A BiLSTM call (lstm_op with two directions) runs each direction's array
-work outside the time loops on its own core: the input projection, the
-backward prelude and the gradient products each start one fresh helper
-thread for the second direction and join it before going on. numpy
-releases the GIL in that work, so the halves overlap. Every array a half
-writes is allocated on the calling thread before the split, and the
-helper only writes into it: a fresh thread allocates from its own malloc
-arena, which the process keeps after the thread ends. There is no
-setting, and the results are byte-identical to running the halves one
-after the other: each half computes the same arrays, the fused time
-loops stay on the calling thread, and every gradient is added there,
-after the join, in direction order.
+A BiLSTM call (lstm_op with two directions) splits each direction's
+array work outside the time loops, the input projection, the backward
+prelude and the gradient products, into two halves. From _SPLIT_ROWS
+(12,000) rows per direction (batch * time) on, each split starts one
+fresh helper thread for the second half and joins it before going on;
+numpy releases the GIL in that work, so the halves overlap on two
+cores. Below that the halves run one after the other on the calling
+thread: a split measured no faster there, and its cost is the working
+memory of a second concurrent BLAS call (about 8 MiB RSS on a batch-10
+training step). The rule reads the rows alone. Every array a half writes is
+allocated on the calling thread before the split, and the helper only
+writes into it: a fresh thread allocates from its own malloc arena,
+which the process keeps after the thread ends. There is no setting, and
+both paths give the same bits: each half computes the same arrays, the
+fused time loops stay on the calling thread, and every gradient is
+added there, after the join, in direction order.
 """
 
 from __future__ import annotations
@@ -82,6 +86,10 @@ import numpy as np
 _taping = True
 # frames per chunk of lstm_op's pullback scratch
 _CHUNK = 64
+# rows per direction (batch * time) from which a BiLSTM call runs its
+# direction halves on two threads; at the paper's target_len 800 (400
+# frames after pooling) batch 30 is the first to reach it
+_SPLIT_ROWS = 12_000
 
 
 @contextmanager
@@ -242,19 +250,22 @@ def log_softmax_op(x: Tensor) -> Tensor:
     return Tensor(logp, (x,), back)
 
 
-def _per_direction(fn: Callable[[int], object], d_n: int) -> list:
-    """[fn(0), .., fn(d_n - 1)] for one or two directions. With two, fn(1)
-    runs on a fresh thread while this one runs fn(0); the thread is joined
-    before this returns or raises, so an exception in either half is raised
-    only once both have finished (fn(0)'s first).
+def _per_direction(fn: Callable[[int], object], d_n: int, threaded: bool) -> list:
+    """[fn(0), .., fn(d_n - 1)] for one or two directions. Unless threaded,
+    they run in turn on this thread. With two and threaded, fn(1) runs on a
+    fresh thread while this one runs fn(0); the thread is joined before
+    this returns or raises, so an exception in either half is raised only
+    once both have finished (fn(0)'s first). The two paths compute the
+    same bits; the thread costs the memory of a second concurrent BLAS
+    call, so lstm_op asks for it only from _SPLIT_ROWS rows per direction.
 
     fn must only compute: the thread builds no Tensor (no_tape() is
     process-wide) and adds into no .grad. It should also write only into
     arrays allocated before the call, through out= or assignment, since
     the thread's own allocations come from a malloc arena of its own.
     """
-    if d_n == 1:
-        return [fn(0)]
+    if d_n == 1 or not threaded:
+        return [fn(d) for d in range(d_n)]
     results = [None, None]
     failed: list[BaseException] = []
 
@@ -330,10 +341,14 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     direction's columns, where the wh product reads them.
 
     With D = 2 the work outside the time loops (the input projection, the
-    backward prelude and the gradient products) runs one direction per
-    thread through _per_direction, writing only into arrays allocated
-    before the split; the gradients are added after the join, direction
-    0's wh, wx, b and x, then direction 1's.
+    backward prelude and the gradient products) runs through
+    _per_direction, one direction per half, writing only into arrays
+    allocated before the split. The call decides once, from its rows per
+    direction (batch * time) alone, whether the halves run on two threads
+    (from _SPLIT_ROWS rows) or in turn on this one, where a second
+    concurrent BLAS call would cost memory and buy no time. Either way the
+    gradients are added on this thread afterwards, direction 0's wh, wx,
+    b and x, then direction 1's, so both paths give the same bits.
     """
     d_n = len(cells)
     if d_n not in (1, 2):
@@ -341,6 +356,7 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     bsz, t_len, c_in = x.data.shape
     h = cells[0][1].data.shape[0]
     wh_s = np.stack([wh.data for _, wh, _ in cells])
+    threaded = bsz * t_len >= _SPLIT_ROWS
 
     def rows(d, x_rev):
         # direction d's input rows, (batch * time, c_in), in its reading order;
@@ -360,7 +376,7 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
         np.matmul(rows(d, x_rev), wx.data, out=xw)
         xw += b.data
 
-    _per_direction(project, d_n)
+    _per_direction(project, d_n, threaded)
     del x_rev
     # hist leads with the zero initial state, so step t reads h_{t-1} from
     # [t] and writes h_t to [t + 1]; c is the one cell state, updated in place
@@ -452,7 +468,7 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
                 np.subtract(1.0, o_c, out=o_c)
                 o_c *= s
 
-        _per_direction(prelude, d_n)
+        _per_direction(prelude, d_n, threaded)
         gs = _loop_order(g, d_n, h)
         wh_t = wh_s.transpose(0, 2, 1)
         dh = np.zeros((d_n, bsz, h))
@@ -496,7 +512,7 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             gx_d = g_x if d == 0 else x_rev
             np.matmul(dz2[d], cells[d][0].data.T, out=gx_d.reshape(-1, c_in))
 
-        _per_direction(products, d_n)
+        _per_direction(products, d_n, threaded)
         # every gradient is added here, after the join, direction by direction
         for d, (wx, wh, b) in enumerate(cells):
             wh.grad += g_wh[d]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from penscript import cli
+from penscript import cli, dataio
 from penscript.cli import main
 from penscript.dataio import Sample, equations_alphabet, parse_recording, write_recording
 from penscript.losses import LossParams
@@ -363,6 +363,52 @@ class TestTrain:
             (tmp_path / "b" / "model.ckpt").read_bytes().split(b"\n", 1)[0]
         )
         assert header["epochs_completed"] == 2
+
+    @pytest.mark.parametrize("failing", ["history.jsonl", "model.ckpt"])
+    def test_failed_write_into_the_resumed_directory_keeps_both_files(
+        self, tmp_path, capsys, rng, monkeypatch, failing
+    ):
+        data, labels = write_dataset(tmp_path, char_samples(rng))
+        base = ["--seed", "3", "train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "2"] + TRAIN_FLAGS
+        out_dir = tmp_path / "a"
+        old_umask = os.umask(0o027)
+        try:
+            run(capsys, base + ["--out", str(out_dir)])
+        finally:
+            os.umask(old_umask)
+        names = ["history.jsonl", "model.ckpt"]
+        before = {n: (out_dir / n).read_bytes() for n in names}
+        for n in names:
+            assert (out_dir / n).stat().st_mode & 0o777 == 0o640
+
+        class FailsOnSecondWrite:
+            # the failing file's first write lands, its second raises
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                if self.writes:
+                    raise OSError(28, "No space left on device")
+                self.writes += 1
+                return self.f.write(data)
+
+        def failing_open(path, *args, **kwargs):
+            f = open(path, *args, **kwargs)
+            return FailsOnSecondWrite(f) if failing in Path(path).name else f
+
+        monkeypatch.setattr(dataio, "open", failing_open, raising=False)
+        code, out, err = run(capsys, base + ["--resume", str(out_dir / "model.ckpt"), "--out", str(out_dir)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        assert {n: (out_dir / n).read_bytes() for n in names} == before
 
     def test_failed_loss_names_epoch_batch_and_rows(self, tmp_path, capsys, rng):
         data, labels = write_dataset(tmp_path, char_samples(rng))

@@ -721,16 +721,87 @@ class TestLSTMOracle:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Every BiLSTM call, however few its rows, runs its halves on two threads."""
+    monkeypatch.setattr(T, "_SPLIT_ROWS", 1)
+
+
+def counted_thread_starts(monkeypatch):
+    """A list that grows by one name per threading.Thread started from here on."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
 class TestDirectionSplit:
-    """lstm_op's two directions share out their array work over two threads."""
+    """lstm_op's two directions share out their array work over two threads
+    from T._SPLIT_ROWS rows per direction on, and run in turn below it."""
 
     def test_results_in_direction_order(self):
         def where(d):
             return d, threading.current_thread().name
 
         here = threading.current_thread().name
-        assert T._per_direction(where, 2) == [(0, here), (1, "lstm_op direction 1")]
-        assert T._per_direction(where, 1) == [(0, here)]
+        assert T._per_direction(where, 2, True) == [(0, here), (1, "lstm_op direction 1")]
+        assert T._per_direction(where, 2, False) == [(0, here), (1, here)]
+        assert T._per_direction(where, 1, True) == [(0, here)]
+
+    @pytest.mark.parametrize("rows_past_rule, threads", [(-1, 0), (0, 3)])
+    def test_threads_start_from_the_row_rule(self, rng, monkeypatch, rows_past_rule, threads):
+        # one forward and backward starts a thread per split (the projection,
+        # the prelude and the gradient products) once batch * time reaches it
+        bsz, t_len = 2, 6
+        monkeypatch.setattr(T, "_SPLIT_ROWS", bsz * t_len - rows_past_rule)
+        layer = BiLSTM(5, 4, rng)
+        started = counted_thread_starts(monkeypatch)
+        out = layer(Tensor(rng.normal(0, 1, (bsz, t_len, 5))))
+        out.backward(np.ones_like(out.data))
+        assert started == ["lstm_op direction 1"] * threads
+
+    def test_paper_batch_1_forward_and_backward_start_no_thread(self, rng, monkeypatch):
+        # decode forwards one recording at a time, which falls below the rule
+        model = RecognitionModel(ModelConfig(num_classes=15), 13, "seq2seq", rng)
+        started = counted_thread_starts(monkeypatch)
+        out = model.forward(rng.normal(0, 1, (1, 800, 13)), "train", rng)
+        out.backward(np.ones_like(out.data))
+        model.forward(rng.normal(0, 1, (1, 800, 13)), "eval", rng)
+        assert started == []
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("bsz", [1, 3])
+    def test_threaded_and_in_turn_runs_match(self, rng, monkeypatch, bsz, layers):
+        stack = [BiLSTM(5, 4, rng)] + [BiLSTM(8, 4, rng) for _ in range(layers - 1)]
+        params = [p for layer in stack for _, p in layer.parameters()]
+        for p in params:
+            if p.data.ndim == 1:
+                p.data[...] = rng.normal(0, 1, p.data.shape)
+        x = rng.normal(0, 1, (bsz, 7, 5))
+        x[0, 0, :] = 1e4  # drives some gates into the sigmoid clip
+        g = rng.normal(0, 1, (bsz, 7, 8))
+
+        def run(split_rows):
+            monkeypatch.setattr(T, "_SPLIT_ROWS", split_rows)
+            for p in params:
+                p.zero_grad()
+            xt = Tensor(x)
+            out = xt
+            for layer in stack:
+                out = layer(out)
+            out.backward(g)
+            return [out.data, xt.grad] + [p.grad.copy() for p in params]
+
+        in_turn = run(bsz * 7 + 1)
+        threaded = run(1)
+        assert len(in_turn) == 2 + 6 * layers
+        for a, b in zip(in_turn, threaded):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_fault_is_raised_after_both_halves_finish(self, failing):
@@ -748,11 +819,11 @@ class TestDirectionSplit:
 
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"half {failing}"):
-            T._per_direction(half, 2)
+            T._per_direction(half, 2, True)
         assert finished == [1 - failing]
         assert threading.active_count() == before
 
-    def test_bilstm_leaves_no_thread_behind(self, rng):
+    def test_bilstm_leaves_no_thread_behind(self, rng, forced_split):
         layer = BiLSTM(5, 4, rng)
         before = threading.active_count()
         x = Tensor(rng.normal(0, 1, (2, 6, 5)))
@@ -1159,19 +1230,23 @@ class TestTapeMemory:
         assert held <= 1.1 * floor
         out.backward(np.ones_like(out.data))
 
-    def test_direction_halves_allocate_nothing(self, rng, monkeypatch):
+    def test_direction_halves_allocate_nothing(self, rng, monkeypatch, forced_split):
         # a helper thread allocates from its own malloc arena, so every array
-        # a half writes is allocated before the split; at batch 2 one
-        # direction's reversed input or input gradient is 1.2 MiB
+        # a half writes is allocated before the split, on either path (the
+        # split's measured cost is a second concurrent BLAS call's working
+        # memory, which tracemalloc does not see); the split is forced, as
+        # batch 2 falls below the row rule, and one direction's reversed
+        # input or input gradient is 1.2 MiB there
         model = RecognitionModel(ModelConfig(num_classes=15), 13, "seq2seq", rng)
         x = rng.normal(0, 1, (2, 800, 13))
         split = T._per_direction
         rises = []
 
-        def traced_split(fn, d_n):
+        def traced_split(fn, d_n, threaded):
+            assert threaded
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            result = split(fn, d_n)
+            result = split(fn, d_n, threaded)
             rises.append(tracemalloc.get_traced_memory()[1] - entry)
             return result
 
