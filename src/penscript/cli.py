@@ -41,7 +41,6 @@ from penscript.netcore.train import TrainConfig, predict, train
 from penscript.preprocess import AugmentConfig, augment, interpolate
 from penscript.seeding import derive_seed
 from penscript.segment import split_equation
-from penscript import fdcheck
 
 
 def _read(path: str) -> str:
@@ -356,6 +355,9 @@ def cmd_decode(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not 0 < args.tolerance < float("inf"):
         raise ValueError(f"--tolerance must be a finite positive number, got {args.tolerance!r}")
+    # imported here, so the commands that never run it do not load its code
+    from penscript import fdcheck
+
     report = fdcheck.run_all(args.seed)
     worst = max(report.values())
     _emit({"max_rel_error": {k: float(v) for k, v in report.items()}, "worst": worst})

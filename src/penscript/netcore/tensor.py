@@ -36,22 +36,24 @@ and keeps only what its pullback reads, besides its output.
 
 An LSTM call (lstm_op) allocates one (D, batch, time, 4H) buffer that
 holds, in turn, the input projection, the gate activations and their
-gradients. Its tape keeps that buffer and nothing else, besides its
-output, and no buffer outlives the call and its pullback. The pullback
-rebuilds the cell states from the gates in the buffer, (time + 1, D,
-batch, H); tanh(c), and then d(c)/d(h), overwrite them. Besides it
-allocates a copy of the forget gates, the time-reversed input, which
-direction 1's input gradient then overwrites, and direction 0's input
-gradient, which becomes the input's gradient when it has none yet; its
-other scratch is a few frames long. It reads the output gradient in
-place and, once BPTT has spent it, writes h_{t-1} over it.
+gradients. Its tape keeps that buffer and nothing else, no copy of the
+weights included, besides its output, and no buffer outlives the call
+and its pullback. The pullback rebuilds the cell states from the gates
+in the buffer, (time + 1, D, batch, H); tanh(c), and then d(c)/d(h),
+overwrite them. Besides it allocates a copy of the forget gates, the
+time-reversed input, which direction 1's input gradient then overwrites,
+and direction 0's input gradient, which becomes the input's gradient
+when it has none yet; its other scratch is a few frames long. It reads
+the output gradient in place and, once BPTT has spent it, writes h_{t-1}
+over it.
 
 A conv block call (conv_block_op) runs conv -> max-pool -> batchnorm ->
 dropout over a constant input such as the data batch. Its tape keeps
 the zero-padded copy of the input that conv builds (the pullback
 rebuilds conv's columns from it), pool's per-offset masks, batchnorm's
 xhat and dropout's boolean mask; each stage's output goes once the next
-stage has read it.
+stage has read it. In the pullback, dropout and batchnorm make their
+input gradients in the gradient they are handed.
 
 conv1d_op, maxpool1d_op, batchnorm_op and dropout_op each wrap one of the
 array forward and pullback pairs the block chains, so the block computes
@@ -324,7 +326,7 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     in place with the pre-activations' gradients, whose (batch * time)
     rows per direction the weight, bias and input gradients read as
     single products. The tape keeps that buffer, besides the output, and
-    nothing else.
+    nothing else: the forward and BPTT each stack the directions' wh.
 
     The pullback first rebuilds the cell states c, (time + 1, D, batch,
     H), from the buffer's gates with the forward's own per-step calls,
@@ -412,7 +414,7 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     out_data = np.empty((bsz, t_len, d_n * h))
     for d, h_d in enumerate(_loop_order(out_data, d_n, h)):
         h_d[...] = hist[1:, d]
-    del hist
+    del hist, wh_s
 
     def back(g):
         nonlocal buf
@@ -470,7 +472,7 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
 
         _per_direction(prelude, d_n, threaded)
         gs = _loop_order(g, d_n, h)
-        wh_t = wh_s.transpose(0, 2, 1)
+        wh_t = np.stack([wh.data for _, wh, _ in cells]).transpose(0, 2, 1)
         dh = np.zeros((d_n, bsz, h))
         dc = np.zeros((d_n, bsz, h))
         tmp = np.empty((d_n, bsz, h))
@@ -656,29 +658,24 @@ def _bn_forward(centered, var, eps: float, gamma: np.ndarray, beta: np.ndarray):
 
 
 def _bn_pullback(g: np.ndarray, saved, gamma: Tensor, beta: Tensor, train: bool) -> np.ndarray:
-    """Adds into gamma.grad and beta.grad; returns the input gradient."""
+    """Adds sum_gx = sum(g * xhat) and sum_g = sum(g), over the n rows of
+    the leading axes, into gamma.grad and beta.grad; makes the input
+    gradient in g: (g - sum_g / n - xhat * (sum_gx / n)) * (gamma * inv) in
+    train mode, where mean and variance depend on x, else g * (gamma * inv)."""
     xhat, inv = saved
     axes = tuple(range(xhat.ndim - 1))
     n = xhat.size // xhat.shape[-1]
-    # two full-size buffers, prod and dxhat, reused through out=
     prod = np.multiply(g, xhat)
-    gamma.grad += prod.sum(axis=axes)
-    beta.grad += g.sum(axis=axes)
-    dxhat = np.multiply(g, gamma.data)
+    sum_gx = prod.sum(axis=axes)
+    sum_g = g.sum(axis=axes)
+    gamma.grad += sum_gx
+    beta.grad += sum_g
     if train:
-        # mean and variance depend on x, so subtract their pullbacks:
-        # inv / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
-        np.multiply(dxhat, xhat, out=prod)
-        by_xhat = prod.sum(axis=axes)
-        by_one = dxhat.sum(axis=axes)
-        np.multiply(xhat, by_xhat, out=prod)
-        np.multiply(n, dxhat, out=dxhat)
-        dxhat -= by_one
-        dxhat -= prod
-        np.multiply(inv / n, dxhat, out=dxhat)
-    else:
-        dxhat *= inv
-    return dxhat
+        np.multiply(xhat, sum_gx / n, out=prod)
+        g -= sum_g / n
+        g -= prod
+    g *= gamma.data * inv
+    return g
 
 
 # the norm argument of batchnorm_op and conv_block_op: gamma, beta, stats,
@@ -721,9 +718,10 @@ def _dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, out=N
 
 
 def _dropout_pullback(g: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
-    gx = np.multiply(g, keep)
-    gx *= 1.0 / (1.0 - rate)
-    return gx
+    """The input gradient, made in g itself with the forward's two multiplies."""
+    np.multiply(g, keep, out=g)
+    g *= 1.0 / (1.0 - rate)
+    return g
 
 
 def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -312,19 +312,11 @@ def _batchnorm_node(x, gamma, beta, eps):
     xhat = centered * inv
 
     def back(g):
-        prod = np.multiply(g, xhat)
-        gamma.grad += prod.sum(axis=axes)
-        beta.grad += g.sum(axis=axes)
-        dxhat = np.multiply(g, gamma.data)
-        np.multiply(dxhat, xhat, out=prod)
-        by_xhat = prod.sum(axis=axes)
-        by_one = dxhat.sum(axis=axes)
-        np.multiply(xhat, by_xhat, out=prod)
-        np.multiply(n, dxhat, out=dxhat)
-        dxhat -= by_one
-        dxhat -= prod
-        np.multiply(inv / n, dxhat, out=dxhat)
-        x.grad += dxhat
+        sum_gx = (g * xhat).sum(axis=axes)
+        sum_g = g.sum(axis=axes)
+        gamma.grad += sum_gx
+        beta.grad += sum_g
+        x.grad += (g - sum_g / n - xhat * (sum_gx / n)) * (gamma.data * inv)
 
     out = gamma.data * xhat
     out += beta.data

@@ -1295,11 +1295,20 @@ class TestGradcheck:
         def no_checks(seed):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(cli.fdcheck, "run_all", no_checks)
+        monkeypatch.setattr("penscript.fdcheck.run_all", no_checks)
         code, out, err = run(capsys, ["gradcheck", "--tolerance", tolerance])
         assert code == 1
         assert out == ""
         assert err == f"error: --tolerance must be a finite positive number, got {float(tolerance)!r}\n"
+
+    def test_only_gradcheck_loads_the_checks(self):
+        # a fresh interpreter: this suite's own process has imported it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, penscript.cli; print('penscript.fdcheck' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False\n"
 
 
 class TestEmptyLabels:
