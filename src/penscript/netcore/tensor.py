@@ -1,22 +1,26 @@
 """Reverse-mode autodiff on numpy arrays, just enough for the models here.
 
-Every op defines a closure that pushes the output gradient, passed in as
-its argument, into the parents, and then returns Tensor(value, parents,
-closure). The constructor takes the pullback, so a closure cannot see its
-own output, which does not exist yet: a tape holds no reference cycle and
-is freed as soon as its last reference goes. backward() runs the closures
+Every op defines a closure that maps the output gradient, passed in as
+its argument, to its parents' gradients, and then returns Tensor(value,
+parents, closure). The constructor takes the pullback, so a closure
+cannot see its own output, which does not exist yet: a tape holds no
+reference cycle and is freed as soon as its last reference goes. backward() runs the closures
 in reverse topological order from a caller-supplied seed gradient.
 Everything is float64; batches lead the shape.
 
-A gradient is made on demand: the first read of .grad fills it with a
-fresh zero array, so a tensor whose gradient nobody reads never holds
-one, and no two tensors share one. A pullback may instead hand a fresh
-array that nothing else reads to a tensor with no gradient yet: that
-first contribution becomes the gradient (affine's and lstm_op's input
-gradients). A pullback owns the gradient it is handed and may overwrite
-it, since backward() drops that array once the pullback has run; the
-output backward() started from hands its pullback a copy, so its .grad
-still reads the seed sum.
+A pullback returns one gradient per entry of its node's parents, in that
+order, each an array it owns: a fresh one, the gradient it was handed,
+or a view of that gradient; no two of them overlap, and none overlaps
+any tensor's data. backward() alone adds gradients up, and a node's
+contributions reach its parents only after its pullback returns: a
+parent with no gradient yet adopts its share as it is, with its bits as
+computed, -0.0 included, and one that has a gradient adds its share in
+with +=. Otherwise a gradient is made on demand: the first read of .grad
+fills it with a fresh zero array, so a tensor whose gradient nobody
+reads never holds one, and no two tensors share one. A pullback owns the
+gradient it is handed and may overwrite it, since backward() drops that
+array once the pullback has run; the output backward() started from
+hands its pullback a copy, so its .grad still reads the seed sum.
 backward() frees the graph as it walks it: once a node's pullback has
 run, the node gives up the pullback (with the activations it kept) and
 its parents, and every node but the output backward() started from
@@ -42,10 +46,10 @@ and its pullback. The pullback rebuilds the cell states from the gates
 in the buffer, (time + 1, D, batch, H); tanh(c), and then d(c)/d(h),
 overwrite them. Besides it allocates a copy of the forget gates, the
 time-reversed input, which direction 1's input gradient then overwrites,
-and direction 0's input gradient, which becomes the input's gradient
-when it has none yet; its other scratch is a few frames long. It reads
-the output gradient in place and, once BPTT has spent it, writes h_{t-1}
-over it.
+and direction 0's input gradient, to which direction 1's is added and
+which it returns as the input's; its other scratch is a few frames
+long. It reads the output gradient in place and, once BPTT has spent
+it, writes h_{t-1} over it.
 
 A conv block call (conv_block_op) runs conv -> max-pool -> batchnorm ->
 dropout over a constant input such as the data batch. Its tape keeps
@@ -72,9 +76,9 @@ training step). The rule reads the rows alone. Every array a half writes is
 allocated on the calling thread before the split, and the helper only
 writes into it: a fresh thread allocates from its own malloc arena,
 which the process keeps after the thread ends. There is no setting, and
-both paths give the same bits: each half computes the same arrays, the
-fused time loops stay on the calling thread, and every gradient is
-added there, after the join, in direction order.
+both paths give the same bits: each half computes the same arrays, and
+the fused time loops, and the sum of the two directions' input
+gradients, stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -119,11 +123,12 @@ class Tensor:
     """An array, the tensors it was computed from and its pullback.
 
     .grad is d(loss)/d(self), summed over every path backward() takes.
-    Reading it before anything was added gives zeros; a pullback's first
-    contribution may also become the gradient array itself (affine,
-    lstm_op), with its bits as computed, so a zero there may be -0.0
-    where adding it into zeros gives +0.0. backward() hands each pullback
-    its node's gradient to own, and it may overwrite it; the output
+    Reading it before anything was added gives zeros. Once a child's
+    pullback has returned, backward() gives self the child's share: with
+    no gradient yet, self adopts that array, with its bits as computed,
+    so a zero there may be -0.0 where adding it into zeros gives +0.0;
+    else it adds the share in with +=. backward() hands each pullback its
+    node's gradient to own, and it may overwrite it; the output
     backward() started from hands over a copy, so its .grad still reads
     the seed sum afterwards.
     """
@@ -161,7 +166,8 @@ class Tensor:
         """Propagate d(loss)/d(self) = seed back through the graph, freeing it.
 
         Each node's pullback, parents and (but for self's) gradient go once
-        the pullback has run; leaves keep their gradients.
+        the pullback has run and its parents have their shares; leaves keep
+        their gradients.
         """
         seed = np.asarray(seed, dtype=np.float64)
         if seed.shape != self.data.shape:
@@ -191,7 +197,13 @@ class Tensor:
             if node._backward is None:
                 continue
             # a pullback owns its gradient; the output's own stays readable
-            node._backward(node.grad.copy() if node is self else node.grad)
+            grads = node._backward(node.grad.copy() if node is self else node.grad)
+            for p, g in zip(node._parents, grads, strict=True):
+                if p._grad is None:
+                    p._grad = g
+                else:
+                    p._grad += g
+            del grads  # the shares added in go before the next pullback runs
             node._backward = _spent
             node._parents = ()
             if node is not self:
@@ -206,27 +218,21 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         g2 = g.reshape(-1, w.data.shape[1])
-        g_x = (g2 @ w.data.T).reshape(x.data.shape)
-        if x._grad is None:
-            x.grad = g_x  # a fresh array nothing else reads
-        else:
-            x.grad += g_x
-        w.grad += x2.T @ g2
-        b.grad += g2.sum(axis=0)
+        return (g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2, g2.sum(axis=0)
 
     return Tensor((x2 @ w.data + b.data).reshape(*lead, w.data.shape[1]), (x, w, b), back)
 
 
 def relu(x: Tensor) -> Tensor:
     def back(g):
-        x.grad += g * (x.data > 0)
+        return (g * (x.data > 0),)
 
     return Tensor(np.maximum(x.data, 0.0), (x,), back)
 
 
 def reverse_time(x: Tensor) -> Tensor:
     def back(g):
-        x.grad += g[:, ::-1, :]
+        return (g[:, ::-1, :],)
 
     return Tensor(x.data[:, ::-1, :].copy(), (x,), back)
 
@@ -236,7 +242,7 @@ def mean_time(x: Tensor) -> Tensor:
     n = x.data.shape[1]
 
     def back(g):
-        x.grad += g[:, None, :] / n
+        return (np.repeat(g[:, None, :] / n, n, axis=1),)
 
     return Tensor(x.data.mean(axis=1), (x,), back)
 
@@ -247,7 +253,7 @@ def log_softmax_op(x: Tensor) -> Tensor:
 
     def back(g):
         p = np.exp(logp)
-        x.grad += g - p * g.sum(axis=-1, keepdims=True)
+        return (g - p * g.sum(axis=-1, keepdims=True),)
 
     return Tensor(logp, (x,), back)
 
@@ -262,9 +268,9 @@ def _per_direction(fn: Callable[[int], object], d_n: int, threaded: bool) -> lis
     call, so lstm_op asks for it only from _SPLIT_ROWS rows per direction.
 
     fn must only compute: the thread builds no Tensor (no_tape() is
-    process-wide) and adds into no .grad. It should also write only into
-    arrays allocated before the call, through out= or assignment, since
-    the thread's own allocations come from a malloc arena of its own.
+    process-wide). It should also write only into arrays allocated before
+    the call, through out= or assignment, since the thread's own
+    allocations come from a malloc arena of its own.
     """
     if d_n == 1 or not threaded:
         return [fn(d) for d in range(d_n)]
@@ -335,9 +341,9 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     it allocates a copy of the forget gates, which BPTT reads after their
     gradients have replaced them, the time-reversed input, which
     direction 1's input gradient then overwrites, and direction 0's input
-    gradient, which becomes x's gradient when x has none yet. The
-    elementwise temporaries (i * g, 1 - f and the prelude's) share one
-    scratch of _CHUNK frames. The output gradient, which the pullback
+    gradient, to which direction 1's is added and which the pullback
+    returns as x's. The elementwise temporaries (i * g, 1 - f and the
+    prelude's) share one scratch of _CHUNK frames. The output gradient, which the pullback
     owns, is read in place by BPTT; then its (batch * time, D * H) rows
     take each direction's h_{t-1}, from the op's output, in that
     direction's columns, where the wh product reads them.
@@ -349,8 +355,8 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
     direction (batch * time) alone, whether the halves run on two threads
     (from _SPLIT_ROWS rows) or in turn on this one, where a second
     concurrent BLAS call would cost memory and buy no time. Either way the
-    gradients are added on this thread afterwards, direction 0's wh, wx,
-    b and x, then direction 1's, so both paths give the same bits.
+    two input gradients are added on this thread afterwards, so both paths
+    give the same bits.
     """
     d_n = len(cells)
     if d_n not in (1, 2):
@@ -515,17 +521,9 @@ def lstm_op(x: Tensor, cells: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor
             np.matmul(dz2[d], cells[d][0].data.T, out=gx_d.reshape(-1, c_in))
 
         _per_direction(products, d_n, threaded)
-        # every gradient is added here, after the join, direction by direction
-        for d, (wx, wh, b) in enumerate(cells):
-            wh.grad += g_wh[d]
-            wx.grad += g_wx[d]
-            b.grad += g_b[d]
-            if d > 0:
-                x.grad += x_rev[:, ::-1, :]
-            elif x._grad is None:
-                x.grad = g_x  # a fresh array nothing else reads
-            else:
-                x.grad += g_x
+        if d_n == 2:
+            g_x += x_rev[:, ::-1, :]  # after the join
+        return (g_x,) + tuple(a[d] for d in range(d_n) for a in (g_wx, g_wh, g_b))
 
     params = tuple(p for cell in cells for p in cell)
     return Tensor(out_data, (x,) + params, back)
@@ -551,36 +549,35 @@ def _columns(xp: np.ndarray, k: int) -> np.ndarray:
     return windows.reshape(bsz * (padded - k + 1), c_in * k)
 
 
-def _conv_pullback(g, xp, w: Tensor, b: Tensor, x_shape: tuple | None = None):
-    """Adds into w.grad and b.grad, reading the columns rebuilt from the
-    padded input xp; returns the gradient into an input of x_shape, or
-    None when there is none (a constant input)."""
-    c_out, c_in, k = w.data.shape
+def _conv_pullback(g, xp, w: np.ndarray, x_shape: tuple | None = None) -> tuple:
+    """The gradients of w and b, reading the columns rebuilt from the padded
+    input xp, led by that of an input of x_shape unless x_shape is None (a
+    constant input)."""
+    c_out, c_in, k = w.shape
     g2 = g.reshape(-1, c_out)
-    w.grad += (g2.T @ _columns(xp, k)).reshape(c_out, c_in, k)
-    b.grad += g2.sum(axis=0)
+    grads = ((g2.T @ _columns(xp, k)).reshape(c_out, c_in, k), g2.sum(axis=0))
     if x_shape is None:
-        return None
+        return grads
     bsz, t_len, _ = x_shape
     left = (k - 1) // 2
-    gcols = (g2 @ w.data.reshape(c_out, c_in * k)).reshape(bsz, t_len, c_in, k)
+    gcols = (g2 @ w.reshape(c_out, c_in * k)).reshape(bsz, t_len, c_in, k)
     gxp = np.zeros((bsz, t_len + k - 1, c_in))
     for i in range(k):
         gxp[:, i : i + t_len, :] += gcols[:, :, :, i]
-    return gxp[:, left : left + t_len, :]
+    return (gxp[:, left : left + t_len, :],) + grads
 
 
 def conv1d_op(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-length 1-D convolution over (batch, time, c_in).
 
     w is (c_out, c_in, k); zero padding puts floor((k-1)/2) frames on the
-    left and the remainder on the right. The pullback adds into x's
+    left and the remainder on the right. The pullback returns x's
     gradient too; conv_block_op is the conv over a constant input.
     """
     out, xp = _conv_forward(x.data, w.data, b.data)
 
     def back(g):
-        x.grad += _conv_pullback(g, xp, w, b, x.data.shape)
+        return _conv_pullback(g, xp, w.data, x.data.shape)
 
     return Tensor(out, (x, w, b), back)
 
@@ -641,7 +638,7 @@ def maxpool1d_op(x: Tensor, pool: int) -> Tensor:
     out, takes = _pool_forward(x.data, pool)
 
     def back(g):
-        x.grad += _pool_pullback(g, takes, x.data.shape)
+        return (_pool_pullback(g, takes, x.data.shape),)
 
     return Tensor(out, (x,), back)
 
@@ -657,25 +654,24 @@ def _bn_forward(centered, var, eps: float, gamma: np.ndarray, beta: np.ndarray):
     return out, (xhat, inv)
 
 
-def _bn_pullback(g: np.ndarray, saved, gamma: Tensor, beta: Tensor, train: bool) -> np.ndarray:
-    """Adds sum_gx = sum(g * xhat) and sum_g = sum(g), over the n rows of
-    the leading axes, into gamma.grad and beta.grad; makes the input
-    gradient in g: (g - sum_g / n - xhat * (sum_gx / n)) * (gamma * inv) in
-    train mode, where mean and variance depend on x, else g * (gamma * inv)."""
+def _bn_pullback(g: np.ndarray, saved, gamma: np.ndarray, train: bool) -> tuple:
+    """The gradients of the input, gamma and beta: sum_gx = sum(g * xhat)
+    and sum_g = sum(g) over the n rows of the leading axes are gamma's and
+    beta's, and the input's is made in g: (g - sum_g / n - xhat * (sum_gx /
+    n)) * (gamma * inv) in train mode, where mean and variance depend on x,
+    else g * (gamma * inv)."""
     xhat, inv = saved
     axes = tuple(range(xhat.ndim - 1))
     n = xhat.size // xhat.shape[-1]
     prod = np.multiply(g, xhat)
     sum_gx = prod.sum(axis=axes)
     sum_g = g.sum(axis=axes)
-    gamma.grad += sum_gx
-    beta.grad += sum_g
     if train:
         np.multiply(xhat, sum_gx / n, out=prod)
         g -= sum_g / n
         g -= prod
-    g *= gamma.data * inv
-    return g
+    g *= gamma * inv
+    return g, sum_gx, sum_g
 
 
 # the norm argument of batchnorm_op and conv_block_op: gamma, beta, stats,
@@ -697,7 +693,7 @@ def batchnorm_op(x: Tensor, norm: BlockNorm) -> Tensor:
     out, saved = _bn_forward(*stats(x.data), eps, gamma.data, beta.data)
 
     def back(g):
-        x.grad += _bn_pullback(g, saved, gamma, beta, train)
+        return _bn_pullback(g, saved, gamma.data, train)
 
     return Tensor(out, (x, gamma, beta), back)
 
@@ -731,7 +727,7 @@ def dropout_op(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     out, keep = _dropout_forward(x.data, rate, rng)
 
     def back(g):
-        x.grad += _dropout_pullback(g, keep, rate)
+        return (_dropout_pullback(g, keep, rate),)
 
     return Tensor(out, (x,), back)
 
@@ -778,8 +774,9 @@ def conv_block_op(
     def back(g):
         if keep is not None:
             g = _dropout_pullback(g, keep, rate)
+        norm_grads = ()
         if norm is not None:
-            g = _bn_pullback(g, bn_saved, gamma, beta, train)
-        _conv_pullback(_pool_pullback(g, takes, conv_shape), xp, w, b)
+            g, *norm_grads = _bn_pullback(g, bn_saved, gamma.data, train)
+        return (*_conv_pullback(_pool_pullback(g, takes, conv_shape), xp, w.data), *norm_grads)
 
     return Tensor(out, params, back)

@@ -125,7 +125,8 @@ def train(
     statistic or dropout draw, and each epoch record counts it as skipped.
     With no sample left, no step is taken and train_loss is NaN. A loss
     that fails, say on a NaN model output, raises its ValueError prefixed
-    with the epoch, the batch and the batch's dataset indices. Pass a
+    with the epoch, the batch and the batch's dataset indices, and a failed
+    validation output with the epoch and the sample's dataset index. Pass a
     model to continue training it: its task, its input channel count and
     each model_cfg field, in that order, must be this run's, or a
     ValueError names the first key that differs and both values.
@@ -222,7 +223,10 @@ def train(
             "skipped": skipped,
         }
         if len(val_idx):
-            record.update(_evaluate_split(model, x_val, y_val, val_idx, train_cfg.batch_size))
+            try:
+                record.update(_evaluate_split(model, x_val, y_val, val_idx, train_cfg.batch_size))
+            except ValueError as exc:
+                raise ValueError(f"epoch {epoch}, {exc}") from None
         history.append(record)
 
     return model, history

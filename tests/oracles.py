@@ -170,8 +170,8 @@ def lstm_oracle(x, cells):
 
     The same arrays and operations in the same order, with the two
     directions' array work run one after the other instead of on two
-    threads. Takes and returns Tensors, so a backward() through the
-    result adds into x.grad and each cell's grads as lstm_op does.
+    threads. Takes and returns Tensors, and its pullback returns x's
+    gradient and each cell's, in its parents' order, as lstm_op's does.
     """
     d_n = len(cells)
     bsz, t_len, c_in = x.data.shape
@@ -253,13 +253,13 @@ def lstm_oracle(x, cells):
                 dc *= f_g[t]
                 np.matmul(dz_t.reshape(d_n, bsz, 4 * h), wh_t, out=dh)
         dz2 = dz.reshape(d_n, -1, 4 * h)
+        g_x, g_cells = None, []
         for d, (wx, wh, b) in enumerate(cells):
             h_prev = np.ascontiguousarray(hs[:-1, d].transpose(1, 0, 2)).reshape(-1, h)
             gx = (dz2[d] @ wx.data.T).reshape(x.data.shape)
-            wh.grad += h_prev.T @ dz2[d]
-            wx.grad += x_rows[d].T @ dz2[d]
-            b.grad += dz2[d].sum(axis=0)
-            x.grad += gx if d == 0 else gx[:, ::-1, :]
+            g_cells += [x_rows[d].T @ dz2[d], h_prev.T @ dz2[d], dz2[d].sum(axis=0)]
+            g_x = gx if d == 0 else g_x + gx[:, ::-1, :]
+        return (g_x, *g_cells)
 
     params = tuple(p for cell in cells for p in cell)
     return Tensor(out_data, (x,) + params, back)
@@ -273,8 +273,8 @@ def conv_block_oracle(x, w, b, pool, norm, rate, rng, eps=1e-5):
     Conv, batchnorm and dropout are the single ops of that time; pooling
     is maxpool_oracle. x is a constant array; norm is None or (gamma,
     beta), normalized by the batch's own statistics; rate 0 draws no mask.
-    Takes and returns Tensors, so a backward() through the result adds
-    into each parameter's grad, each node reading its output's .grad.
+    Takes and returns Tensors, and each node's pullback returns its
+    parents' gradients.
     """
     bsz, t_len, c_in = x.shape
     c_out, _, k = w.data.shape
@@ -285,13 +285,12 @@ def conv_block_oracle(x, w, b, pool, norm, rate, rng, eps=1e-5):
 
     def conv_back(g):
         g2 = g.reshape(bsz * t_len, c_out)
-        w.grad += (g2.T @ cols2).reshape(c_out, c_in, k)
-        b.grad += g2.sum(axis=0)
+        return (g2.T @ cols2).reshape(c_out, c_in, k), g2.sum(axis=0)
 
     conv = Tensor((cols2 @ wmat + b.data).reshape(bsz, t_len, c_out), (w, b), conv_back)
 
     def pool_back(g):
-        conv.grad += maxpool_oracle(conv.data, pool, g)[1]
+        return (maxpool_oracle(conv.data, pool, g)[1],)
 
     t_out = -(-t_len // pool)
     y = Tensor(maxpool_oracle(conv.data, pool, np.zeros((bsz, t_out, c_out)))[0], (conv,), pool_back)
@@ -314,9 +313,7 @@ def _batchnorm_node(x, gamma, beta, eps):
     def back(g):
         sum_gx = (g * xhat).sum(axis=axes)
         sum_g = g.sum(axis=axes)
-        gamma.grad += sum_gx
-        beta.grad += sum_g
-        x.grad += (g - sum_g / n - xhat * (sum_gx / n)) * (gamma.data * inv)
+        return (g - sum_g / n - xhat * (sum_gx / n)) * (gamma.data * inv), sum_gx, sum_g
 
     out = gamma.data * xhat
     out += beta.data
@@ -327,7 +324,7 @@ def _dropout_node(x, rate, rng):
     keep = rng.random(x.data.shape) >= rate
 
     def back(g):
-        x.grad += g * (keep / (1.0 - rate))
+        return (g * (keep / (1.0 - rate)),)
 
     return Tensor(x.data * (keep / (1.0 - rate)), (x,), back)
 

@@ -74,8 +74,7 @@ class TestTensorBasics:
         x = Tensor(np.array([3.0]))
 
         def back(g):  # x enters y twice, once per entry
-            for part in (g[:1], g[1:]):
-                x.grad += part
+            return g[:1], g[1:]
 
         y = Tensor(np.concatenate([x.data, x.data]), (x, x), back)
         y.backward(np.array([2.0, 5.0]))
@@ -392,7 +391,7 @@ class TestDropout:
         out = T.dropout_op(xt, rate, np.random.default_rng(11))
         out.backward(g)
         scale = (np.random.default_rng(11).random(x.shape) >= rate) / (1 - rate)
-        want_dx = np.zeros_like(x) + g * scale  # what accumulating into a fresh grad gives
+        want_dx = g * scale  # adopted as made: -0.0 where a negative g is dropped
         assert np.array_equal(out.data.view(np.uint64), (x * scale).view(np.uint64))
         assert np.array_equal(xt.grad.view(np.uint64), want_dx.view(np.uint64))
 
@@ -452,8 +451,8 @@ class TestConvBlock:
 
     def test_chain_of_single_ops_equals_the_block(self, rng):
         # dropout's pullback makes -0.0 where a negative gradient meets a
-        # dropped unit, and the chain adds it into a zeroed .grad while the
-        # block hands it on as it is; no output or parameter bit may differ
+        # dropped unit, and both the chain and the block hand it on as it
+        # is; no output or parameter bit may differ
         conv, pool, bn, drop = Conv1d(2, 6, 3, rng), MaxPool1d(2), BatchNorm1d(6), Dropout(0.5)
         conv.b.data[...] = rng.normal(0, 1, conv.b.data.shape)
         bn.gamma.data[...] = rng.normal(1, 0.5, bn.gamma.data.shape)
@@ -497,7 +496,7 @@ class TestOwnedGradients:
         x = rng.normal(0, 1, (3, 5, 4))
         _, saved = T._bn_forward(x - x.mean(axis=(0, 1)), x.var(axis=(0, 1)), 1e-5, gamma.data, beta.data)
         g = rng.normal(0, 1, x.shape)
-        assert T._bn_pullback(g, saved, gamma, beta, train) is g
+        assert T._bn_pullback(g, saved, gamma.data, train)[0] is g
 
     def test_dropout_pullback_returns_the_array_it_was_handed(self, rng):
         g = rng.normal(0, 1, (3, 5, 4))
@@ -520,6 +519,71 @@ class TestOwnedGradients:
         out.backward(seed)
         assert np.array_equal(seed.view(np.uint64), kept.view(np.uint64))
         assert np.array_equal(out.grad.view(np.uint64), kept.view(np.uint64))
+
+
+def _batchnorm_graph(mode, rng):
+    x, bn = rng.normal(0, 1, (2, 7, 4)), BatchNorm1d(4)
+    bn(Tensor(x), "train")  # running statistics for eval
+    return T.batchnorm_op(Tensor(x), bn.block_norm(mode))
+
+
+def _conv_block_graph(use_bn, rate, rng):
+    x, conv, bn = rng.normal(0, 1, (2, 7, 3)), Conv1d(3, 4, 3, rng), BatchNorm1d(4)
+    norm = bn.block_norm("train") if use_bn else None
+    return T.conv_block_op(x, conv.w, conv.b, 2, norm, rate, rng)
+
+
+class TestPullbackContract:
+    """Each pullback returns one writable array per parent, in the parents'
+    order and of each parent's shape, and owns every one: none overlaps
+    another it returns, the data of a tensor in the graph or the caller's
+    seed. That is what lets backward() adopt each as a parent's gradient."""
+
+    GRAPHS = {
+        "affine": lambda rng: T.affine(*(Tensor(rng.normal(0, 1, s)) for s in [(2, 3, 4), (4, 5), (5,)])),
+        "relu": lambda rng: T.relu(Tensor(rng.normal(0, 1, (3, 4)))),
+        "reverse_time": lambda rng: T.reverse_time(Tensor(rng.normal(0, 1, (2, 4, 3)))),
+        "mean_time": lambda rng: T.mean_time(Tensor(rng.normal(0, 1, (2, 5, 3)))),
+        "log_softmax": lambda rng: T.log_softmax_op(Tensor(rng.normal(0, 1, (3, 5)))),
+        "lstm": lambda rng: LSTM(3, 4, rng)(Tensor(rng.normal(0, 1, (2, 6, 3)))),
+        "bilstm": lambda rng: BiLSTM(3, 4, rng)(Tensor(rng.normal(0, 1, (2, 6, 3)))),
+        "conv1d": lambda rng: Conv1d(3, 4, 3, rng)(Tensor(rng.normal(0, 1, (2, 7, 3)))),
+        "maxpool": lambda rng: T.maxpool1d_op(Tensor(rng.normal(0, 1, (2, 7, 3))), 2),
+        "batchnorm_train": lambda rng: _batchnorm_graph("train", rng),
+        "batchnorm_eval": lambda rng: _batchnorm_graph("eval", rng),
+        "dropout": lambda rng: T.dropout_op(Tensor(rng.normal(0, 1, (3, 4))), 0.5, rng),
+        "conv_block": lambda rng: _conv_block_graph(False, 0.0, rng),
+        "conv_block_bn": lambda rng: _conv_block_graph(True, 0.0, rng),
+        "conv_block_dropout": lambda rng: _conv_block_graph(False, 0.5, rng),
+        "conv_block_bn_dropout": lambda rng: _conv_block_graph(True, 0.5, rng),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_each_pullback_returns_arrays_it_owns(self, name, rng):
+        out = self.GRAPHS[name](rng)
+        nodes = tape_nodes(out)
+        held = [n.data for n in nodes]
+        returned = []
+        for node in nodes:
+            if node._backward is None:
+                continue
+
+            def traced(g, pullback=node._backward, parents=node._parents):
+                grads = pullback(g)
+                returned.append((parents, grads))
+                return grads
+
+            node._backward = traced
+        seed = rng.normal(0, 1, out.data.shape)
+        out.backward(seed)
+        assert returned
+        for parents, grads in returned:
+            assert len(grads) == len(parents)
+            for i, (p, g) in enumerate(zip(parents, grads)):
+                assert isinstance(g, np.ndarray) and g.flags.writeable
+                assert g.shape == p.data.shape
+                for other in [*grads[i + 1 :], *held, seed]:
+                    assert not np.shares_memory(g, other)
 
 
 class TestDense:
@@ -1217,7 +1281,7 @@ class TestTapeMemory:
 
     def test_head_pullback_hands_its_product_to_x(self, rng):
         # affine's pullback makes x's gradient, g @ w.T, as one (B, T, c_in)
-        # array and adopts it when x has none yet; adding it into a
+        # array, which x adopts as it has none yet; adding it into a
         # zero-filled .grad took two
         bsz, t_len, c_in, c_out = 2, 400, 120, 16
         x = Tensor(rng.normal(0, 1, (bsz, t_len, c_in)))
@@ -1230,8 +1294,9 @@ class TestTapeMemory:
         def traced(g):
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            pullback(g)
+            grads = pullback(g)
             rises.append(tracemalloc.get_traced_memory()[1] - entry)
+            return grads
 
         y._backward = traced
         g = rng.normal(0, 1, y.data.shape)
@@ -1852,7 +1917,7 @@ class TestTrain:
         model, _ = train(data, (range(8), ()), SMALL, SMALL_TRAIN, loss)
         # train mode normalises with batch statistics, so only eval sees the NaN
         model.norm.running_mean = np.full_like(model.norm.running_mean, np.nan)
-        with pytest.raises(ValueError, match=f"^validation sample 5: {problem}$"):
+        with pytest.raises(ValueError, match=f"^epoch 0, validation sample 5: {problem}$"):
             train(data, ((0, 1, 2, 3), (5, 6)), SMALL, SMALL_TRAIN, loss, model=model)
 
     def test_validation_decodes_through_the_train_module(self, rng, monkeypatch):
