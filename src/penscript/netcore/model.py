@@ -4,7 +4,10 @@ One convolution block (conv -> max-pool -> batchnorm -> dropout, a single
 tape node: tensor.conv_block_op) feeds a recurrent stack, then a dense
 head. The sequence head emits per-frame log-probabilities over classes
 plus blank; the character head mean-pools over time and emits one class
-distribution through an extra dense layer.
+distribution through an extra dense layer. The model's parameters live in
+one store, two flat vectors of which each parameter's .data and .grad
+are views (see RecognitionModel); never rebind either attribute of a
+model parameter.
 """
 
 from __future__ import annotations
@@ -50,7 +53,18 @@ class ModelConfig(JsonConfig):
 
 
 class RecognitionModel:
-    """Conv trunk + recurrent stack + task head, assembled from a config."""
+    """Conv trunk + recurrent stack + task head, assembled from a config.
+
+    The model owns one parameter store: flat holds every parameter's
+    values, in parameters() order (checkpoint order), each C-ordered, and
+    flat_grad, of the same size and zero from the build, their gradients.
+    Each parameter's .data and .grad are views of the two vectors at that
+    parameter's offset, so an in-place write to either reaches the store,
+    and an optimizer steps the whole model through flat and flat_grad.
+    The rule that keeps this true: never rebind a model parameter's .data
+    or .grad, only write into them. A parameter's .grad exists from the
+    build, so Tensor.backward always adds into it and never adopts.
+    """
 
     def __init__(self, cfg: ModelConfig, in_channels: int, task: str, rng: np.random.Generator):
         if task not in TASKS:
@@ -80,6 +94,15 @@ class RecognitionModel:
         else:
             self.char_hidden = Dense(width, cfg.dense_units, rng)
             self.head = Dense(cfg.dense_units, cfg.num_classes, rng)
+
+        params = [p for _, p in self.parameters()]
+        self.flat = np.concatenate([p.data.ravel() for p in params])
+        # np.zeros rather than zeros_like: the allocator can hand over fresh
+        # zero pages, which a model that only decodes never writes
+        self.flat_grad = np.zeros(self.flat.shape)
+        for p, end in zip(params, np.cumsum([p.data.size for p in params])):
+            span = slice(end - p.data.size, end)
+            p.data, p.grad = self.flat[span].reshape(p.shape), self.flat_grad[span].reshape(p.shape)
 
     def forward(
         self, batch: np.ndarray, mode: str, rng: np.random.Generator | None = None
@@ -111,7 +134,7 @@ class RecognitionModel:
         return -(-frames // self.cfg.pool_size)
 
     def parameters(self):
-        """(name, Tensor) pairs in checkpoint order."""
+        """(name, Tensor) pairs in checkpoint order, which is the store's."""
         named = [("conv.w", self.conv.w), ("conv.b", self.conv.b)]
         if self.norm is not None:
             named += [(f"norm.{n}", p) for n, p in self.norm.parameters()]

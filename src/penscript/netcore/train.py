@@ -125,11 +125,13 @@ def train(
     statistic or dropout draw, and each epoch record counts it as skipped.
     With no sample left, no step is taken and train_loss is NaN. A loss
     that fails, say on a NaN model output, raises its ValueError prefixed
-    with the epoch, the batch and the batch's dataset indices, and a failed
-    validation output with the epoch and the sample's dataset index. Pass a
-    model to continue training it: its task, its input channel count and
-    each model_cfg field, in that order, must be this run's, or a
-    ValueError names the first key that differs and both values.
+    with the epoch, the batch and the batch's dataset indices, and so does
+    a gradient holding NaN or inf, before the step that would spread it
+    into the weights; a failed validation output names the epoch and the
+    sample's dataset index. Pass a model to continue training it: its
+    task, its input channel count and each model_cfg field, in that order,
+    must be this run's, or a ValueError names the first key that differs
+    and both values.
     """
     train_idx, val_idx = fold
     if len(train_idx) == 0:
@@ -182,7 +184,8 @@ def train(
     x_val, y_val = _prepare_inputs(dataset, val_idx, train_cfg.target_len)
 
     opt = Adam(
-        [p for _, p in model.parameters()],
+        model.flat,
+        model.flat_grad,
         lr=train_cfg.learning_rate,
         beta1=train_cfg.adam_beta1,
         beta2=train_cfg.adam_beta2,
@@ -200,20 +203,23 @@ def train(
             chosen = order[start : start + train_cfg.batch_size]
             out = model.forward(x_train[chosen], "train", rng_drop)
             labels = [y_train[i] for i in chosen]
+            where = (
+                f"epoch {epoch}, batch {start // train_cfg.batch_size}"
+                f" (dataset indices {[int(kept[i]) for i in chosen]})"
+            )
             try:
                 if task == "char":
                     res = char_loss(out.data, [label[0] for label in labels], params)
                 else:
                     res = ctc_loss(out.data, labels)
             except ValueError as exc:
-                rows = [int(kept[i]) for i in chosen]
-                raise ValueError(
-                    f"epoch {epoch}, batch {start // train_cfg.batch_size}"
-                    f" (dataset indices {rows}): {exc}"
-                ) from None
+                raise ValueError(f"{where}: {exc}") from None
 
             opt.zero_grad()
             out.backward(res.grad_logits)
+            # a step from it would write NaN into every weight
+            if not np.isfinite(model.flat_grad).all():
+                raise ValueError(f"{where}: the gradient is not finite")
             opt.step()
             epoch_loss += res.value * len(chosen)
 

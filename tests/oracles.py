@@ -6,9 +6,9 @@ edit distance, exhaustive path enumeration for the sequence loss and
 decoder, a prefix beam search over a {prefix: masses} dict, max-pooling by
 np.argmax, an LSTM op that stores each per-step quantity in its own array
 and runs its directions one after the other, the conv block as a chain of
-one tape node per stage, a central finite-difference
-differentiator, and the original one-line-at-a-time recording reader and
-per-value writer.
+one tape node per stage, Adam as a loop over per-parameter moments, a
+central finite-difference differentiator, and the original
+one-line-at-a-time recording reader and per-value writer.
 """
 
 from __future__ import annotations
@@ -263,6 +263,28 @@ def lstm_oracle(x, cells):
 
     params = tuple(p for cell in cells for p in cell)
     return Tensor(out_data, (x,) + params, back)
+
+
+def adam_oracle(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """optim.Adam as it stood before the parameter store: one m and one v
+    array per parameter, and a loop over the parameters in each step.
+
+    Steps every array of params, in place, once per entry of grads, each
+    a list of one gradient array per parameter; returns the moments (m, v),
+    one list each. The loop body is the old step's, line for line.
+    """
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for steps, step_grads in enumerate(grads, 1):
+        correct1 = 1.0 - beta1**steps
+        correct2 = 1.0 - beta2**steps
+        for p, g, m_p, v_p in zip(params, step_grads, m, v):
+            m_p *= beta1
+            m_p += (1.0 - beta1) * g
+            v_p *= beta2
+            v_p += (1.0 - beta2) * g * g
+            p -= lr * (m_p / correct1) / (np.sqrt(v_p / correct2) + eps)
+    return m, v
 
 
 def conv_block_oracle(x, w, b, pool, norm, rate, rng, eps=1e-5):

@@ -11,7 +11,7 @@ from penscript import cli
 from penscript.dataio import FoldPlan, RecordingFormatError, label_entries
 from penscript.jsonconfig import check_object, check_ranges, parse
 from penscript.losses import LossParams
-from penscript.netcore import Adam, ModelConfig, TrainConfig, load_checkpoint
+from penscript.netcore import Adam, ModelConfig, Tensor, TrainConfig, load_checkpoint
 from penscript.preprocess import AugmentConfig
 
 
@@ -141,7 +141,8 @@ class TestCheckRanges:
 
 
 def _adam(**settings):
-    return Adam([], **{"lr": 0.1, **settings})
+    p = Tensor([0.0, 0.0])
+    return Adam(p.data, p.grad, **{"lr": 0.1, **settings})
 
 
 # The interval of every numeric setting: the specification the classes are

@@ -33,7 +33,14 @@ from penscript.netcore import (
 from penscript.netcore import tensor as T
 from penscript.netcore.model import BLOB_DTYPE, _blob_arrays
 from penscript.seeding import stream
-from oracles import central_diff, conv_block_oracle, lstm_oracle, maxpool_oracle, rel_err
+from oracles import (
+    adam_oracle,
+    central_diff,
+    conv_block_oracle,
+    lstm_oracle,
+    maxpool_oracle,
+    rel_err,
+)
 
 # the package's `train` names the function, so fetch the module by its path
 train_module = importlib.import_module("penscript.netcore.train")
@@ -1182,7 +1189,7 @@ class TestTapeMemory:
             out.backward(seed)
             return out, live
 
-        step()  # the parameters' grads exist from here on
+        step()  # warm-up; the parameters' grads are the store's views from the build
         tracemalloc.start()
         try:
             out, forward_live = step()
@@ -1269,7 +1276,7 @@ class TestTapeMemory:
                 p.zero_grad()
             out.backward(seed)
 
-        step()  # the parameters' grads exist from here on
+        step()  # warm-up; the parameters' grads are the store's views from the build
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1367,19 +1374,19 @@ class TestTapeMemory:
 class TestAdam:
     def test_zero_grad_leaves_params(self):
         p = Tensor([1.0, -2.0])
-        Adam([p], lr=0.1).step()
+        Adam(p.data, p.grad, lr=0.1).step()
         assert np.allclose(p.data, [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
         p = Tensor(np.zeros(3))
         p.grad += [0.5, -3.0, 0.001]
-        Adam([p], lr=0.1).step()
+        Adam(p.data, p.grad, lr=0.1).step()
         assert np.allclose(p.data, -0.1 * np.sign(p.grad), atol=1e-4)
 
     def test_state_advances(self):
         p = Tensor(np.zeros(2))
         p.grad += 1.0
-        opt = Adam([p], lr=0.1)
+        opt = Adam(p.data, p.grad, lr=0.1)
         assert opt.steps == 0
         opt.step()
         assert opt.steps == 1
@@ -1387,21 +1394,19 @@ class TestAdam:
         assert opt.steps == 2
 
     def test_first_step_moments(self, rng):
-        params = [Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 4))]
-        opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.99)
-        for p in params:
-            p.grad += rng.normal(0, 1, p.shape)
+        p = Tensor(rng.normal(0, 1, 10))
+        opt = Adam(p.data, p.grad, lr=0.01, beta1=0.8, beta2=0.99)
+        p.grad += rng.normal(0, 1, p.shape)
         opt.step()
-        for p, m, v in zip(params, opt.m, opt.v):
-            assert np.array_equal(m, (1 - 0.8) * p.grad)
-            assert np.array_equal(v, (1 - 0.99) * p.grad * p.grad)
+        assert np.array_equal(opt.m, (1 - 0.8) * p.grad)
+        assert np.array_equal(opt.v, (1 - 0.99) * p.grad * p.grad)
 
     def test_wrapper_trajectories_bit_equal(self, rng):
         w0 = rng.normal(0, 1, (3, 2))
         runs = []
         for _ in range(2):
             p = Tensor(w0.copy())
-            opt = Adam([p], lr=0.01)
+            opt = Adam(p.data, p.grad, lr=0.01)
             for step in range(5):
                 opt.zero_grad()
                 p.grad += np.sin(p.data + step)
@@ -1410,8 +1415,9 @@ class TestAdam:
         assert np.array_equal(runs[0], runs[1])
 
     def test_lr_validated(self):
+        p = Tensor(np.zeros(2))
         with pytest.raises(ValueError):
-            Adam([], lr=0.0)
+            Adam(p.data, p.grad, lr=0.0)
 
     @pytest.mark.parametrize(
         "name, value, problem",
@@ -1429,14 +1435,123 @@ class TestAdam:
     )
     def test_bad_setting_names_the_argument(self, name, value, problem):
         settings = {"lr": 0.1, name: value}
+        p = Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be {problem}, got ")):
-            Adam([Tensor(np.zeros(2))], **settings)
+            Adam(p.data, p.grad, **settings)
 
     def test_setting_edges_accepted(self):
         p = Tensor(np.zeros(2))
         p.grad += [1.0, 0.0]
-        Adam([p], lr=5.0, beta1=0.0, beta2=0.0, eps=1e-300).step()
+        Adam(p.data, p.grad, lr=5.0, beta1=0.0, beta2=0.0, eps=1e-300).step()
         assert np.isfinite(p.data).all()
+
+    @pytest.mark.parametrize("added", [False, True], ids=["written", "added_into_zeros"])
+    def test_one_pass_matches_the_per_parameter_loop(self, rng, added):
+        # the store's one pass against the loop over each parameter's own
+        # moments, on gradients holding zeros and -0.0; added: the store's
+        # gradient is added into zeros, as backward adds into a parameter's,
+        # which turns -0.0 into +0.0, while the loop steps on the -0.0 that
+        # a parameter without a gradient once adopted
+        model = RecognitionModel(SMALL, 3, "seq2seq", rng)
+        params = [p.data.copy() for _, p in model.parameters()]
+        cuts = np.cumsum([a.size for a in params])[:-1]
+        opt = Adam(model.flat, model.flat_grad, lr=0.01, beta1=0.8, beta2=0.99)
+        grads = []
+        for step in range(5):
+            g = rng.normal(0, 10.0 ** (step - 2), model.flat.size)
+            g[step::7] = 0.0
+            g[step::11] = -0.0
+            opt.zero_grad()
+            if added:
+                model.flat_grad += g
+            else:
+                model.flat_grad[...] = g
+            opt.step()
+            grads.append([part.reshape(a.shape) for part, a in zip(np.split(g, cuts), params)])
+        m, v = adam_oracle(params, grads, lr=0.01, beta1=0.8, beta2=0.99)
+        for got, want in ((model.flat, params), (opt.m, m), (opt.v, v)):
+            want = np.concatenate([a.ravel() for a in want])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_in_store(model):
+    """Each parameter's .data and .grad are the views of model.flat and
+    model.flat_grad at its offset, in parameters() order."""
+    offset = 0
+    for name, p in model.parameters():
+        for array, store in ((p.data, model.flat), (p.grad, model.flat_grad)):
+            start = store.__array_interface__["data"][0] + store.itemsize * offset
+            assert array.__array_interface__["data"][0] == start, name
+            assert array.shape == p.shape and array.flags.c_contiguous, name
+            assert np.shares_memory(array, store), name
+        offset += p.data.size
+    assert offset == model.flat.size == model.flat_grad.size
+
+
+STORE_CASES = [
+    ("seq2seq", SMALL),
+    ("char", SMALL),
+    ("seq2seq", dataclasses.replace(SMALL, use_batchnorm=False, recurrent_kind="LSTM", lstm_units=3)),
+]
+
+
+class TestParameterStore:
+    @pytest.mark.parametrize("task, cfg", STORE_CASES, ids=["seq2seq", "char", "lstm_no_batchnorm"])
+    def test_built_in_the_store(self, rng, task, cfg):
+        model = RecognitionModel(cfg, 3, task, rng)
+        assert_in_store(model)
+        assert np.array_equal(model.flat, np.concatenate([p.data.ravel() for _, p in model.parameters()]))
+        assert not model.flat_grad.any()
+
+    def test_layers_reach_the_stored_tensors(self, rng):
+        model = RecognitionModel(SMALL, 3, "char", rng)
+        named = dict(model.parameters())
+        reached = {
+            "conv.w": model.conv.w, "norm.gamma": model.norm.gamma,
+            "recurrent0.fwd.wx": model.recurrent[0].fwd.wx, "recurrent0.bwd.b": model.recurrent[0].bwd.b,
+            "char_hidden.w": model.char_hidden.w, "head.b": model.head.b,
+        }
+        for name, tensor in reached.items():
+            assert tensor is named[name], name
+        model.flat[...] = 0.5
+        model.flat_grad[...] = 2.0
+        for tensor in reached.values():
+            assert (tensor.data == 0.5).all() and (tensor.grad == 2.0).all()
+
+    def test_forward_backward_and_zero_grad_keep_the_store(self, rng):
+        model = RecognitionModel(SMALL, 3, "seq2seq", rng)
+        opt = Adam(model.flat, model.flat_grad, lr=0.01)
+        for _ in range(2):
+            out = model.forward(rng.normal(0, 1, (2, 8, 3)), "train", rng)
+            out.backward(rng.normal(0, 1, out.shape))
+            assert_in_store(model)
+            assert model.flat_grad.any()
+            opt.step()
+            opt.zero_grad()
+            assert_in_store(model)
+            assert not model.flat_grad.any()
+
+    @pytest.mark.parametrize("loss", ["ctc", "cce"])
+    def test_train_keeps_the_store(self, rng, loss):
+        data = tiny_dataset(rng)
+        model, _ = train(data, (range(6), range(6, 8)), SMALL, SMALL_TRAIN, loss)
+        assert_in_store(model)
+        before = model.flat.copy()
+        again, _ = train(data, (range(6), ()), SMALL, SMALL_TRAIN, loss, model=model)
+        assert again is model
+        assert_in_store(model)
+        assert not np.array_equal(model.flat, before)
+
+    def test_checkpoint_blob_starts_with_the_store(self, tmp_path, rng):
+        model = RecognitionModel(SMALL, 3, "seq2seq", rng)
+        model.forward(rng.normal(0, 1, (2, 8, 3)), "train")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model)
+        blob = path.read_bytes().split(b"\n", 1)[1]
+        assert blob.startswith(model.flat.tobytes())
+        loaded, _ = load_checkpoint(str(path))
+        assert_in_store(loaded)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
 
 
 class TestCheckpoint:
@@ -1824,6 +1939,30 @@ class TestTrain:
         message = f"epoch 0, batch 0 (dataset indices {rows}): {problem}"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             train(data, (train_idx, ()), SMALL, cfg, loss, model=model)
+
+    @pytest.mark.parametrize("loss", ["ctc", "cce"])
+    def test_non_finite_gradient_fails_its_step(self, rng, monkeypatch, loss):
+        # an inf put into a parameter's gradient after backward, as an
+        # overflowing backward would leave it; a step from it would write NaN
+        # into the weights, so the run fails before Adam runs
+        real = Tensor.backward
+
+        def overflowing(self, seed):
+            real(self, seed)
+            model.head.b.grad[0] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", overflowing)
+        data = tiny_dataset(rng)
+        train_idx = (6, 2, 7, 3, 5)
+        model = RecognitionModel(SMALL, 2, "seq2seq" if loss == "ctc" else "char", rng)
+        before = [p.data.copy() for _, p in model.parameters()]
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=3, target_len=12)
+        rows = [train_idx[i] for i in stream(cfg.seed, 1).permutation(5)[:2]]
+        message = f"epoch 0, batch 0 (dataset indices {rows}): the gradient is not finite"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            train(data, (train_idx, ()), SMALL, cfg, loss, model=model)
+        for (name, p), held in zip(model.parameters(), before):
+            assert np.array_equal(p.data, held), name
 
     def test_failed_loss_names_a_later_batch(self, rng, monkeypatch):
         train_module = importlib.import_module("penscript.netcore.train")
