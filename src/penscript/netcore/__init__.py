@@ -28,6 +28,7 @@ from penscript.netcore.model import (
     RecognitionModel,
     forward_seq2seq,
     load_checkpoint,
+    param_spec,
     save_checkpoint,
 )
 from penscript.netcore.optim import Adam
@@ -38,7 +39,7 @@ __all__ = [
     "affine", "batchnorm_op", "conv1d_op", "conv_block_op", "dropout_op", "log_softmax_op",
     "lstm_op", "maxpool1d_op", "mean_time", "relu", "reverse_time",
     "BatchNorm1d", "BiLSTM", "Conv1d", "Dense", "Dropout", "LSTM", "MaxPool1d",
-    "ModelConfig", "RecognitionModel", "forward_seq2seq",
+    "ModelConfig", "RecognitionModel", "forward_seq2seq", "param_spec",
     "load_checkpoint", "save_checkpoint",
     "Adam",
     "TrainConfig", "predict", "train",

@@ -146,7 +146,6 @@ class LSTM:
 
     def __init__(self, c_in: int, hidden: int, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(hidden)
-        self.hidden = hidden
         self.wx = Tensor(rng.uniform(-bound, bound, (c_in, 4 * hidden)))
         self.wh = Tensor(rng.uniform(-bound, bound, (hidden, 4 * hidden)))
         bias = np.zeros(4 * hidden)

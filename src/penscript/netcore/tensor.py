@@ -189,7 +189,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = self.grad + seed
+        self.grad += seed
         # popping drops the walk's own reference, so a node whose children
         # have all run is freed as soon as its pullback has
         while topo:

@@ -1220,6 +1220,22 @@ class TestDecode:
             f"error: checkpoint {cfg} header is missing the key(s) model, task, in_channels, arrays"
         )
 
+    def test_huge_in_channels_header_is_one_error_line(self, tmp_path, capsys, rng):
+        # a model with 10**12 input channels cannot be allocated; the header
+        # is refused against the manifest before any model is built
+        data, labels = write_dataset(tmp_path, char_samples(rng, n=2))
+        run(capsys, ["train", "--data", data, "--labels", labels, "--loss", "cce", "--epochs", "1", "--out", str(tmp_path / "o")] + TRAIN_FLAGS)
+        ckpt = tmp_path / "o" / "model.ckpt"
+        header_line, blob = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["in_channels"] = 10**12
+        ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        code, out, err = run(capsys, ["decode", "--data", data, "--labels", labels, "--checkpoint", str(ckpt)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: checkpoint {ckpt}: array entry 0: the file lists ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["decode", "resume"])
     def test_other_channel_count_is_rejected(self, tmp_path, capsys, rng, command):
         data, labels = write_dataset(tmp_path, char_samples(rng))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import importlib
+import itertools
 import json
 import re
 import threading
@@ -26,12 +27,13 @@ from penscript.netcore import (
     Tensor,
     TrainConfig,
     load_checkpoint,
+    param_spec,
     predict,
     save_checkpoint,
     train,
 )
 from penscript.netcore import tensor as T
-from penscript.netcore.model import BLOB_DTYPE, _blob_arrays
+from penscript.netcore.model import BLOB_DTYPE, _manifest
 from penscript.seeding import stream
 from oracles import (
     adam_oracle,
@@ -1495,6 +1497,34 @@ STORE_CASES = [
 ]
 
 
+class TestParamSpec:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("use_batchnorm", [True, False], ids=["bn", "no-bn"])
+    @pytest.mark.parametrize("kind", ["BiLSTM", "LSTM"])
+    @pytest.mark.parametrize("task", ["seq2seq", "char"])
+    def test_spec_is_the_built_layout(self, rng, task, kind, use_batchnorm, layers):
+        cfg = dataclasses.replace(
+            SMALL, recurrent_kind=kind, lstm_units=4, use_batchnorm=use_batchnorm, bilstm_layers=layers
+        )
+        spec = list(param_spec(cfg, 3, task))
+        model = RecognitionModel(cfg, 3, task, rng)
+        assert spec == [(n, p.shape) for n, p in model.parameters()]
+        assert model.spec == spec
+        assert all(type(d) is int for _, shape in spec for d in shape)
+
+    def test_unknown_task(self, rng):
+        with pytest.raises(ValueError, match="^task must be one of"):
+            next(param_spec(SMALL, 3, "ocr"))
+        with pytest.raises(ValueError, match="^task must be one of"):
+            RecognitionModel(SMALL, 3, "ocr", rng)
+
+    def test_a_huge_config_costs_only_the_entries_walked(self):
+        cfg = dataclasses.replace(SMALL, bilstm_layers=10**400, conv_filters=10**400)
+        spec = param_spec(cfg, 10**400, "seq2seq")
+        assert next(spec) == ("conv.w", (10**400, 10**400, 3))
+        assert [n for n, _ in itertools.islice(spec, 9)][-1] == "recurrent0.bwd.b"
+
+
 class TestParameterStore:
     @pytest.mark.parametrize("task, cfg", STORE_CASES, ids=["seq2seq", "char", "lstm_no_batchnorm"])
     def test_built_in_the_store(self, rng, task, cfg):
@@ -1542,6 +1572,15 @@ class TestParameterStore:
         assert_in_store(model)
         assert not np.array_equal(model.flat, before)
 
+    def test_backward_from_a_parameter_adds_into_its_view(self, rng):
+        model = RecognitionModel(SMALL, 3, "seq2seq", rng)
+        seed = rng.normal(0, 1, model.head.b.shape)
+        model.head.b.backward(seed)
+        assert_in_store(model)
+        # head.b is the spec's last entry, so the store's last values
+        assert np.array_equal(model.flat_grad[-seed.size :], seed)
+        assert not model.flat_grad[: -seed.size].any()
+
     def test_checkpoint_blob_starts_with_the_store(self, tmp_path, rng):
         model = RecognitionModel(SMALL, 3, "seq2seq", rng)
         model.forward(rng.normal(0, 1, (2, 8, 3)), "train")
@@ -1586,12 +1625,26 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         loaded, header = load_checkpoint(path)
 
-        arrays = _blob_arrays(model)
-        assert header["arrays"] == [{"name": n, "shape": list(a.shape)} for n, a in arrays]
-        assert [n for n, _ in arrays] == [n for n, _ in model.parameters()] + [n for n, _ in model.buffers()]
-        for (n1, a1), (n2, a2) in zip(arrays, _blob_arrays(loaded), strict=True):
+        def blob_arrays(m):
+            return [(n, p.data) for n, p in m.parameters()] + m.buffers()
+
+        manifest = list(_manifest(model.cfg, model.in_channels, model.task))
+        arrays = blob_arrays(model)
+        assert header["arrays"] == manifest == [{"name": n, "shape": list(a.shape)} for n, a in arrays]
+        assert [e["name"] for e in manifest] == [n for n, _ in model.parameters()] + [n for n, _ in model.buffers()]
+        for (n1, a1), (n2, a2) in zip(arrays, blob_arrays(loaded), strict=True):
             assert n1 == n2
             assert np.array_equal(a1, a2)
+
+    @pytest.mark.parametrize("task, cfg", STORE_CASES, ids=["seq2seq", "char", "lstm_no_batchnorm"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, rng, task, cfg):
+        model = RecognitionModel(cfg, 3, task, rng)
+        model.forward(rng.normal(0, 1, (2, 8, 3)), "train")
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(str(first), model, extra={"epochs_completed": 2})
+        loaded, header = load_checkpoint(str(first))
+        save_checkpoint(str(second), loaded, extra={"epochs_completed": header["epochs_completed"]})
+        assert second.read_bytes() == first.read_bytes()
 
     def test_truncated_blob_rejected(self, tmp_path, rng):
         model = RecognitionModel(SMALL, 3, "char", rng)
@@ -1676,6 +1729,38 @@ MANIFEST_FAULTS = [
 ]
 
 
+def set_header(value, *keys):
+    """A rewrite of the header field at keys to value, the blob kept."""
+
+    def mutate(header, blob):
+        *outer, last = keys
+        for key in outer:
+            header = header[key]
+        header[last] = value
+        return blob
+
+    return mutate
+
+
+# headers that claim a model far beyond memory; each is refused at its
+# first differing entry, before any array of the model is drawn
+HOSTILE_HEADERS = [
+    pytest.param(
+        set_header(value, "in_channels"), 0, entry("conv.w", [6, 3, 3]), entry("conv.w", [6, value, 3]), id=f"in_channels-{name}"
+    )
+    for value, name in [(10**4, "1e4"), (10**12, "1e12"), (10**400, "1e400")]
+] + [
+    pytest.param(
+        set_header(10**400, "model", "conv_filters"), 0, entry("conv.w", [6, 3, 3]), entry("conv.w", [10**400, 3, 3]),
+        id="conv_filters-1e400",
+    ),
+    pytest.param(
+        set_header(10**400, "model", "bilstm_layers"), 10, entry("char_hidden.w", [6, 5]), entry("recurrent1.fwd.wx", [6, 12]),
+        id="bilstm_layers-1e400",
+    ),
+]
+
+
 def rejected(path, problem):
     """Expect load_checkpoint to fail with a message starting with problem."""
     return pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {path}: {problem}"))
@@ -1742,7 +1827,7 @@ class TestCheckpointChecks:
         with expect(path, problem):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("mutate, index, listed, held", MANIFEST_FAULTS)
+    @pytest.mark.parametrize("mutate, index, listed, held", MANIFEST_FAULTS + HOSTILE_HEADERS)
     def test_manifest_is_the_models(self, tmp_path, rng, mutate, index, listed, held):
         path, header, blob = saved_checkpoint(tmp_path, rng)
         rewrite(path, header, mutate(header, blob))
@@ -1750,6 +1835,31 @@ class TestCheckpointChecks:
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"checkpoint {path}: array entry {index}: the file lists {listed}, the model holds {held}"
+
+    def test_hostile_header_allocates_nothing(self, tmp_path, rng):
+        # the manifest is compared before the model is built: refusing
+        # in_channels 10**4 peaked at 24 kB, against 4.3 MB when a model
+        # with (6, 10**4, 3) conv weights was drawn first
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        rewrite(path, header, set_header(10**4, "in_channels")(header, blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="array entry 0: "):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+
+    def test_huge_listed_model_fails_at_the_blob_size(self, tmp_path, rng):
+        # the header and its list agree on 10**12 input channels; the blob's
+        # size refuses them, compared in Python ints
+        path, header, blob = saved_checkpoint(tmp_path, rng)
+        header["in_channels"] = header["arrays"][0]["shape"][1] = 10**12
+        rewrite(path, header, blob)
+        needs = len(blob) + BLOB_DTYPE.itemsize * 6 * (10**12 - 3) * 3  # conv.w grows from (6, 3, 3)
+        with rejected(path, f"the blob holds {len(blob)} bytes, but its manifest needs {needs}"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "name, value", [("norm.running_var", np.nan), ("conv.w", np.inf), ("head.b", -np.inf)]
